@@ -9,6 +9,7 @@ solutions.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -164,81 +165,139 @@ def _floor_ratio(n: int, d: int) -> int:
     return n // d
 
 
-class _Row:
-    """Compiled constraint: lob <= sum(coeffs * x) <= hib (None = open side)."""
+def _compile_rows(constraints: Sequence[LinearConstraint], index: Mapping[str, int]) -> Optional[list[list]]:
+    """Rows `[idxs, coeffs, lob, hib]` for _propagate; None if a constraint
+    without terms can never hold. Constant constraints that hold are dropped."""
+    rows: list[list] = []
+    for con in constraints:
+        idxs = tuple(index[v] for v in con.terms)
+        coeffs = tuple(con.terms[v] for v in con.terms)
+        if con.relation == LE:
+            lob, hib = None, con.rhs
+        elif con.relation == GE:
+            lob, hib = con.rhs, None
+        else:
+            lob, hib = con.rhs, con.rhs
+        if not idxs:
+            if (lob is not None and lob > 0) or (hib is not None and hib < 0):
+                return None
+            continue
+        rows.append([idxs, coeffs, lob, hib])
+    return rows
 
-    __slots__ = ("idxs", "coeffs", "lob", "hib")
 
-    def __init__(self, idxs, coeffs, lob, hib):
-        self.idxs = idxs
-        self.coeffs = coeffs
-        self.lob = lob
-        self.hib = hib
+def _occurrences(rows: list[list], n: int) -> list[list[int]]:
+    """For each of the n variables, the positions of the rows that mention it."""
+    occurs: list[list[int]] = [[] for _ in range(n)]
+    for r, row in enumerate(rows):
+        for i in row[0]:
+            occurs[i].append(r)
+    return occurs
 
 
-def _propagate(rows: list[_Row], lo: list[int], hi: list[int]) -> bool:
-    """Tighten integer bounds to a fixpoint; False means provably infeasible."""
-    changed = True
-    while changed:
-        changed = False
-        for row in rows:
-            idxs, coeffs, lob, hib = row.idxs, row.coeffs, row.lob, row.hib
-            minact = 0
-            maxact = 0
-            for i, c in zip(idxs, coeffs):
+def _propagate(rows: list[list], occurs: list[list[int]], lo: list[int], hi: list[int], seeds) -> bool:
+    """Tighten integer bounds to a fixpoint; False means provably infeasible.
+
+    Each row `[idxs, coeffs, lob, hib]` (see _compile_rows) states
+    lob <= sum(coeffs * x) <= hib, None being an open side; `occurs[i]`
+    lists the rows that mention variable i. Propagation is event-driven:
+    only the rows in `seeds` are queued at first, and a row that moves a
+    bound re-queues every row of that variable, itself included. Rows never
+    queued must already be at fixpoint on the given box. A row pass skips its
+    per-variable loop when no term's span |c|*(hi-lo) exceeds the row's
+    slack on either side, as that loop could not tighten anything.
+
+    The rows act as monotone narrowing operators, so the box reached is
+    their greatest common fixpoint below the given one whatever order the
+    rows are visited in: seeding with all rows or only with those touched
+    since the last fixpoint gives the same bounds.
+    """
+    queued = bytearray(len(rows))
+    queue = deque()
+    for r in seeds:
+        if not queued[r]:
+            queued[r] = 1
+            queue.append(r)
+    while queue:
+        r = queue.popleft()
+        queued[r] = 0
+        idxs, coeffs, lob, hib = rows[r]
+        if lob is None and hib is None:
+            continue
+        minact = 0
+        maxact = 0
+        span = 0
+        for i, c in zip(idxs, coeffs):
+            if c > 0:
+                a = c * lo[i]
+                b = c * hi[i]
+            else:
+                a = c * hi[i]
+                b = c * lo[i]
+            minact += a
+            maxact += b
+            if b - a > span:
+                span = b - a
+        if hib is not None and minact > hib:
+            return False
+        if lob is not None and maxact < lob:
+            return False
+        if (hib is None or span <= hib - minact) and (lob is None or span <= maxact - lob):
+            continue
+        moved = []
+        for i, c in zip(idxs, coeffs):
+            cmin = c * lo[i] if c > 0 else c * hi[i]
+            if hib is not None:
+                slack = hib - (minact - cmin)
                 if c > 0:
-                    minact += c * lo[i]
-                    maxact += c * hi[i]
+                    nb = _floor_ratio(slack, c)
+                    if nb < hi[i]:
+                        maxact += c * (nb - hi[i])
+                        hi[i] = nb
+                        moved.append(i)
                 else:
-                    minact += c * hi[i]
-                    maxact += c * lo[i]
-            if hib is not None and minact > hib:
-                return False
-            if lob is not None and maxact < lob:
-                return False
-            for i, c in zip(idxs, coeffs):
-                cmin = c * lo[i] if c > 0 else c * hi[i]
-                if hib is not None:
-                    slack = hib - (minact - cmin)
-                    if c > 0:
-                        nb = _floor_ratio(slack, c)
-                        if nb < hi[i]:
-                            maxact += c * (nb - hi[i])
-                            hi[i] = nb
-                            changed = True
-                    else:
-                        nb = _ceil_ratio(slack, c)
-                        if nb > lo[i]:
-                            maxact += c * (nb - lo[i])
-                            lo[i] = nb
-                            changed = True
-                    if lo[i] > hi[i]:
-                        return False
-                if lob is not None:
-                    need = lob - (maxact - (c * hi[i] if c > 0 else c * lo[i]))
-                    if c > 0:
-                        nb = _ceil_ratio(need, c)
-                        if nb > lo[i]:
-                            minact += c * (nb - lo[i])
-                            lo[i] = nb
-                            changed = True
-                    else:
-                        nb = _floor_ratio(need, c)
-                        if nb < hi[i]:
-                            minact += c * (nb - hi[i])
-                            hi[i] = nb
-                            changed = True
-                    if lo[i] > hi[i]:
-                        return False
+                    nb = _ceil_ratio(slack, c)
+                    if nb > lo[i]:
+                        maxact += c * (nb - lo[i])
+                        lo[i] = nb
+                        moved.append(i)
+                if lo[i] > hi[i]:
+                    return False
+            if lob is not None:
+                need = lob - (maxact - (c * hi[i] if c > 0 else c * lo[i]))
+                if c > 0:
+                    nb = _ceil_ratio(need, c)
+                    if nb > lo[i]:
+                        minact += c * (nb - lo[i])
+                        lo[i] = nb
+                        moved.append(i)
+                else:
+                    nb = _floor_ratio(need, c)
+                    if nb < hi[i]:
+                        minact += c * (nb - hi[i])
+                        hi[i] = nb
+                        moved.append(i)
+                if lo[i] > hi[i]:
+                    return False
+        for i in moved:
+            for s in occurs[i]:
+                if not queued[s]:
+                    queued[s] = 1
+                    queue.append(s)
     return True
 
 
 def solve(model: IlpModel) -> Optional[Solution]:
     """Minimize the objective over all integer points; None if infeasible.
 
-    Depth-first branch and bound over the finite variable domains. Each node
-    runs exact interval propagation over all constraints plus a cut on the
-    incumbent value, so pruning decisions are exact as well. The search key
+    Depth-first branch and bound over the finite variable domains, branching
+    on the first free variable, lower half first. Each node runs exact
+    interval propagation over all constraints plus a cut on the incumbent
+    value, so pruning decisions are exact as well. The rows are compiled
+    once, with an index from each variable to the rows that mention it. The
+    root propagates from every row; any other node starts from its parent's
+    propagated box and queues only the rows of the branched variable, plus
+    the cut once an incumbent exists (see _propagate). The search key
     combines the objective with per-variable position weights, which makes
     the returned optimum unique: later-declared variables are minimized
     first among equal-objective points.
@@ -262,47 +321,43 @@ def solve(model: IlpModel) -> Optional[Solution]:
         obj[index[vid]] = c
     comb = [big * obj[i] + weights[i] for i in range(n)]
 
-    rows: list[_Row] = []
-    for con in model.constraints:
-        idxs = tuple(index[v] for v in con.terms)
-        coeffs = tuple(con.terms[v] for v in con.terms)
-        if con.relation == LE:
-            lob, hib = None, con.rhs
-        elif con.relation == GE:
-            lob, hib = con.rhs, None
-        else:
-            lob, hib = con.rhs, con.rhs
-        if not idxs:
-            # Constant constraint: either trivially true or the model is infeasible.
-            if (lob is not None and lob > 0) or (hib is not None and hib < 0):
-                return None
-            continue
-        rows.append(_Row(idxs, coeffs, lob, hib))
+    rows = _compile_rows(model.constraints, index)
+    if rows is None:
+        return None
 
-    # comb[i] can be 0 when bounds fix variable i; rows must not carry zeros
+    # comb[i] can be 0 when bounds fix variable i; rows must not carry zeros.
+    # The cut stays open (inactive) until the first incumbent sets its hib.
     cut_support = tuple(i for i in range(n) if comb[i])
-    cut = _Row(cut_support, tuple(comb[i] for i in cut_support), None, None)
+    cut = [cut_support, tuple(comb[i] for i in cut_support), None, None]
+    rows.append(cut)
+    cut_row = len(rows) - 1
+    occurs = _occurrences(rows, n)
     best_key: Optional[int] = None
     best: Optional[list[int]] = None
 
-    stack = [(root_lo, root_hi)]
+    # Each entry owns its lists (children copy one side each), so nodes
+    # narrow them in place. `branched` is None at the root.
+    stack = [(root_lo, root_hi, None)]
     while stack:
-        lo, hi = stack.pop()
-        lo, hi = list(lo), list(hi)
-        active = rows if best_key is None else rows + [cut]
-        if best_key is not None:
-            cut.hib = best_key - 1
-        if not _propagate(active, lo, hi):
+        lo, hi, branched = stack.pop()
+        if branched is None:
+            seeds = range(len(rows))
+        elif best_key is None:
+            seeds = occurs[branched]
+        else:
+            cut[3] = best_key - 1
+            seeds = occurs[branched] + [cut_row]
+        if not _propagate(rows, occurs, lo, hi, seeds):
             continue
         for i in range(n):
             if lo[i] < hi[i]:
                 mid = (lo[i] + hi[i]) // 2
                 upper_lo = list(lo)
                 upper_lo[i] = mid + 1
-                stack.append((upper_lo, hi))
+                stack.append((upper_lo, hi, i))
                 lower_hi = list(hi)
                 lower_hi[i] = mid
-                stack.append((lo, lower_hi))
+                stack.append((lo, lower_hi, i))
                 break
         else:
             key = sum(c * v for c, v in zip(comb, lo))

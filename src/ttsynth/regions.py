@@ -147,29 +147,40 @@ def add_seek_constraints(model: ilp.IlpModel) -> ilp.IlpModel:
     return model.with_constraints([ilp.LinearConstraint(terms, ilp.GE, 1)]).with_objective(terms)
 
 
-def add_blocking(model: ilp.IlpModel, found: Region, k: int) -> ilp.IlpModel:
+def block_prefix(places) -> str:
+    """Prefix for blocking binaries that no place id starts with.
+
+    Starts from BLOCK_PREFIX and prepends underscores while some place
+    starts with it; ids "<prefix><round>_<place>" then never collide with a
+    place or with each other.
+    """
+    prefix = BLOCK_PREFIX
+    while any(p.startswith(prefix) for p in places):
+        prefix = "_" + prefix
+    return prefix
+
+
+def add_blocking(model: ilp.IlpModel, found: Region, k: int, round_no: int, prefix: str = BLOCK_PREFIX) -> ilp.IlpModel:
     """Exclude `found` and everything componentwise above it.
 
     For every positive component s of the found region a binary indicator is
     forced to 1 exactly when the place variable drops below s; at least one
     indicator must be 1, so any further solution is strictly smaller in at
-    least one positive component.
+    least one positive component. The binaries are named
+    "<prefix><round_no>_<place>": `round_no` must differ between the rounds
+    blocked on one model, and no place id may start with `prefix` (see
+    block_prefix).
     """
     support = [p for p in found.marking.keys()]
     if not support:
         raise ValueError("cannot block the all-zero region")
-    # Name binaries per blocking round, not per binary, for stable ids.
-    existing_rounds = {
-        v.id.split("_", 2)[1] for v in model.variables if v.id.startswith(BLOCK_PREFIX)
-    }
-    round_no = len(existing_rounds) + 1
 
     binaries = []
     constraints = []
     sum_terms: dict[str, int] = {}
     for place in support:
         s = found.marking[place]
-        flag = f"{BLOCK_PREFIX}{round_no}_{place}"
+        flag = f"{prefix}{round_no}_{place}"
         binaries.append(ilp.Variable(flag, 0, 1))
         constraints.append(ilp.LinearConstraint({place: 1, flag: k}, ilp.GE, s))
         constraints.append(ilp.LinearConstraint({place: 1, flag: k}, ilp.LE, s + k - 1))
@@ -192,6 +203,7 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
     max_regions set, stops early and flags whether anything was left.
     """
     model = add_seek_constraints(build_base_model(problem))
+    prefix = block_prefix(problem.spec.all_places())
     found: list[Region] = []
     while True:
         solution = ilp.solve(model)
@@ -201,7 +213,7 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
         if problem.max_regions is not None and len(found) >= problem.max_regions:
             return RegionEnumeration(tuple(found), truncated=True)
         found.append(region)
-        model = add_blocking(model, region, problem.k)
+        model = add_blocking(model, region, problem.k, len(found), prefix)
 
 
 def verify_region(spec: Specification, region: Region) -> RegionCheck:

@@ -96,6 +96,42 @@ def brute_force_ilp(model: ilp.IlpModel):
     return best[0][0], dict(zip(ids, best[1]))
 
 
+def interval_fixpoint(model: ilp.IlpModel, lo: list, hi: list):
+    """Greatest box inside [lo, hi] on which no constraint tightens a bound
+    by interval reasoning, as (lo, hi) lists; None if that box is empty.
+
+    Each side `sum(c * x) <= h` of a constraint bounds c * x_v by h minus the
+    least value the other terms can take; the sides are swept naively until
+    nothing moves.
+    """
+    pos = {v.id: i for i, v in enumerate(model.variables)}
+    lo, hi = list(lo), list(hi)
+    sides = []
+    for con in model.constraints:
+        terms = [(pos[v], c) for v, c in con.terms.items()]
+        if con.relation in (ilp.LE, ilp.EQ):
+            sides.append((terms, con.rhs))
+        if con.relation in (ilp.GE, ilp.EQ):
+            sides.append(([(i, -c) for i, c in terms], -con.rhs))
+    if any(not terms and h < 0 for terms, h in sides):
+        return None
+    changed = True
+    while changed:
+        changed = False
+        for terms, h in sides:
+            for i, c in terms:
+                rest = sum(min(d * lo[j], d * hi[j]) for j, d in terms if j != i)
+                room = h - rest  # c * x_i <= room
+                if c > 0 and room // c < hi[i]:
+                    hi[i] = room // c
+                    changed = True
+                elif c < 0 and -(room // -c) > lo[i]:
+                    lo[i] = -(room // -c)
+                    changed = True
+                if lo[i] > hi[i]:
+                    return None
+    return lo, hi
+
 def classical_state_regions(sg: StateGraph) -> set[frozenset]:
     """Subsets of states where each label uniformly enters, exits, or does
     not cross; the textbook region condition for state graphs."""

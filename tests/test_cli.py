@@ -90,6 +90,16 @@ class TestSynth:
         assert main(["synth", "-k", "2", "-o", str(out2), traces]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_place_ids_like_binaries(self, tmp_path, capsys):
+        chain = net_io.write_pnml(make_e_seq())
+        spec = write(tmp_path, "spec.pnml", chain.replace(b'"c2"', b'"_blk2_c0"'))
+        out = tmp_path / "out.pnml"
+        assert main(["synth", "-k", "1", "-o", str(out), spec]) == 0
+        err = capsys.readouterr().err
+        assert "regions: 3" in err and "places: 3" in err
+        assert b"_blk2_c0=1" in out.read_bytes()
+        assert main(["check", "--model", str(out), spec]) == 0
+
 
 class TestRegions:
     def test_e_seq_rows(self, tmp_path, capsys):

@@ -1,0 +1,57 @@
+"""Discovery order pinned byte for byte, and the search tree by its size.
+
+The files under `golden/` were written by an earlier solver whose
+propagation swept every row at every node. The region table and the PNML
+(place ids p1, p2, ... follow discovery order) must stay identical, so any
+change to the search that reorders regions shows here. Both inputs make the
+solver branch. The tie-break makes each optimum unique, so outputs alone do
+not see how it was found; the node counts (one _propagate call per
+branch-and-bound node) pin the branching order and the propagation
+strength.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from ttsynth import ilp
+from ttsynth.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    # all 6 interleavings of the chains a1 a2 and b1 b2
+    ("interleave_2x2", 1),
+    # one trace of 12 distinct labels
+    ("chain_12", 2),
+]
+
+NODES = {"interleave_2x2": 111, "chain_12": 352}
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_region_table(name, k, capsys):
+    assert main(["regions", "-k", str(k), str(GOLDEN / f"{name}.traces")]) == 0
+    expected = (GOLDEN / f"{name}.k{k}.regions.txt").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_pnml_bytes(name, k, tmp_path):
+    out = tmp_path / "out.pnml"
+    assert main(["synth", "-k", str(k), "-o", str(out), str(GOLDEN / f"{name}.traces")]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.k{k}.pnml").read_bytes()
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_search_tree_size(name, k, monkeypatch, capsys):
+    calls = []
+    propagate = ilp._propagate
+
+    def counting(*args):
+        calls.append(None)
+        return propagate(*args)
+
+    monkeypatch.setattr(ilp, "_propagate", counting)
+    assert main(["regions", "-k", str(k), str(GOLDEN / f"{name}.traces")]) == 0
+    assert len(calls) == NODES[name]

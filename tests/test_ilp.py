@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import random_ilp_model
-from oracles import brute_force_ilp
+from oracles import brute_force_ilp, interval_fixpoint
 from ttsynth import ilp
 
 
@@ -136,6 +136,62 @@ class TestSolve:
         second = [ilp.solve(m) for m in models]
         assert first == second
 
+
+class TestPropagation:
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=200)
+    def test_full_propagation_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        m = random_ilp_model(rng)
+        index = {v.id: i for i, v in enumerate(m.variables)}
+        rows = ilp._compile_rows(m.constraints, index)
+        lo = [v.lower for v in m.variables]
+        hi = [v.upper for v in m.variables]
+        # also from a random sub-box, as inside the search
+        for i in range(len(lo)):
+            if rng.random() < 0.3:
+                lo[i] = hi[i] = rng.randint(lo[i], hi[i])
+        want = interval_fixpoint(m, lo, hi)
+        if rows is None:
+            assert want is None
+            return
+        ok = ilp._propagate(rows, ilp._occurrences(rows, len(index)), lo, hi, range(len(rows)))
+        assert ok == (want is not None)
+        if ok:
+            assert (lo, hi) == want
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=200)
+    def test_touched_rows_reach_the_full_fixpoint(self, seed):
+        # A node's box is its parent's fixpoint with one bound moved, so
+        # queueing only that variable's rows must give the same box (or the
+        # same infeasibility) as queueing every row. Walks one random branch.
+        rng = random.Random(seed)
+        m = random_ilp_model(rng)
+        index = {v.id: i for i, v in enumerate(m.variables)}
+        rows = ilp._compile_rows(m.constraints, index)
+        if rows is None:
+            return
+        occurs = ilp._occurrences(rows, len(index))
+        lo = [v.lower for v in m.variables]
+        hi = [v.upper for v in m.variables]
+        every_row = range(len(rows))
+        ok = ilp._propagate(rows, occurs, lo, hi, every_row)
+        while ok:
+            free = [i for i in range(len(lo)) if lo[i] < hi[i]]
+            if not free:
+                return
+            i = rng.choice(free)
+            if rng.random() < 0.5:
+                lo[i] = rng.randint(lo[i] + 1, hi[i])
+            else:
+                hi[i] = rng.randint(lo[i], hi[i] - 1)
+            lo_queued, hi_queued = list(lo), list(hi)
+            ok_queued = ilp._propagate(rows, occurs, lo_queued, hi_queued, occurs[i])
+            ok = ilp._propagate(rows, occurs, lo, hi, every_row)
+            assert ok_queued == ok
+            if ok:
+                assert (lo_queued, hi_queued) == (lo, hi)
 
 class TestLpDump:
     def test_sections_present(self):

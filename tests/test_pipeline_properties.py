@@ -75,8 +75,8 @@ class TestEnumerationDeterminism:
 
         spec = spec_of(make_e_seq())
         model = add_seek_constraints(build_base_model(RegionProblem(spec, 1)))
-        blocked = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1)
-        blocked = add_blocking(blocked, Region(Multiset({"c1": 1}), 1), 1)
+        blocked = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1, 1)
+        blocked = add_blocking(blocked, Region(Multiset({"c1": 1}), 1), 1, 2)
         assert set(blocked.objective) == {"c0", "c1", "c2"}
         seek = blocked.constraints[0]
         assert set(seek.terms) == {"c0", "c1", "c2"}

@@ -13,6 +13,7 @@ from ttsynth.regions import (
     RegionProblem,
     add_blocking,
     add_seek_constraints,
+    block_prefix,
     build_base_model,
     discovery_final_places,
     enumerate_minimal_regions,
@@ -80,12 +81,12 @@ class TestSeekAndBlocking:
         spec = spec_of(make_e_dup())
         model = add_seek_constraints(build_base_model(RegionProblem(spec, 1)))
         region = Region(Multiset({"c0": 1, "c1": 1, "c2": 1}), 1)
-        assert ilp.solve(add_blocking(model, region, 1)) is None
+        assert ilp.solve(add_blocking(model, region, 1, 1)) is None
 
     def test_e_seq_blocking_sequence(self):
         spec = spec_of(make_e_seq())
         model = add_seek_constraints(build_base_model(RegionProblem(spec, 1)))
-        model = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1)
+        model = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1, 1)
         solution = ilp.solve(model)
         region_part = {p: solution.assignment[p] for p in ("c0", "c1", "c2")}
         assert region_part == {"c0": 0, "c1": 1, "c2": 0}
@@ -94,7 +95,7 @@ class TestSeekAndBlocking:
         # with k=1 the added inequalities force flag = 1 - place
         spec = spec_of(make_e_seq())
         model = add_seek_constraints(build_base_model(RegionProblem(spec, 1)))
-        blocked = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1)
+        blocked = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1, 1)
         flag = [v.id for v in blocked.variables if v.id.startswith("_blk")][0]
         lo_hi = [(c.relation, c.rhs) for c in blocked.constraints if flag in c.terms and "c0" in c.terms]
         for p0 in (0, 1):
@@ -109,14 +110,14 @@ class TestSeekAndBlocking:
         spec = spec_of(make_e_seq())
         model = add_seek_constraints(build_base_model(RegionProblem(spec, 1)))
         with pytest.raises(ValueError):
-            add_blocking(model, Region(Multiset(), 1), 1)
+            add_blocking(model, Region(Multiset(), 1), 1, 1)
 
     def test_blocking_accepts_exactly_smaller_assignments(self):
         # sweep every (place, flag) assignment on a small k=2 model
         spec = spec_of(make_e_dup())
         base = build_base_model(RegionProblem(spec, 2))
         found = Region(Multiset({"c0": 2, "c1": 1}), 2)
-        blocked = add_blocking(base, found, 2)
+        blocked = add_blocking(base, found, 2, 1)
         flags = [v.id for v in blocked.variables if v.id.startswith("_blk")]
         block_rows = blocked.constraints[len(base.constraints):]
         places = ("c0", "c1", "c2")
@@ -273,3 +274,26 @@ class TestDiscoveryFinalPlaces:
     def test_override_must_be_a_place(self):
         with pytest.raises(ValueError, match="override"):
             discovery_final_places(spec_of(make_e_seq()), {0: "zz"})
+
+
+def blk_named_chain():
+    """Trace-shaped net "a b" whose last place id looks like a blocking binary."""
+    net = PetriNet(
+        ("c0", "c1", "_blk2_c0"),
+        ("e_a", "e_b"),
+        Multiset({("c0", "e_a"): 1, ("e_a", "c1"): 1, ("c1", "e_b"): 1, ("e_b", "_blk2_c0"): 1}),
+    )
+    return LabelledNet(net, Multiset({"c0": 1}), {"e_a": "a", "e_b": "b"})
+
+
+class TestBinaryNames:
+    def test_same_regions_as_plain_names(self):
+        renamed = enumerate_minimal_regions(RegionProblem(spec_of(blk_named_chain()), 2))
+        plain = enumerate_minimal_regions(RegionProblem(spec_of(make_e_seq()), 2))
+        rename = {"c0": "c0", "c1": "c1", "_blk2_c0": "c2"}
+        assert [{rename[p]: n for p, n in m.items()} for m in markings(renamed)] == markings(plain)
+
+    def test_prefix_avoids_every_place(self):
+        assert block_prefix(("c0", "c1")) == "_blk"
+        assert block_prefix(("c0", "_blk2_c0")) == "__blk"
+        assert block_prefix(("_blk", "__blk1_x", "_")) == "___blk"
