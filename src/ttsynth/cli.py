@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import io as net_io
 from .convert import run_to_labelled_net, state_graph_to_labelled_net, trace_to_labelled_net
-from .core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, build_specification
+from .core import LabelledNet, MarkedPetriNet, _rename_net, build_specification
 from .regions import RegionProblem, enumerate_minimal_regions
 from .semantics import is_enabled
 from .synthesis import synthesize
@@ -58,13 +58,7 @@ def _model_with_label_transitions(ln: LabelledNet) -> MarkedPetriNet:
         if label in mapping.values():
             raise ValueError(f"duplicate transition label in model: {label!r}")
         mapping[t] = label
-    ren = lambda x: mapping.get(x, x)
-    net = PetriNet(
-        ln.net.places,
-        tuple(ren(t) for t in ln.net.transitions),
-        Multiset({(ren(s), ren(t)): w for (s, t), w in ln.net.arcs.items()}),
-    )
-    return MarkedPetriNet(net, ln.initial)
+    return _rename_net(ln, mapping).marked()
 
 
 def _cmd_synth(args) -> int:

@@ -3,6 +3,7 @@ nets, so one synthesis pipeline serves every input style."""
 
 from __future__ import annotations
 
+import graphlib
 from typing import Sequence, Tuple
 
 from .core import LabelledNet, Multiset, PetriNet, StateGraph, state_graph_reachable
@@ -38,30 +39,13 @@ def state_graph_to_labelled_net(sg: StateGraph) -> LabelledNet:
 def check_run_wellformed(run: Run) -> bool:
     """True when the transitive closure of the order is irreflexive, i.e.
     the order relation has no cycle."""
-    succ: dict[str, list[str]] = {}
+    sorter = graphlib.TopologicalSorter()
     for u, v in run.order:
-        succ.setdefault(u, []).append(v)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in run.events}
-    for start in run.events:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(succ.get(start, ())))]
-        color[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    return False
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+        sorter.add(v, u)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError:
+        return False
     return True
 
 

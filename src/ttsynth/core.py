@@ -7,7 +7,7 @@ function, so values can be shared freely between threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Tuple
 
 
@@ -123,6 +123,12 @@ class PetriNet:
 
     Arc keys are (source, target) pairs; every arc must connect a place with
     a transition (in either direction) and carries weight >= 1.
+
+    `pre` and `post` are the per-transition arc view, built once here and
+    read by everything that needs a transition's arcs: each maps every
+    transition (in `transitions` order) to a `{place: weight}` dict of its
+    input or output arcs. They are derived from the fields, so equality,
+    hashing and repr ignore them; treat them as read-only.
     """
 
     places: Tuple[str, ...]
@@ -137,10 +143,17 @@ class PetriNet:
             raise ValueError("duplicate identifier")
         if pset & tset:
             raise ValueError(f"places and transitions overlap: {sorted(pset & tset)}")
-        for src, tgt in self.arcs:
-            ok = (src in pset and tgt in tset) or (src in tset and tgt in pset)
-            if not ok:
+        pre: dict[str, dict[str, int]] = {t: {} for t in self.transitions}
+        post: dict[str, dict[str, int]] = {t: {} for t in self.transitions}
+        for (src, tgt), w in self.arcs.items():
+            if src in pset and tgt in tset:
+                pre[tgt][src] = w
+            elif src in tset and tgt in pset:
+                post[src][tgt] = w
+            else:
                 raise ValueError(f"arc ({src!r}, {tgt!r}) does not connect a place and a transition")
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "post", post)
 
     def weight(self, src: str, tgt: str) -> int:
         return self.arcs[(src, tgt)]
@@ -304,18 +317,33 @@ def state_graph_reachable(sg: StateGraph) -> frozenset:
     return frozenset(seen)
 
 
+def _require_transition(net: PetriNet, t: str) -> None:
+    if t not in net.pre:
+        raise ValueError(f"unknown transition: {t!r}")
+
+
 def preset(net: PetriNet, t: str) -> Multiset:
     """Weighted preset of a transition: place -> arc weight into t."""
-    if t not in net.transitions:
-        raise ValueError(f"unknown transition: {t!r}")
-    return Multiset({p: net.arcs[(p, t)] for p in net.places if net.arcs[(p, t)]})
+    _require_transition(net, t)
+    return Multiset(net.pre[t])
 
 
 def postset(net: PetriNet, t: str) -> Multiset:
     """Weighted postset of a transition: place -> arc weight out of t."""
-    if t not in net.transitions:
-        raise ValueError(f"unknown transition: {t!r}")
-    return Multiset({p: net.arcs[(t, p)] for p in net.places if net.arcs[(t, p)]})
+    _require_transition(net, t)
+    return Multiset(net.post[t])
+
+
+def effect(net: PetriNet, t: str) -> dict[str, int]:
+    """Token change of firing t: post[t] minus pre[t], zero entries dropped.
+
+    These are the coefficients of t's rise, linear in a token distribution.
+    """
+    _require_transition(net, t)
+    delta = dict(net.post[t])
+    for p, w in net.pre[t].items():
+        delta[p] = delta.get(p, 0) - w
+    return {p: c for p, c in delta.items() if c}
 
 
 def enabled_transitions(n: MarkedPetriNet, m: Marking) -> set[str]:

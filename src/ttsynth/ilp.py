@@ -153,18 +153,6 @@ def format_lp(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ceil_ratio(n: int, d: int) -> int:
-    if d < 0:
-        n, d = -n, -d
-    return -((-n) // d)
-
-
-def _floor_ratio(n: int, d: int) -> int:
-    if d < 0:
-        n, d = -n, -d
-    return n // d
-
-
 def _compile_rows(constraints: Sequence[LinearConstraint], index: Mapping[str, int]) -> Optional[list[list]]:
     """Rows `[idxs, coeffs, lob, hib]` for _propagate; None if a constraint
     without terms can never hold. Constant constraints that hold are dropped."""
@@ -244,19 +232,20 @@ def _propagate(rows: list[list], occurs: list[list[int]], lo: list[int], hi: lis
             return False
         if (hib is None or span <= hib - minact) and (lob is None or span <= maxact - lob):
             continue
+        # `a // c` is the floor and `-(-a // c)` the ceiling of a / c, for either sign of c.
         moved = []
         for i, c in zip(idxs, coeffs):
             cmin = c * lo[i] if c > 0 else c * hi[i]
             if hib is not None:
                 slack = hib - (minact - cmin)
                 if c > 0:
-                    nb = _floor_ratio(slack, c)
+                    nb = slack // c
                     if nb < hi[i]:
                         maxact += c * (nb - hi[i])
                         hi[i] = nb
                         moved.append(i)
                 else:
-                    nb = _ceil_ratio(slack, c)
+                    nb = -(-slack // c)
                     if nb > lo[i]:
                         maxact += c * (nb - lo[i])
                         lo[i] = nb
@@ -266,13 +255,13 @@ def _propagate(rows: list[list], occurs: list[list[int]], lo: list[int], hi: lis
             if lob is not None:
                 need = lob - (maxact - (c * hi[i] if c > 0 else c * lo[i]))
                 if c > 0:
-                    nb = _ceil_ratio(need, c)
+                    nb = -(-need // c)
                     if nb > lo[i]:
                         minact += c * (nb - lo[i])
                         lo[i] = nb
                         moved.append(i)
                 else:
-                    nb = _floor_ratio(need, c)
+                    nb = need // c
                     if nb < hi[i]:
                         minact += c * (nb - hi[i])
                         hi[i] = nb

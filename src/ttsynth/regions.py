@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from . import ilp
-from .core import LabelledNet, Multiset, Specification
+from .core import Multiset, Specification, effect
+from .semantics import ConditionCheck
 
 BLOCK_PREFIX = "_blk"
 
@@ -53,19 +54,6 @@ class RegionProblem:
 
 
 @dataclass(frozen=True)
-class RegionCheck:
-    """Failure names the first violated condition: "bound", "rise"
-    (same label, same rise) or "initial-sum" (equal sums across nets)."""
-
-    ok: bool
-    condition: Optional[str] = None
-    witness: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class RegionEnumeration:
     regions: Tuple[Region, ...]
     truncated: bool = False
@@ -85,22 +73,12 @@ def discovery_final_places(spec: Specification, overrides: Optional[Mapping[int,
                 raise ValueError(f"final place override {place!r} is not a place of net {idx + 1}")
             result[idx] = place
             continue
-        sinks = [p for p in ln.net.places if not any(src == p for (src, _tgt) in ln.net.arcs)]
+        consumed = {p for ws in ln.net.pre.values() for p in ws}
+        sinks = [p for p in ln.net.places if p not in consumed]
         if len(sinks) != 1:
             raise ValueError(f"no unique final place in net {idx + 1}: found {len(sinks)}")
         result[idx] = sinks[0]
     return result
-
-
-def _rise_terms(ln: LabelledNet, e: str) -> dict[str, int]:
-    """Coefficients of the linear rise expression of transition e."""
-    terms: dict[str, int] = {}
-    for (src, tgt), w in ln.net.arcs.items():
-        if src == e:  # outgoing arc: contributes +w * place
-            terms[tgt] = terms.get(tgt, 0) + w
-        elif tgt == e:  # incoming arc: contributes -w * place
-            terms[src] = terms.get(src, 0) - w
-    return {p: c for p, c in terms.items() if c}
 
 
 def build_base_model(problem: RegionProblem) -> ilp.IlpModel:
@@ -116,7 +94,7 @@ def build_base_model(problem: RegionProblem) -> ilp.IlpModel:
     for ln in spec.nets:
         for e in ln.net.transitions:
             label = ln.labels[e]
-            rise = _rise_terms(ln, e)
+            rise = effect(ln.net, e)
             if label not in first_of_label:
                 first_of_label[label] = rise
             else:
@@ -216,31 +194,34 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
         model = add_blocking(model, region, problem.k, len(found), prefix)
 
 
-def verify_region(spec: Specification, region: Region) -> RegionCheck:
-    """Re-check a region directly from the definitions, independent of the ILP."""
+def verify_region(spec: Specification, region: Region) -> ConditionCheck:
+    """Re-check a region directly from the definitions, independent of the ILP.
+
+    Failure names the first violated condition: "bound", "rise" (same label,
+    same rise) or "initial-sum" (equal sums across nets).
+    """
     places = set(spec.all_places())
     unknown = set(region.marking) - places
     if unknown:
         raise ValueError(f"region marks unknown places: {sorted(unknown)}")
     for p in region.marking:
         if region.marking[p] > region.k:
-            return RegionCheck(False, "bound", p)
+            return ConditionCheck(False, "bound", p)
 
     rise_of_label: dict[str, tuple[str, int]] = {}
     for ln in spec.nets:
         for e in ln.net.transitions:
-            terms = _rise_terms(ln, e)
-            value = sum(c * region.marking[p] for p, c in terms.items())
+            value = sum(c * region.marking[p] for p, c in effect(ln.net, e).items())
             label = ln.labels[e]
             if label not in rise_of_label:
                 rise_of_label[label] = (e, value)
             else:
                 first, expected = rise_of_label[label]
                 if value != expected:
-                    return RegionCheck(False, "rise", f"{first}/{e}")
+                    return ConditionCheck(False, "rise", f"{first}/{e}")
 
     sums = [sum(n * region.marking[p] for p, n in ln.initial.items()) for ln in spec.nets]
     for idx, s in enumerate(sums[1:], start=2):
         if s != sums[0]:
-            return RegionCheck(False, "initial-sum", f"net 1 vs net {idx}")
-    return RegionCheck(True)
+            return ConditionCheck(False, "initial-sum", f"net 1 vs net {idx}")
+    return ConditionCheck(True)

@@ -8,7 +8,7 @@ label, and the initially marked places carry the place's initial tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import ilp
@@ -18,9 +18,10 @@ from .core import (
     Marking,
     Multiset,
     StateGraph,
+    _require_transition,
+    effect,
     fire,
     preset,
-    postset,
     state_graph_reachable,
 )
 
@@ -117,7 +118,8 @@ class Run:
 
 @dataclass(frozen=True)
 class ConditionCheck:
-    """Outcome of a validity check; on failure names the first violated
+    """Outcome of a validity check of a token trail, a compact token flow or
+    a region (regions.verify_region); on failure names the first violated
     condition (in checking order) and the smallest witness."""
 
     ok: bool
@@ -128,11 +130,6 @@ class ConditionCheck:
         return self.ok
 
 
-def _require_transition(net: LabelledNet, e: str) -> None:
-    if e not in net.net.transitions:
-        raise ValueError(f"unknown transition: {e!r}")
-
-
 def _require_trail_support(net: LabelledNet, x: Multiset) -> None:
     unknown = set(x) - set(net.net.places)
     if unknown:
@@ -141,14 +138,14 @@ def _require_trail_support(net: LabelledNet, x: Multiset) -> None:
 
 def inflow(net: LabelledNet, x: TokenTrail, e: str) -> int:
     """Tokens flowing into e: incoming arc weights times the trail values."""
-    _require_transition(net, e)
-    return sum(w * x[p] for (p, t), w in net.net.arcs.items() if t == e and p in net.net.places)
+    _require_transition(net.net, e)
+    return sum(w * x[p] for p, w in net.net.pre[e].items())
 
 
 def outflow(net: LabelledNet, x: TokenTrail, e: str) -> int:
     """Tokens flowing out of e: outgoing arc weights times the trail values."""
-    _require_transition(net, e)
-    return sum(w * x[p] for (t, p), w in net.net.arcs.items() if t == e and p in net.net.places)
+    _require_transition(net.net, e)
+    return sum(w * x[p] for p, w in net.net.post[e].items())
 
 
 def rise(net: LabelledNet, x: TokenTrail, e: str) -> int:
@@ -193,18 +190,12 @@ def find_token_trail(net: LabelledNet, pb: PlaceBehavior, bound: Optional[int] =
         bound = default_trail_bound(net, pb)
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    places = net.net.places
-    variables = [ilp.Variable(p, 0, bound) for p in places]
+    variables = [ilp.Variable(p, 0, bound) for p in net.net.places]
     constraints = []
     for e in net.net.transitions:
-        inc = {p: net.net.arcs[(p, e)] for p in places if net.net.arcs[(p, e)]}
-        out = {p: net.net.arcs[(e, p)] for p in places if net.net.arcs[(e, p)]}
         label = net.labels[e]
-        constraints.append(ilp.LinearConstraint(inc, ilp.GE, pb.consume.get(label, 0)))
-        balance = dict(out)
-        for p, w in inc.items():
-            balance[p] = balance.get(p, 0) - w
-        constraints.append(ilp.LinearConstraint(balance, ilp.EQ, pb.rise(label)))
+        constraints.append(ilp.LinearConstraint(net.net.pre[e], ilp.GE, pb.consume.get(label, 0)))
+        constraints.append(ilp.LinearConstraint(effect(net.net, e), ilp.EQ, pb.rise(label)))
     constraints.append(
         ilp.LinearConstraint({p: n for p, n in net.initial.items()}, ilp.EQ, pb.initial)
     )
@@ -236,8 +227,8 @@ def place_behavior_of(model: MarkedPetriNet, place: str) -> PlaceBehavior:
     """Read one model place as consume/produce per transition plus tokens."""
     if place not in model.net.places:
         raise ValueError(f"unknown place: {place!r}")
-    consume = {t: model.net.arcs[(place, t)] for t in model.net.transitions if model.net.arcs[(place, t)]}
-    produce = {t: model.net.arcs[(t, place)] for t in model.net.transitions if model.net.arcs[(t, place)]}
+    consume = {t: ws[place] for t, ws in model.net.pre.items() if place in ws}
+    produce = {t: ws[place] for t, ws in model.net.post.items() if place in ws}
     return PlaceBehavior(consume, produce, model.initial[place])
 
 

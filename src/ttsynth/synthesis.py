@@ -71,11 +71,10 @@ def place_from_region(spec: Specification, region: Region) -> PlaceDefinition:
     inflows: dict[str, list[int]] = {}
     rises: dict[str, int] = {}
     for ln in spec.nets:
-        trail = region.marking.restrict(ln.net.places)
         for e in ln.net.transitions:
             label = ln.labels[e]
-            inflows.setdefault(label, []).append(inflow(ln, trail, e))
-            rises[label] = rise(ln, trail, e)  # equal for every carrier of the label
+            inflows.setdefault(label, []).append(inflow(ln, region.marking, e))
+            rises[label] = rise(ln, region.marking, e)  # equal for every carrier of the label
 
     consume = {label: min(values) for label, values in inflows.items()}
     produce = {label: consume[label] + rises[label] for label in consume}

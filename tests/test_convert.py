@@ -159,6 +159,10 @@ class TestRunWellformed:
     def test_simple_order(self):
         assert check_run_wellformed(Run(("v1", "v2"), (("v1", "v2"),), {"v1": "a", "v2": "b"}))
 
+    def test_self_loop(self):
+        run = Run(("v1", "v2"), (("v1", "v1"), ("v1", "v2")), {"v1": "a", "v2": "b"})
+        assert not check_run_wellformed(run)
+
     def test_two_cycle(self):
         run = Run(("v1", "v2"), (("v1", "v2"), ("v2", "v1")), {"v1": "a", "v2": "b"})
         assert not check_run_wellformed(run)

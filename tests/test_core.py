@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a
+from gens import random_labelled_net
+from oracles import net_inflow, net_rise
 from ttsynth.core import (
     LabelledNet,
     MarkedPetriNet,
@@ -10,12 +14,15 @@ from ttsynth.core import (
     PetriNet,
     Specification,
     build_specification,
+    effect,
     enabled_transitions,
     fire,
     preset,
     postset,
     reachability_graph,
 )
+from ttsynth.regions import discovery_final_places
+from ttsynth.semantics import inflow, outflow, rise
 
 counts = st.dictionaries(st.sampled_from("pqrst"), st.integers(min_value=0, max_value=5), max_size=5)
 
@@ -113,6 +120,52 @@ class TestPrePostSets:
             preset(net, "u")
         with pytest.raises(ValueError, match="unknown transition"):
             postset(net, "u")
+
+
+class TestArcView:
+    def test_view_is_not_part_of_equality(self):
+        a = PetriNet(("p", "q"), ("t",), Multiset({("p", "t"): 1, ("t", "q"): 2}))
+        b = PetriNet(("p", "q"), ("t",), Multiset({("t", "q"): 2, ("p", "t"): 1}))
+        assert a == b and hash(a) == hash(b)
+        assert "pre" not in repr(a) and "post" not in repr(a)
+
+    def test_effect_drops_self_loop(self):
+        net = PetriNet(("p", "q"), ("t",), Multiset({("p", "t"): 2, ("t", "p"): 2, ("t", "q"): 1}))
+        assert net.pre == {"t": {"p": 2}}
+        assert net.post == {"t": {"p": 2, "q": 1}}
+        assert effect(net, "t") == {"q": 1}
+
+    def test_effect_unknown_transition(self):
+        with pytest.raises(ValueError, match="unknown transition"):
+            effect(PetriNet(("p",), ("t",), Multiset()), "u")
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=80)
+    def test_view_matches_arc_scan(self, seed):
+        rng = random.Random(seed)
+        ln = random_labelled_net(rng, "x", rng.randint(1, 5), rng.randint(0, 4))
+        net = ln.net
+        trail = Multiset({p: rng.randint(0, 3) for p in net.places if rng.random() < 0.7})
+        marking = dict(trail.items())
+        assert tuple(net.pre) == tuple(net.post) == net.transitions
+        for t in net.transitions:
+            assert preset(net, t) == Multiset({s: w for (s, u), w in net.arcs.items() if u == t})
+            assert postset(net, t) == Multiset({u: w for (s, u), w in net.arcs.items() if s == t})
+            assert effect(net, t) == {
+                p: net.weight(t, p) - net.weight(p, t)
+                for p in net.places
+                if net.weight(t, p) != net.weight(p, t)
+            }
+            assert inflow(ln, trail, t) == net_inflow(ln, marking, t)
+            assert rise(ln, trail, t) == net_rise(ln, marking, t)
+            assert outflow(ln, trail, t) == net_inflow(ln, marking, t) + net_rise(ln, marking, t)
+        sinks = [p for p in net.places if not any(s == p for s, _ in net.arcs)]
+        spec = Specification((ln,))
+        if len(sinks) == 1:
+            assert discovery_final_places(spec) == {0: sinks[0]}
+        else:
+            with pytest.raises(ValueError, match="no unique final place"):
+                discovery_final_places(spec)
 
 
 class TestFiring:
