@@ -50,10 +50,15 @@ class LinearConstraint:
     rhs: int
 
     def __post_init__(self):
+        # One pass: check each coefficient (plain ints skip the call) and
+        # drop zeros, which carry no information.
+        terms = {}
         for v, c in dict(self.terms).items():
-            _check_int(c, f"coefficient of {v!r}")
-        # Zero coefficients carry no information; drop them up front.
-        object.__setattr__(self, "terms", {v: c for v, c in dict(self.terms).items() if c})
+            if type(c) is not int:
+                _check_int(c, f"coefficient of {v!r}")
+            if c:
+                terms[v] = c
+        object.__setattr__(self, "terms", terms)
         if self.relation not in _RELATIONS:
             raise ValueError(f"unknown relation: {self.relation!r}")
         _check_int(self.rhs, "rhs")
@@ -153,55 +158,120 @@ def format_lp(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile_rows(constraints: Sequence[LinearConstraint], index: Mapping[str, int]) -> Optional[list[list]]:
-    """Rows `[idxs, coeffs, lob, hib]` for _propagate; None if a constraint
-    without terms can never hold. Constant constraints that hold are dropped."""
-    rows: list[list] = []
+def _compile_rows(constraints: Sequence[LinearConstraint], index: Mapping[str, int]):
+    """Rows `(idxs, coeffs, lob, hib)` for _propagate, with two wake lists
+    per variable: `raised[i]` holds the rows that can react when lo[i]
+    rises, `lowered[i]` those that can react when hi[i] falls.
+
+    A `<= hib` side reads the row's minimum activity, which takes lo[i]
+    where c > 0 and hi[i] where c < 0; a `>= lob` side reads the maximum,
+    which takes the other bound; an equality row reads both. Returns
+    (rows, raised, lowered), or None if a constraint without terms can never
+    hold. Constant constraints that hold are dropped.
+    """
+    rows: list[tuple] = []
+    raised: list[list[int]] = [[] for _ in index]
+    lowered: list[list[int]] = [[] for _ in index]
     for con in constraints:
-        idxs = tuple(index[v] for v in con.terms)
-        coeffs = tuple(con.terms[v] for v in con.terms)
         if con.relation == LE:
             lob, hib = None, con.rhs
         elif con.relation == GE:
             lob, hib = con.rhs, None
         else:
             lob, hib = con.rhs, con.rhs
-        if not idxs:
+        if not con.terms:
             if (lob is not None and lob > 0) or (hib is not None and hib < 0):
                 return None
             continue
-        rows.append([idxs, coeffs, lob, hib])
-    return rows
+        r = len(rows)
+        idxs = tuple(map(index.__getitem__, con.terms))
+        coeffs = tuple(con.terms.values())
+        if lob is None:
+            for i, c in zip(idxs, coeffs):
+                (raised if c > 0 else lowered)[i].append(r)
+        elif hib is None:
+            for i, c in zip(idxs, coeffs):
+                (lowered if c > 0 else raised)[i].append(r)
+        else:
+            for i in idxs:
+                raised[i].append(r)
+                lowered[i].append(r)
+        rows.append((idxs, coeffs, lob, hib))
+    return rows, raised, lowered
 
 
-def _occurrences(rows: list[list], n: int) -> list[list[int]]:
-    """For each of the n variables, the positions of the rows that mention it."""
-    occurs: list[list[int]] = [[] for _ in range(n)]
-    for r, row in enumerate(rows):
-        for i in row[0]:
-            occurs[i].append(r)
-    return occurs
+class _Cut:
+    """The incumbent cut `sum(comb[i] * x[i]) <= bound` of solve(), kept
+    apart from the rows because it is dense.
+
+    `up[i]` is comb[i] where positive and `down[i]` where negative, else 0,
+    so the cut's minimum activity on a box is sum(up[i]*lo[i] + down[i]*hi[i]).
+    `act` holds that activity for the box being propagated; _propagate reads
+    it and keeps it current as bounds move. `bound` is None until the first
+    incumbent. `terms` lists (i, comb[i], |comb[i]|) by descending
+    |comb[i]|, zeros left out; it is sorted once, when the first incumbent
+    arrives, so solves that end at the root never sort. `reach` bounds the
+    range hi - lo of every variable in the search: the widest root range,
+    but at least 1.
+    """
+
+    __slots__ = ("up", "down", "reach", "terms", "bound", "act")
+
+    def __init__(self, comb: Sequence[int], reach: int):
+        self.up = [c if c > 0 else 0 for c in comb]
+        self.down = [c if c < 0 else 0 for c in comb]
+        self.reach = max(reach, 1)
+        self.terms = None
+        self.bound = None
+        self.act = 0
+
+    def set_incumbent(self, key: int) -> None:
+        """Bound the cut to keys below `key`."""
+        if self.terms is None:
+            # `u or d` is comb[i] itself, so the terms share its integers.
+            self.terms = [
+                (i, u or d, abs(u or d)) for i, (u, d) in enumerate(zip(self.up, self.down)) if u or d
+            ]
+            self.terms.sort(key=lambda term: term[2], reverse=True)
+        self.bound = key - 1
 
 
-def _propagate(rows: list[list], occurs: list[list[int]], lo: list[int], hi: list[int], seeds) -> bool:
+def _propagate(rows, raised, lowered, lo: list[int], hi: list[int], seeds, cut: _Cut) -> bool:
     """Tighten integer bounds to a fixpoint; False means provably infeasible.
 
-    Each row `[idxs, coeffs, lob, hib]` (see _compile_rows) states
-    lob <= sum(coeffs * x) <= hib, None being an open side; `occurs[i]`
-    lists the rows that mention variable i. Propagation is event-driven:
-    only the rows in `seeds` are queued at first, and a row that moves a
-    bound re-queues every row of that variable, itself included. Rows never
-    queued must already be at fixpoint on the given box. A row pass skips its
-    per-variable loop when no term's span |c|*(hi-lo) exceeds the row's
-    slack on either side, as that loop could not tighten anything.
+    Each row `(idxs, coeffs, lob, hib)` (see _compile_rows) states
+    lob <= sum(coeffs * x) <= hib, None being an open side. Propagation is
+    event-driven: only the rows in `seeds` are queued at first, and a row
+    pass that raises lo[i] re-queues `raised[i]` and one that lowers hi[i]
+    re-queues `lowered[i]`, the row itself included when listed. A row whose
+    activity on the sides it has did not change can neither tighten nor
+    fail, so the other rows need no visit. Rows never queued must already be
+    at fixpoint on the given box. A row pass skips its per-variable loop
+    when no term's span |c|*(hi-lo) exceeds the row's slack on either side,
+    as that loop could not tighten anything.
+
+    `cut` (see _Cut) is a further `<=` row with its minimum activity
+    carried in `cut.act`: every move of a bound that activity reads adds
+    comb[i] times the move, and queues the cut if it has a bound. A bounded
+    cut is always queued first, since the bound may have dropped since the
+    box was last at fixpoint. A cut pass sums nothing: with slack
+    S = bound - act it visits terms by descending |c| and stops at the first
+    with |c| * reach <= S, as no later term can tighten. Its own moves do
+    not change its activity. A cut over all-zero coefficients and without a
+    bound leaves the rows to themselves.
 
     The rows act as monotone narrowing operators, so the box reached is
     their greatest common fixpoint below the given one whatever order the
-    rows are visited in: seeding with all rows or only with those touched
+    rows are visited in: seeding with all rows or only with those woken
     since the last fixpoint gives the same bounds.
     """
-    queued = bytearray(len(rows))
+    ncut = len(rows)  # the cut's position in the queue
+    queued = bytearray(ncut + 1)
     queue = deque()
+    up, down, bound, act = cut.up, cut.down, cut.bound, cut.act
+    if bound is not None:
+        queued[ncut] = 1
+        queue.append(ncut)
     for r in seeds:
         if not queued[r]:
             queued[r] = 1
@@ -209,70 +279,109 @@ def _propagate(rows: list[list], occurs: list[list[int]], lo: list[int], hi: lis
     while queue:
         r = queue.popleft()
         queued[r] = 0
-        idxs, coeffs, lob, hib = rows[r]
-        if lob is None and hib is None:
-            continue
-        minact = 0
-        maxact = 0
-        span = 0
-        for i, c in zip(idxs, coeffs):
-            if c > 0:
-                a = c * lo[i]
-                b = c * hi[i]
-            else:
-                a = c * hi[i]
-                b = c * lo[i]
-            minact += a
-            maxact += b
-            if b - a > span:
-                span = b - a
-        if hib is not None and minact > hib:
-            return False
-        if lob is not None and maxact < lob:
-            return False
-        if (hib is None or span <= hib - minact) and (lob is None or span <= maxact - lob):
-            continue
-        # `a // c` is the floor and `-(-a // c)` the ceiling of a / c, for either sign of c.
-        moved = []
-        for i, c in zip(idxs, coeffs):
-            cmin = c * lo[i] if c > 0 else c * hi[i]
-            if hib is not None:
-                slack = hib - (minact - cmin)
+        if r == ncut:
+            slack = bound - act
+            if slack < 0:
+                return False
+            # A term can tighten only if |c| * (hi - lo) > slack, so none
+            # can from the first with |c| * reach <= slack, i.e. |c| <= limit.
+            # The cut lowers hi where c > 0 and raises lo where c < 0, bounds
+            # its activity does not read, so the activity stays as it is.
+            rise = []  # variables whose lo moved
+            fall = []  # variables whose hi moved
+            before = act
+            limit = slack // cut.reach
+            for i, c, size in cut.terms:
+                if size <= limit:
+                    break
                 if c > 0:
-                    nb = slack // c
+                    nb = lo[i] + slack // c
                     if nb < hi[i]:
-                        maxact += c * (nb - hi[i])
                         hi[i] = nb
-                        moved.append(i)
+                        fall.append(i)
                 else:
-                    nb = -(-slack // c)
+                    nb = hi[i] - slack // -c
                     if nb > lo[i]:
-                        maxact += c * (nb - lo[i])
                         lo[i] = nb
-                        moved.append(i)
-                if lo[i] > hi[i]:
-                    return False
-            if lob is not None:
-                need = lob - (maxact - (c * hi[i] if c > 0 else c * lo[i]))
+                        rise.append(i)
+        else:
+            idxs, coeffs, lob, hib = rows[r]
+            minact = 0
+            maxact = 0
+            span = 0
+            for i, c in zip(idxs, coeffs):
                 if c > 0:
-                    nb = -(-need // c)
-                    if nb > lo[i]:
-                        minact += c * (nb - lo[i])
-                        lo[i] = nb
-                        moved.append(i)
+                    a = c * lo[i]
+                    b = c * hi[i]
                 else:
-                    nb = need // c
-                    if nb < hi[i]:
-                        minact += c * (nb - hi[i])
-                        hi[i] = nb
-                        moved.append(i)
-                if lo[i] > hi[i]:
-                    return False
-        for i in moved:
-            for s in occurs[i]:
+                    a = c * hi[i]
+                    b = c * lo[i]
+                minact += a
+                maxact += b
+                if b - a > span:
+                    span = b - a
+            if hib is not None and minact > hib:
+                return False
+            if lob is not None and maxact < lob:
+                return False
+            if (hib is None or span <= hib - minact) and (lob is None or span <= maxact - lob):
+                continue
+            rise = []
+            fall = []
+            before = act
+            # `a // c` is the floor and `-(-a // c)` the ceiling of a / c, for either sign of c.
+            for i, c in zip(idxs, coeffs):
+                cmin = c * lo[i] if c > 0 else c * hi[i]
+                if hib is not None:
+                    slack = hib - (minact - cmin)
+                    if c > 0:
+                        nb = slack // c
+                        if nb < hi[i]:
+                            maxact += c * (nb - hi[i])
+                            act += down[i] * (nb - hi[i])
+                            hi[i] = nb
+                            fall.append(i)
+                    else:
+                        nb = -(-slack // c)
+                        if nb > lo[i]:
+                            maxact += c * (nb - lo[i])
+                            act += up[i] * (nb - lo[i])
+                            lo[i] = nb
+                            rise.append(i)
+                    if lo[i] > hi[i]:
+                        return False
+                if lob is not None:
+                    need = lob - (maxact - (c * hi[i] if c > 0 else c * lo[i]))
+                    if c > 0:
+                        nb = -(-need // c)
+                        if nb > lo[i]:
+                            minact += c * (nb - lo[i])
+                            act += up[i] * (nb - lo[i])
+                            lo[i] = nb
+                            rise.append(i)
+                    else:
+                        nb = need // c
+                        if nb < hi[i]:
+                            minact += c * (nb - hi[i])
+                            act += down[i] * (nb - hi[i])
+                            hi[i] = nb
+                            fall.append(i)
+                    if lo[i] > hi[i]:
+                        return False
+        for i in rise:
+            for s in raised[i]:
                 if not queued[s]:
                     queued[s] = 1
                     queue.append(s)
+        for i in fall:
+            for s in lowered[i]:
+                if not queued[s]:
+                    queued[s] = 1
+                    queue.append(s)
+        if act != before and bound is not None and not queued[ncut]:
+            queued[ncut] = 1
+            queue.append(ncut)
+    cut.act = act
     return True
 
 
@@ -280,16 +389,23 @@ def solve(model: IlpModel) -> Optional[Solution]:
     """Minimize the objective over all integer points; None if infeasible.
 
     Depth-first branch and bound over the finite variable domains, branching
-    on the first free variable, lower half first. Each node runs exact
-    interval propagation over all constraints plus a cut on the incumbent
-    value, so pruning decisions are exact as well. The rows are compiled
-    once, with an index from each variable to the rows that mention it. The
-    root propagates from every row; any other node starts from its parent's
-    propagated box and queues only the rows of the branched variable, plus
-    the cut once an incumbent exists (see _propagate). The search key
-    combines the objective with per-variable position weights, which makes
-    the returned optimum unique: later-declared variables are minimized
-    first among equal-objective points.
+    on the first free variable, lower half first. The search key of an
+    assignment x is `sum(comb[i] * x[i])` with comb[i] = big * objective[i]
+    + weight[i], where weight[i] is the product of (upper - lower + 1) over
+    the variables declared before i and `big` that product over all of them.
+    The tie-break part stays below `big`, so the key orders points by
+    objective first and then compares them from the last declared variable
+    backwards: the returned optimum is unique.
+
+    Each node runs exact interval propagation over all constraints plus a
+    cut `key <= best key - 1` once an incumbent exists, so pruning decisions
+    are exact as well. The rows are compiled once, with each variable's wake
+    lists (see _compile_rows). The root propagates from every row; any other
+    node starts from its parent's propagated box and queues only the rows
+    woken by the bound its branch moved, plus the cut. The cut's minimum
+    activity travels with each stack entry: the root sums it once, a child
+    adds the branch's move, and _propagate adds every later move, so at a
+    leaf (lo == hi) it is the key.
     """
     ids = [v.id for v in model.variables]
     n = len(ids)
@@ -310,49 +426,42 @@ def solve(model: IlpModel) -> Optional[Solution]:
         obj[index[vid]] = c
     comb = [big * obj[i] + weights[i] for i in range(n)]
 
-    rows = _compile_rows(model.constraints, index)
-    if rows is None:
+    compiled = _compile_rows(model.constraints, index)
+    if compiled is None:
         return None
+    rows, raised, lowered = compiled
 
-    # comb[i] can be 0 when bounds fix variable i; rows must not carry zeros.
-    # The cut stays open (inactive) until the first incumbent sets its hib.
-    cut_support = tuple(i for i in range(n) if comb[i])
-    cut = [cut_support, tuple(comb[i] for i in cut_support), None, None]
-    rows.append(cut)
-    cut_row = len(rows) - 1
-    occurs = _occurrences(rows, n)
+    cut = _Cut(comb, max((h - l for l, h in zip(root_lo, root_hi)), default=0))
     best_key: Optional[int] = None
     best: Optional[list[int]] = None
 
     # Each entry owns its lists (children copy one side each), so nodes
-    # narrow them in place. `branched` is None at the root.
-    stack = [(root_lo, root_hi, None)]
+    # narrow them in place; it also holds its seed rows and the cut's
+    # minimum activity on its box.
+    up, down = cut.up, cut.down
+    act = sum(u * l + d * h for u, d, l, h in zip(up, down, root_lo, root_hi))
+    stack = [(root_lo, root_hi, range(len(rows)), act)]
     while stack:
-        lo, hi, branched = stack.pop()
-        if branched is None:
-            seeds = range(len(rows))
-        elif best_key is None:
-            seeds = occurs[branched]
-        else:
-            cut[3] = best_key - 1
-            seeds = occurs[branched] + [cut_row]
-        if not _propagate(rows, occurs, lo, hi, seeds):
+        lo, hi, seeds, cut.act = stack.pop()
+        if not _propagate(rows, raised, lowered, lo, hi, seeds, cut):
             continue
+        act = cut.act
         for i in range(n):
             if lo[i] < hi[i]:
                 mid = (lo[i] + hi[i]) // 2
                 upper_lo = list(lo)
                 upper_lo[i] = mid + 1
-                stack.append((upper_lo, hi, i))
+                stack.append((upper_lo, hi, raised[i], act + up[i] * (mid + 1 - lo[i])))
                 lower_hi = list(hi)
                 lower_hi[i] = mid
-                stack.append((lo, lower_hi, i))
+                stack.append((lo, lower_hi, lowered[i], act + down[i] * (mid - hi[i])))
                 break
         else:
-            key = sum(c * v for c, v in zip(comb, lo))
-            if best_key is None or key < best_key:
-                best_key = key
+            # lo == hi, so the carried activity is the key of this point.
+            if best_key is None or act < best_key:
+                best_key = act
                 best = lo
+                cut.set_incumbent(act)
     if best is None:
         return None
     assignment = dict(zip(ids, best))

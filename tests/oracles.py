@@ -132,6 +132,54 @@ def interval_fixpoint(model: ilp.IlpModel, lo: list, hi: list):
                     return None
     return lo, hi
 
+
+def reference_bnb(model: ilp.IlpModel):
+    """(solution, nodes) of a plain branch and bound that follows the
+    search ilp.solve documents; the solution is None if the model is
+    infeasible, and nodes counts the boxes propagated.
+
+    The key of a point is big * objective + sum(weight[i] * x[i]), with
+    mixed-radix weights over the declared ranges and big their product.
+    Every node sweeps all constraints, plus the cut `key <= best - 1` as an
+    explicit constraint once a point is known, with interval_fixpoint; it
+    then branches on the first free variable, lower half first.
+    """
+    ids = [v.id for v in model.variables]
+    weights, big = [], 1
+    for v in model.variables:
+        weights.append(big)
+        big *= v.upper - v.lower + 1
+    key = {vid: big * model.objective.get(vid, 0) + w for vid, w in zip(ids, weights)}
+    best = None  # (key, point)
+    nodes = 0
+
+    def visit(lo, hi):
+        nonlocal best, nodes
+        nodes += 1
+        cut = () if best is None else (ilp.LinearConstraint(key, ilp.LE, best[0] - 1),)
+        box = interval_fixpoint(ilp.IlpModel(model.variables, model.constraints + cut), lo, hi)
+        if box is None:
+            return
+        lo, hi = box
+        free = [i for i in range(len(lo)) if lo[i] < hi[i]]
+        if not free:
+            value = sum(key[v] * x for v, x in zip(ids, lo))
+            if best is None or value < best[0]:
+                best = (value, lo)
+            return
+        i = free[0]
+        mid = (lo[i] + hi[i]) // 2
+        visit(lo, hi[:i] + [mid] + hi[i + 1:])
+        visit(lo[:i] + [mid + 1] + lo[i + 1:], hi)
+
+    visit([v.lower for v in model.variables], [v.upper for v in model.variables])
+    if best is None:
+        return None, nodes
+    point = best[1]
+    value = sum(model.objective.get(v, 0) * x for v, x in zip(ids, point))
+    return ilp.Solution(dict(zip(ids, point)), value), nodes
+
+
 def classical_state_regions(sg: StateGraph) -> set[frozenset]:
     """Subsets of states where each label uniformly enters, exits, or does
     not cross; the textbook region condition for state graphs."""

@@ -1,16 +1,22 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import random_ilp_model
-from oracles import brute_force_ilp, interval_fixpoint
+from oracles import brute_force_ilp, interval_fixpoint, reference_bnb
 from ttsynth import ilp
 
 
 def model(variables, constraints=(), objective=None):
     return ilp.IlpModel(tuple(variables), tuple(constraints), objective or {})
+
+
+def no_cut(m):
+    """A cut that never binds: all-zero coefficients, no incumbent."""
+    return ilp._Cut([0] * len(m.variables), 0)
 
 
 class TestCheckAssignment:
@@ -129,6 +135,19 @@ class TestSolve:
             assert got.assignment == want[1]
             assert ilp.check_assignment(m, got.assignment)
 
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=400)
+    def test_same_search_as_reference(self, seed):
+        # Node for node: the same optimum after the same number of
+        # propagated boxes (one _propagate call per node) as a plain
+        # branch and bound that sweeps every constraint and an explicit cut.
+        m = random_ilp_model(random.Random(seed))
+        with mock.patch.object(ilp, "_propagate", wraps=ilp._propagate) as propagate:
+            got = ilp.solve(m)
+        want, nodes = reference_bnb(m)
+        assert got == want
+        assert propagate.call_count == nodes
+
     def test_determinism_across_runs(self):
         rng = random.Random(4242)
         models = [random_ilp_model(rng) for _ in range(20)]
@@ -144,7 +163,7 @@ class TestPropagation:
         rng = random.Random(seed)
         m = random_ilp_model(rng)
         index = {v.id: i for i, v in enumerate(m.variables)}
-        rows = ilp._compile_rows(m.constraints, index)
+        compiled = ilp._compile_rows(m.constraints, index)
         lo = [v.lower for v in m.variables]
         hi = [v.upper for v in m.variables]
         # also from a random sub-box, as inside the search
@@ -152,10 +171,11 @@ class TestPropagation:
             if rng.random() < 0.3:
                 lo[i] = hi[i] = rng.randint(lo[i], hi[i])
         want = interval_fixpoint(m, lo, hi)
-        if rows is None:
+        if compiled is None:
             assert want is None
             return
-        ok = ilp._propagate(rows, ilp._occurrences(rows, len(index)), lo, hi, range(len(rows)))
+        rows, raised, lowered = compiled
+        ok = ilp._propagate(rows, raised, lowered, lo, hi, range(len(rows)), no_cut(m))
         assert ok == (want is not None)
         if ok:
             assert (lo, hi) == want
@@ -169,14 +189,14 @@ class TestPropagation:
         rng = random.Random(seed)
         m = random_ilp_model(rng)
         index = {v.id: i for i, v in enumerate(m.variables)}
-        rows = ilp._compile_rows(m.constraints, index)
-        if rows is None:
+        compiled = ilp._compile_rows(m.constraints, index)
+        if compiled is None:
             return
-        occurs = ilp._occurrences(rows, len(index))
+        rows, raised, lowered = compiled
         lo = [v.lower for v in m.variables]
         hi = [v.upper for v in m.variables]
         every_row = range(len(rows))
-        ok = ilp._propagate(rows, occurs, lo, hi, every_row)
+        ok = ilp._propagate(rows, raised, lowered, lo, hi, every_row, no_cut(m))
         while ok:
             free = [i for i in range(len(lo)) if lo[i] < hi[i]]
             if not free:
@@ -187,11 +207,87 @@ class TestPropagation:
             else:
                 hi[i] = rng.randint(lo[i], hi[i] - 1)
             lo_queued, hi_queued = list(lo), list(hi)
-            ok_queued = ilp._propagate(rows, occurs, lo_queued, hi_queued, occurs[i])
-            ok = ilp._propagate(rows, occurs, lo, hi, every_row)
+            ok_queued = ilp._propagate(rows, raised, lowered, lo_queued, hi_queued, raised[i] + lowered[i], no_cut(m))
+            ok = ilp._propagate(rows, raised, lowered, lo, hi, every_row, no_cut(m))
             assert ok_queued == ok
             if ok:
                 assert (lo_queued, hi_queued) == (lo, hi)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=200)
+    def test_woken_rows_reach_the_full_fixpoint(self, seed):
+        # Seeding only the rows listed for the bound side that moved must
+        # give the full sweep's box (or its infeasibility): a row whose
+        # activity on its own sides is unchanged cannot tighten.
+        rng = random.Random(seed)
+        m = random_ilp_model(rng)
+        index = {v.id: i for i, v in enumerate(m.variables)}
+        compiled = ilp._compile_rows(m.constraints, index)
+        if compiled is None:
+            return
+        rows, raised, lowered = compiled
+        lo = [v.lower for v in m.variables]
+        hi = [v.upper for v in m.variables]
+        every_row = range(len(rows))
+        ok = ilp._propagate(rows, raised, lowered, lo, hi, every_row, no_cut(m))
+        while ok:
+            free = [i for i in range(len(lo)) if lo[i] < hi[i]]
+            if not free:
+                return
+            i = rng.choice(free)
+            if rng.random() < 0.5:
+                lo[i] = rng.randint(lo[i] + 1, hi[i])
+                woken = raised[i]
+            else:
+                hi[i] = rng.randint(lo[i], hi[i] - 1)
+                woken = lowered[i]
+            lo_woken, hi_woken = list(lo), list(hi)
+            ok_woken = ilp._propagate(rows, raised, lowered, lo_woken, hi_woken, woken, no_cut(m))
+            ok = ilp._propagate(rows, raised, lowered, lo, hi, every_row, no_cut(m))
+            assert ok_woken == ok
+            if ok:
+                assert (lo_woken, hi_woken) == (lo, hi)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=300)
+    def test_cut_matches_oracle(self, seed):
+        # The cut pass (no summing, early stop by |c| * reach) and its
+        # carried activity against the cut written as a plain constraint.
+        # As in the search, the rows are at fixpoint when the incumbent
+        # improves, and only the cut is queued; its moves must wake rows.
+        rng = random.Random(seed)
+        m = random_ilp_model(rng)
+        index = {v.id: i for i, v in enumerate(m.variables)}
+        compiled = ilp._compile_rows(m.constraints, index)
+        if compiled is None:
+            return
+        rows, raised, lowered = compiled
+        comb = [rng.choice([0, rng.randint(-20, 20)]) for _ in m.variables]
+        terms = {v.id: c for v, c in zip(m.variables, comb)}
+        lo = [v.lower for v in m.variables]
+        hi = [v.upper for v in m.variables]
+        cut = ilp._Cut(comb, max(h - l for l, h in zip(lo, hi)))
+        for i in range(len(lo)):
+            if rng.random() < 0.3:
+                lo[i] = hi[i] = rng.randint(lo[i], hi[i])
+        box = (list(lo), list(hi))
+
+        def activity(bounds_of):
+            return sum(bounds_of(c * l, c * h) for c, l, h in zip(comb, lo, hi))
+
+        cut.act = activity(min)
+        ok = ilp._propagate(rows, raised, lowered, lo, hi, range(len(rows)), cut)
+        key = activity(max) + 1
+        while ok:
+            assert cut.act == activity(min)
+            key -= rng.randint(1, 4)
+            cut.set_incumbent(key)
+            want = interval_fixpoint(m.with_constraints([ilp.LinearConstraint(terms, ilp.LE, key - 1)]), *box)
+            ok = ilp._propagate(rows, raised, lowered, lo, hi, [], cut)
+            assert ok == (want is not None)
+            if ok:
+                assert (lo, hi) == want
+
 
 class TestLpDump:
     def test_sections_present(self):
