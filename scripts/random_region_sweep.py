@@ -4,6 +4,9 @@
 Generates seeded random specifications, enumerates minimal regions through
 the ILP path, recomputes the set by sweeping every marking up to k, and
 reports any mismatch. Useful as a quick confidence run after solver changes.
+After the random nets come a quarter as many trace logs, drawn from a
+separate stream (so the random nets of a seed stay the same), whose trace
+nets share Parikh classes.
 
     python3 scripts/random_region_sweep.py --specs 200 --seed 7
 """
@@ -13,6 +16,7 @@ import itertools
 import random
 import time
 
+from ttsynth.convert import trace_to_labelled_net
 from ttsynth.core import LabelledNet, Multiset, PetriNet, build_specification
 from ttsynth.regions import RegionProblem, enumerate_minimal_regions, verify_region, Region
 
@@ -32,6 +36,21 @@ def random_net(rng: random.Random, prefix: str, n_places: int, n_transitions: in
     return LabelledNet(PetriNet(places, transitions, Multiset(arcs)), Multiset(initial), labelling)
 
 
+def random_log(rng: random.Random, max_places: int) -> list[LabelledNet]:
+    """Two to four traces of up to three labels over at most `max_places`
+    places in all; a trace that would exceed it ends the log."""
+    labels = "abc"[: rng.randint(1, 3)]
+    nets = []
+    places = 0
+    for _ in range(rng.randint(2, 4)):
+        trace = [rng.choice(labels) for _ in range(rng.randint(1, 3))]
+        if nets and places + len(trace) + 1 > max_places:
+            break
+        nets.append(trace_to_labelled_net(trace))
+        places += len(trace) + 1
+    return nets
+
+
 def sweep_minimal(spec, k):
     places = spec.all_places()
     feasible = []
@@ -44,19 +63,10 @@ def sweep_minimal(spec, k):
     return {m for m in feasible if not any(o != m and o <= m for o in feasible)}
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--specs", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-places", type=int, default=6)
-    parser.add_argument("--max-k", type=int, default=2)
-    args = parser.parse_args()
-
+def cases(args, n_logs: int):
+    """(nets, k) for `args.specs` random specs, then `n_logs` trace logs."""
     rng = random.Random(args.seed)
-    mismatches = 0
-    regions_total = 0
-    started = time.perf_counter()
-    for trial in range(args.specs):
+    for _ in range(args.specs):
         n_nets = rng.randint(1, 3)
         labels = "abc"[: rng.randint(1, 3)]
         nets = []
@@ -66,8 +76,28 @@ def main() -> None:
             n_p = places_left - remaining if remaining == 0 else rng.randint(1, places_left - remaining)
             nets.append(random_net(rng, f"n{i}", n_p, rng.randint(0, 3), labels))
             places_left -= n_p
+        yield nets, rng.randint(1, args.max_k)
+    log_rng = random.Random(f"logs-{args.seed}")
+    for _ in range(n_logs):
+        k = log_rng.randint(1, args.max_k)
+        # the sweep visits (k + 1) ** places markings
+        yield random_log(log_rng, 10 if k == 1 else 7), k
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--specs", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--max-places", type=int, default=6)
+    parser.add_argument("--max-k", type=int, default=2)
+    args = parser.parse_args()
+
+    n_logs = args.specs // 4
+    mismatches = 0
+    regions_total = 0
+    started = time.perf_counter()
+    for trial, (nets, k) in enumerate(cases(args, n_logs)):
         spec = build_specification(nets)
-        k = rng.randint(1, args.max_k)
         got = {r.marking for r in enumerate_minimal_regions(RegionProblem(spec, k)).regions}
         want = sweep_minimal(spec, k)
         regions_total += len(got)
@@ -75,7 +105,7 @@ def main() -> None:
             mismatches += 1
             print(f"MISMATCH at trial {trial}: ilp={sorted(map(repr, got))} sweep={sorted(map(repr, want))}")
     elapsed = time.perf_counter() - started
-    print(f"{args.specs} specs, {regions_total} regions, {mismatches} mismatches, {elapsed:.2f}s")
+    print(f"{args.specs} specs and {n_logs} trace logs, {regions_total} regions, {mismatches} mismatches, {elapsed:.2f}s")
     raise SystemExit(1 if mismatches else 0)
 
 

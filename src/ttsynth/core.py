@@ -204,9 +204,6 @@ class LabelledNet:
             seen.setdefault(self.labels[t], None)
         return tuple(seen)
 
-    def transitions_with_label(self, label: str) -> Tuple[str, ...]:
-        return tuple(t for t in self.net.transitions if self.labels[t] == label)
-
 
 @dataclass(frozen=True)
 class Specification:

@@ -5,6 +5,14 @@ A region is one token distribution over all places of the specification such
 that equally labelled transitions have the same rise and all nets carry the
 same initial token sum. Discovery mode additionally forces the final place
 of every net to stay unmarked.
+
+Before solving, places that carry the same value in every region share one
+variable. In a trace net c0 -> c1 -> ... the value at c_i is the initial
+sum plus the rises of the first i labels, and both are shared by all nets,
+so trace places whose prefixes have the same Parikh vector (count of each
+label) form one class. Every other place is a class of its own. The merged
+model keeps the raw model's objective and tie-break (see merge_classes), so
+the regions and their order do not change.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from . import ilp
-from .core import Multiset, Specification, effect
+from .core import LabelledNet, Multiset, Specification, effect
 from .semantics import ConditionCheck
 
 BLOCK_PREFIX = "_blk"
@@ -82,10 +90,13 @@ def discovery_final_places(spec: Specification, overrides: Optional[Mapping[int,
 
 
 def build_base_model(problem: RegionProblem) -> ilp.IlpModel:
-    """One [0, k] variable per place; rise equalities between the first
-    transition of each label and every other one carrying it; initial-sum
-    equalities between net 1 and every later net; in discovery mode a zero
-    equality per final place."""
+    """The raw region model: one [0, k] variable per place; rise equalities
+    between the first transition of each label and every other one carrying
+    it; initial-sum equalities between net 1 and every later net; in
+    discovery mode a zero equality per final place.
+
+    Enumeration solves it with the Parikh classes merged (parikh_classes,
+    merge_classes)."""
     spec, k = problem.spec, problem.k
     variables = [ilp.Variable(p, 0, k) for p in spec.all_places()]
     constraints: list[ilp.LinearConstraint] = []
@@ -118,6 +129,94 @@ def build_base_model(problem: RegionProblem) -> ilp.IlpModel:
     return ilp.IlpModel(tuple(variables), tuple(constraints))
 
 
+def _trace_prefixes(ln: LabelledNet) -> Optional[dict[str, frozenset]]:
+    """Per place, the Parikh vector of the labels leading to it, if `ln` is
+    a trace net; None otherwise.
+
+    A trace net is a simple path through all places and transitions that
+    starts at its only marked place, which holds one token; every
+    transition has one input and one output arc, both of weight 1.
+    """
+    net = ln.net
+    if ln.initial.total() != 1 or len(net.transitions) != len(net.places) - 1:
+        return None
+    consumer: dict[str, tuple[str, str]] = {}
+    for t in net.transitions:
+        if list(net.pre[t].values()) != [1] or list(net.post[t].values()) != [1]:
+            return None
+        (src,), (tgt,) = net.pre[t], net.post[t]
+        if src in consumer:
+            return None
+        consumer[src] = (t, tgt)
+    (place,) = ln.initial.keys()
+    counts: dict[str, int] = {}
+    prefixes = {place: frozenset()}
+    while place in consumer:
+        t, place = consumer[place]
+        if place in prefixes:
+            return None
+        counts[ln.labels[t]] = counts.get(ln.labels[t], 0) + 1
+        prefixes[place] = frozenset(counts.items())
+    return prefixes if len(prefixes) == len(net.places) else None
+
+
+def parikh_classes(spec: Specification) -> dict[str, str]:
+    """Map every place, in place order, to the id of its class: the last
+    member of the class in place order.
+
+    Places of trace nets whose prefixes have the same Parikh vector form one
+    class, across all trace nets of the specification; every other place is
+    a class of its own. All members of a class carry the same value in
+    every region: a trace net's first place holds its initial sum, which
+    the initial-sum equalities share between the nets, and each step adds
+    its label's rise, which the rise equalities share.
+    """
+    key_of: dict[str, object] = {}
+    for ln in spec.nets:
+        prefixes = _trace_prefixes(ln)
+        for p in ln.net.places:
+            key_of[p] = p if prefixes is None else prefixes[p]
+    last = {key: p for p, key in key_of.items()}
+    return {p: last[key] for p, key in key_of.items()}
+
+
+def merge_classes(model: ilp.IlpModel, classes: Mapping[str, str]) -> ilp.IlpModel:
+    """Substitute every variable v of `model` by the variable classes[v].
+
+    The members of a class must share their bounds. Only the class
+    variables stay, in declaration order; coefficients within a class add
+    up, so in the seek model a class's objective weight and seek
+    coefficient are its size. Rows left with no terms and rhs 0, and
+    repeats of earlier rows, are dropped. A model whose classes are all
+    singletons comes back as it is.
+
+    Naming each class after its last member keeps the tie-break of
+    ilp.solve: it compares variables from the last declared backwards, and
+    on class-constant points the first difference it meets in the raw model
+    is at some class's last member, which is where the merged model meets
+    it too.
+    """
+    if all(c == v for v, c in classes.items()):
+        return model
+
+    def merged(terms: Mapping[str, int]) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for v, c in terms.items():
+            out[classes[v]] = out.get(classes[v], 0) + c
+        return out
+
+    constraints = []
+    seen = set()
+    for con in model.constraints:
+        row = ilp.LinearConstraint(merged(con.terms), con.relation, con.rhs)
+        key = (frozenset(row.terms.items()), row.relation, row.rhs)
+        if (row.terms or row.rhs) and key not in seen:
+            seen.add(key)
+            constraints.append(row)
+    variables = [v for v in model.variables if classes[v.id] == v.id]
+    return ilp.IlpModel(tuple(variables), tuple(constraints), merged(model.objective))
+
+
 def add_seek_constraints(model: ilp.IlpModel) -> ilp.IlpModel:
     """Ask for a nonzero distribution with as few tokens as possible: the sum
     of all current (place) variables is >= 1 and is minimized."""
@@ -144,7 +243,9 @@ def add_blocking(model: ilp.IlpModel, found: Region, k: int, round_no: int, pref
     For every positive component s of the found region a binary indicator is
     forced to 1 exactly when the place variable drops below s; at least one
     indicator must be 1, so any further solution is strictly smaller in at
-    least one positive component. The binaries are named
+    least one positive component. On a merged model (merge_classes) `found`
+    marks class variables only, giving one indicator per class. The
+    binaries are named
     "<prefix><round_no>_<place>": `round_no` must differ between the rounds
     blocked on one model, and no place id may start with `prefix` (see
     block_prefix).
@@ -167,31 +268,30 @@ def add_blocking(model: ilp.IlpModel, found: Region, k: int, round_no: int, pref
     return model.with_variables(binaries).with_constraints(constraints)
 
 
-def _region_from_solution(problem: RegionProblem, solution: ilp.Solution) -> Region:
-    marking = Multiset(
-        {p: solution.assignment[p] for p in problem.spec.all_places() if solution.assignment[p]}
-    )
-    return Region(marking, problem.k)
-
-
 def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
     """Iteratively solve, record, and block until the model turns infeasible.
 
-    Returns every minimal nonzero region up to k in discovery order; with
-    max_regions set, stops early and flags whether anything was left.
+    Solves over one variable per Parikh class and maps each class value
+    back to its places. Returns every minimal nonzero region up to k in
+    discovery order; with max_regions set, stops early and flags whether
+    anything was left.
     """
-    model = add_seek_constraints(build_base_model(problem))
+    classes = parikh_classes(problem.spec)
+    heads = set(classes.values())
+    model = merge_classes(add_seek_constraints(build_base_model(problem)), classes)
     prefix = block_prefix(problem.spec.all_places())
     found: list[Region] = []
     while True:
         solution = ilp.solve(model)
         if solution is None:
             return RegionEnumeration(tuple(found), truncated=False)
-        region = _region_from_solution(problem, solution)
+        values = solution.assignment
+        region = Region(Multiset({p: values[c] for p, c in classes.items() if values[c]}), problem.k)
         if problem.max_regions is not None and len(found) >= problem.max_regions:
             return RegionEnumeration(tuple(found), truncated=True)
         found.append(region)
-        model = add_blocking(model, region, problem.k, len(found), prefix)
+        class_region = Region(region.marking.restrict(heads), problem.k)
+        model = add_blocking(model, class_region, problem.k, len(found), prefix)
 
 
 def verify_region(spec: Specification, region: Region) -> ConditionCheck:

@@ -74,7 +74,8 @@ def place_from_region(spec: Specification, region: Region) -> PlaceDefinition:
         for e in ln.net.transitions:
             label = ln.labels[e]
             inflows.setdefault(label, []).append(inflow(ln, region.marking, e))
-            rises[label] = rise(ln, region.marking, e)  # equal for every carrier of the label
+            if label not in rises:  # verify_region showed every carrier has this rise
+                rises[label] = rise(ln, region.marking, e)
 
     consume = {label: min(values) for label, values in inflows.items()}
     produce = {label: consume[label] + rises[label] for label in consume}

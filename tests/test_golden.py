@@ -7,15 +7,22 @@ change to the search that reorders regions shows here. Both inputs make the
 solver branch. The tie-break makes each optimum unique, so outputs alone do
 not see how it was found; the node counts (one _propagate call per
 branch-and-bound node) pin the branching order and the propagation
-strength.
+strength. Enumeration solves the model with Parikh classes merged, which
+shrinks the interleaving's tree; the raw model, one variable per place, is
+pinned through the reference loop of test_regions.
 """
 
 from pathlib import Path
 
 import pytest
 
+from test_regions import raw_enumeration
 from ttsynth import ilp
+from ttsynth import io as net_io
 from ttsynth.cli import main
+from ttsynth.convert import trace_to_labelled_net
+from ttsynth.core import build_specification
+from ttsynth.regions import RegionProblem
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -26,7 +33,20 @@ CASES = [
     ("chain_12", 2),
 ]
 
-NODES = {"interleave_2x2": 111, "chain_12": 352}
+NODES = {"interleave_2x2": 97, "chain_12": 352}
+RAW_NODES = {"interleave_2x2": 111, "chain_12": 352}
+
+
+def count_propagate(monkeypatch) -> list:
+    calls = []
+    propagate = ilp._propagate
+
+    def counting(*args):
+        calls.append(None)
+        return propagate(*args)
+
+    monkeypatch.setattr(ilp, "_propagate", counting)
+    return calls
 
 
 @pytest.mark.parametrize("name,k", CASES)
@@ -45,13 +65,15 @@ def test_pnml_bytes(name, k, tmp_path):
 
 @pytest.mark.parametrize("name,k", CASES)
 def test_search_tree_size(name, k, monkeypatch, capsys):
-    calls = []
-    propagate = ilp._propagate
-
-    def counting(*args):
-        calls.append(None)
-        return propagate(*args)
-
-    monkeypatch.setattr(ilp, "_propagate", counting)
+    calls = count_propagate(monkeypatch)
     assert main(["regions", "-k", str(k), str(GOLDEN / f"{name}.traces")]) == 0
     assert len(calls) == NODES[name]
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_raw_search_tree_size(name, k, monkeypatch):
+    traces = net_io.parse_traces((GOLDEN / f"{name}.traces").read_bytes())
+    spec = build_specification([trace_to_labelled_net(t) for t in traces])
+    calls = count_propagate(monkeypatch)
+    raw_enumeration(RegionProblem(spec, k))
+    assert len(calls) == RAW_NODES[name]

@@ -2,14 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
-from gens import random_specification
+from gens import random_labelled_net, random_specification
 from oracles import brute_force_minimal_regions, is_region_point
 from ttsynth import ilp
-from ttsynth.core import LabelledNet, Multiset, PetriNet
+from ttsynth.convert import trace_to_labelled_net
+from ttsynth.core import LabelledNet, Multiset, PetriNet, build_specification
 from ttsynth.regions import (
+    MODES,
     Region,
+    RegionEnumeration,
     RegionProblem,
     add_blocking,
     add_seek_constraints,
@@ -17,12 +22,45 @@ from ttsynth.regions import (
     build_base_model,
     discovery_final_places,
     enumerate_minimal_regions,
+    merge_classes,
+    parikh_classes,
     verify_region,
 )
 
 
 def markings(enumeration):
     return [dict(r.marking.items()) for r in enumeration.regions]
+
+
+def raw_enumeration(problem: RegionProblem) -> RegionEnumeration:
+    """Reference enumeration over the raw model, one variable per place and
+    no class merging: solve, record, block until infeasible."""
+    places = problem.spec.all_places()
+    model = add_seek_constraints(build_base_model(problem))
+    prefix = block_prefix(places)
+    found = []
+    while True:
+        solution = ilp.solve(model)
+        if solution is None:
+            return RegionEnumeration(tuple(found), truncated=False)
+        region = Region(Multiset({p: solution.assignment[p] for p in places}), problem.k)
+        if problem.max_regions is not None and len(found) >= problem.max_regions:
+            return RegionEnumeration(tuple(found), truncated=True)
+        found.append(region)
+        model = add_blocking(model, region, problem.k, len(found), prefix)
+
+
+@st.composite
+def trace_logs_with_nets(draw):
+    """Random trace nets (clashing ids renamed n1.c0, ...) mixed with up
+    to two random labelled nets, in random order."""
+    traces = draw(st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=4), min_size=1, max_size=5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nets = [trace_to_labelled_net(t) for t in traces]
+    for i in range(draw(st.integers(0, 2))):
+        nets.append(random_labelled_net(rng, f"r{i}", rng.randint(1, 3), rng.randint(0, 3)))
+    rng.shuffle(nets)
+    return build_specification(nets)
 
 
 class TestBuildBaseModel:
@@ -297,3 +335,105 @@ class TestBinaryNames:
         assert block_prefix(("c0", "c1")) == "_blk"
         assert block_prefix(("c0", "_blk2_c0")) == "__blk"
         assert block_prefix(("_blk", "__blk1_x", "_")) == "___blk"
+
+
+def log_spec(*traces):
+    return build_specification([trace_to_labelled_net(t) for t in traces])
+
+
+class TestParikhClasses:
+    def test_trace_log_classes(self):
+        spec = log_spec("ab", "ba", "ab")
+        assert parikh_classes(spec) == {
+            "n1.c0": "n3.c0", "n1.c1": "n3.c1", "n1.c2": "n3.c2",
+            "n2.c0": "n3.c0", "n2.c1": "n2.c1", "n2.c2": "n3.c2",
+            "n3.c0": "n3.c0", "n3.c1": "n3.c1", "n3.c2": "n3.c2",
+        }
+
+    def test_other_nets_stay_singletons(self):
+        # e_dup is trace-shaped; a second marked place or a weight-2 arc
+        # makes it a net of its own kind
+        ln = make_e_dup()
+        two_tokens = LabelledNet(ln.net, Multiset({"c0": 1, "c1": 1}), ln.labels)
+        heavy = LabelledNet(
+            PetriNet(ln.net.places, ln.net.transitions, Multiset({**dict(ln.net.arcs.items()), ("c0", "e1"): 2})),
+            ln.initial,
+            ln.labels,
+        )
+        for other in (two_tokens, heavy):
+            spec = build_specification([trace_to_labelled_net("aa"), other])
+            classes = parikh_classes(spec)
+            assert all(c == p for p, c in classes.items())
+
+    def test_merged_model_has_one_variable_per_class(self):
+        spec = log_spec("ab", "ba", "ab", "ba")
+        raw = add_seek_constraints(build_base_model(RegionProblem(spec, 2)))
+        merged = merge_classes(raw, parikh_classes(spec))
+        assert [v.id for v in merged.variables] == ["n3.c1", "n4.c0", "n4.c1", "n4.c2"]
+        assert merged.objective == {"n4.c0": 4, "n3.c1": 2, "n4.c1": 2, "n4.c2": 4}
+        seek = [c for c in merged.constraints if c.relation == ilp.GE]
+        assert [c.terms for c in seek] == [merged.objective]
+        # 4 rise rows of nets 3 and 4 and the 3 initial-sum rows become
+        # 0 == 0 or repeat net 2's rows; one rise row per label is left
+        assert len(raw.constraints) == 10
+        assert len(merged.constraints) == 3
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_all_singletons_leave_the_model_unchanged(self, k):
+        rng = random.Random(5)
+        cases = [(log_spec("abcab"), MODES), (spec_of(make_e_dup()), MODES)]
+        cases += [(random_specification(rng), ("synthesis",)) for _ in range(20)]
+        for spec, modes in cases:
+            classes = parikh_classes(spec)
+            assert list(classes.values()) == list(spec.all_places())
+            for mode in modes:
+                raw = add_seek_constraints(build_base_model(RegionProblem(spec, k, mode)))
+                assert ilp.format_lp(merge_classes(raw, classes)) == ilp.format_lp(raw)
+
+    def test_clashing_ids_inside_merged_classes(self):
+        # renamed ids n1.c0, ... and a net whose ids look like both renamed
+        # ids and blocking binaries share classes
+        odd = trace_to_labelled_net("ab")
+        mapping = {p: f"_blk1_n3.{p}" for p in odd.net.places}
+        odd = LabelledNet(
+            PetriNet(
+                tuple(mapping[p] for p in odd.net.places),
+                odd.net.transitions,
+                Multiset({(mapping.get(s, s), mapping.get(t, t)): w for (s, t), w in odd.net.arcs.items()}),
+            ),
+            Multiset({mapping["c0"]: 1}),
+            odd.labels,
+        )
+        spec = build_specification([trace_to_labelled_net("ab"), trace_to_labelled_net("ba"), odd])
+        classes = parikh_classes(spec)
+        assert classes["n1.c0"] == classes["n2.c0"] == "_blk1_n3.c0"
+        assert classes["n1.c2"] == classes["n2.c2"] == "_blk1_n3.c2"
+        assert classes["n1.c1"] == "_blk1_n3.c1" and classes["n2.c1"] == "n2.c1"
+        for k in (1, 2):
+            for mode in MODES:
+                problem = RegionProblem(spec, k, mode)
+                got = enumerate_minimal_regions(problem)
+                assert got == raw_enumeration(problem)
+                assert got.regions
+                for region in got.regions:
+                    assert verify_region(spec, region)
+                    assert all(region.marking[p] == region.marking[c] for p, c in classes.items())
+
+
+class TestSameAsRawModel:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        spec=trace_logs_with_nets(),
+        k=st.integers(1, 2),
+        mode=st.sampled_from(MODES),
+        max_regions=st.none() | st.integers(1, 4),
+    )
+    def test_region_list_and_order(self, spec, k, mode, max_regions):
+        problem = RegionProblem(spec, k, mode, max_regions)
+        try:
+            expected = raw_enumeration(problem)
+        except ValueError:  # discovery without a unique final place
+            with pytest.raises(ValueError):
+                enumerate_minimal_regions(problem)
+            return
+        assert enumerate_minimal_regions(problem) == expected
