@@ -178,6 +178,10 @@ class LabelledNet:
 
     Several transitions may share a label (label splitting); the labelling
     must be total.
+
+    semantics.find_token_trail compiles the net's trail rows on first use
+    and keeps them on it as `trail_model`; like PetriNet.pre/post it is
+    derived from the fields, and equality and repr ignore it.
     """
 
     net: PetriNet

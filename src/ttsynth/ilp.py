@@ -10,7 +10,7 @@ solutions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
 LE = "<="
@@ -158,20 +158,24 @@ def format_lp(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile_rows(constraints: Sequence[LinearConstraint], index: Mapping[str, int]):
-    """Rows `(idxs, coeffs, lob, hib)` for _propagate, with two wake lists
-    per variable: `raised[i]` holds the rows that can react when lo[i]
+def _compile_rows(
+    constraints: Sequence[LinearConstraint], index: Mapping[str, int], rows: list, raised: list, lowered: list
+) -> None:
+    """Append one row `(idxs, coeffs, lob, hib)` per constraint to `rows`,
+    numbered on from the rows already there, and enter it in the wake lists
+    of its variables: `raised[i]` holds the rows that can react when lo[i]
     rises, `lowered[i]` those that can react when hi[i] falls.
 
     A `<= hib` side reads the row's minimum activity, which takes lo[i]
     where c > 0 and hi[i] where c < 0; a `>= lob` side reads the maximum,
-    which takes the other bound; an equality row reads both. Returns
-    (rows, raised, lowered), or None if a constraint without terms can never
-    hold. Constant constraints that hold are dropped.
+    which takes the other bound; an equality row reads both. A constraint
+    without terms becomes a row without terms: no variable wakes it, and
+    the root's pass over every row judges it against its own right-hand
+    side. A wake list that gains rows is replaced by a longer copy, never
+    extended, so a model sharing it (CompiledModel) is left as it was.
     """
-    rows: list[tuple] = []
-    raised: list[list[int]] = [[] for _ in index]
-    lowered: list[list[int]] = [[] for _ in index]
+    new_raised: dict[int, list[int]] = {}
+    new_lowered: dict[int, list[int]] = {}
     for con in constraints:
         if con.relation == LE:
             lob, hib = None, con.rhs
@@ -179,25 +183,105 @@ def _compile_rows(constraints: Sequence[LinearConstraint], index: Mapping[str, i
             lob, hib = con.rhs, None
         else:
             lob, hib = con.rhs, con.rhs
-        if not con.terms:
-            if (lob is not None and lob > 0) or (hib is not None and hib < 0):
-                return None
-            continue
         r = len(rows)
-        idxs = tuple(map(index.__getitem__, con.terms))
+        try:
+            idxs = tuple(map(index.__getitem__, con.terms))
+        except KeyError as exc:
+            raise ValueError(f"constraint references unknown variable {exc.args[0]!r}") from None
         coeffs = tuple(con.terms.values())
-        if lob is None:
-            for i, c in zip(idxs, coeffs):
-                (raised if c > 0 else lowered)[i].append(r)
-        elif hib is None:
-            for i, c in zip(idxs, coeffs):
-                (lowered if c > 0 else raised)[i].append(r)
-        else:
-            for i in idxs:
-                raised[i].append(r)
-                lowered[i].append(r)
+        for i, c in zip(idxs, coeffs):
+            if hib is not None:
+                (new_raised if c > 0 else new_lowered).setdefault(i, []).append(r)
+            if lob is not None:
+                (new_lowered if c > 0 else new_raised).setdefault(i, []).append(r)
         rows.append((idxs, coeffs, lob, hib))
-    return rows, raised, lowered
+    for i, extra in new_raised.items():
+        raised[i] = raised[i] + extra
+    for i, extra in new_lowered.items():
+        lowered[i] = lowered[i] + extra
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledModel:
+    """An IlpModel compiled for solve(): variables by position, rows with
+    their wake lists, bounds and objective as lists.
+
+    `variables` holds the variable ids in declaration order and
+    `constraints` the rows `(idxs, coeffs, lob, hib)` of _compile_rows, one
+    per declared constraint and in its order, so both have the lengths of
+    the model's own tuples. `index` maps each id to its position, and
+    `lower`, `upper` and `objective` are indexed like `variables`. Like
+    IlpModel it is never changed after construction: with_rhs() returns a
+    sibling with new right-hand sides and bounds that shares the terms and
+    wake lists, and with_variables(), with_constraints() and
+    with_objective() return an extended model that compiles only what it
+    adds. Ids are read only there and in the solution, never in the search.
+    """
+
+    variables: Tuple[str, ...]
+    index: Mapping[str, int]
+    lower: list
+    upper: list
+    objective: list
+    constraints: list
+    raised: list
+    lowered: list
+
+    def with_rhs(self, rhs: Sequence[int], lower: Sequence[int], upper: Sequence[int]) -> "CompiledModel":
+        """The same rows with right-hand side rhs[r] for row r (its
+        relation kept) and variable i bounded to [lower[i], upper[i]]."""
+        if len(rhs) != len(self.constraints) or len(lower) != len(upper) or len(lower) != len(self.variables):
+            raise ValueError("with_rhs needs one rhs per row and one bound pair per variable")
+        for vid, lb, ub in zip(self.variables, lower, upper):
+            if lb > ub:
+                raise ValueError(f"empty domain for {vid!r}: [{lb}, {ub}]")
+        rows = [
+            (idxs, coeffs, None if lob is None else b, None if hib is None else b)
+            for (idxs, coeffs, lob, hib), b in zip(self.constraints, rhs)
+        ]
+        return CompiledModel(
+            self.variables, self.index, list(lower), list(upper), self.objective, rows, self.raised, self.lowered
+        )
+
+    def with_variables(self, extra: Sequence[Variable]) -> "CompiledModel":
+        """Variables declared after the existing ones, with objective 0."""
+        index = dict(self.index)
+        for v in extra:
+            if v.id in index:
+                raise ValueError("duplicate variable id")
+            index[v.id] = len(index)
+        return replace(
+            self,
+            variables=self.variables + tuple(v.id for v in extra),
+            index=index,
+            lower=self.lower + [v.lower for v in extra],
+            upper=self.upper + [v.upper for v in extra],
+            objective=self.objective + [0] * len(extra),
+            raised=self.raised + [[] for _ in extra],
+            lowered=self.lowered + [[] for _ in extra],
+        )
+
+    def with_constraints(self, extra: Sequence[LinearConstraint]) -> "CompiledModel":
+        """Rows declared after the existing ones."""
+        rows, raised, lowered = list(self.constraints), list(self.raised), list(self.lowered)
+        _compile_rows(extra, self.index, rows, raised, lowered)
+        return replace(self, constraints=rows, raised=raised, lowered=lowered)
+
+    def with_objective(self, objective: Mapping[str, int]) -> "CompiledModel":
+        """The same model minimizing `objective` instead."""
+        obj = [0] * len(self.variables)
+        for v, c in objective.items():
+            if v not in self.index:
+                raise ValueError(f"objective references unknown variable {v!r}")
+            obj[self.index[v]] = _check_int(c, f"objective coefficient of {v!r}")
+        return replace(self, objective=obj)
+
+
+def compile_model(model: IlpModel) -> CompiledModel:
+    """Compile every row of `model` once (see _compile_rows)."""
+    empty = CompiledModel((), {}, [], [], [], [], [], [])
+    compiled = empty.with_variables(model.variables).with_constraints(model.constraints)
+    return compiled.with_objective(model.objective)
 
 
 class _Cut:
@@ -385,8 +469,12 @@ def _propagate(rows, raised, lowered, lo: list[int], hi: list[int], seeds, cut: 
     return True
 
 
-def solve(model: IlpModel) -> Optional[Solution]:
+def solve(model: IlpModel | CompiledModel) -> Optional[Solution]:
     """Minimize the objective over all integer points; None if infeasible.
+
+    An IlpModel is compiled first (compile_model); a CompiledModel is
+    solved as it is, so a model compiled once can be solved again with
+    new right-hand sides or appended rows without compiling its rows again.
 
     Depth-first branch and bound over the finite variable domains, branching
     on the first free variable, lower half first. The search key of an
@@ -399,19 +487,19 @@ def solve(model: IlpModel) -> Optional[Solution]:
 
     Each node runs exact interval propagation over all constraints plus a
     cut `key <= best key - 1` once an incumbent exists, so pruning decisions
-    are exact as well. The rows are compiled once, with each variable's wake
-    lists (see _compile_rows). The root propagates from every row; any other
-    node starts from its parent's propagated box and queues only the rows
-    woken by the bound its branch moved, plus the cut. The cut's minimum
-    activity travels with each stack entry: the root sums it once, a child
-    adds the branch's move, and _propagate adds every later move, so at a
-    leaf (lo == hi) it is the key.
+    are exact as well. The root propagates from every row, rows without
+    terms included; any other node starts from its parent's propagated box
+    and queues only the rows woken by the bound its branch moved (see
+    _compile_rows), plus the cut. The cut's minimum activity travels with
+    each stack entry: the root sums it once, a child adds the branch's
+    move, and _propagate adds every later move, so at a leaf (lo == hi) it
+    is the key.
     """
-    ids = [v.id for v in model.variables]
-    n = len(ids)
-    index = {vid: i for i, vid in enumerate(ids)}
-    root_lo = [v.lower for v in model.variables]
-    root_hi = [v.upper for v in model.variables]
+    if isinstance(model, IlpModel):
+        model = compile_model(model)
+    n = len(model.variables)
+    root_lo = list(model.lower)
+    root_hi = list(model.upper)
 
     # Mixed-radix weights: the tie-break key of an assignment is unique.
     weights = [0] * n
@@ -421,15 +509,9 @@ def solve(model: IlpModel) -> Optional[Solution]:
         acc *= root_hi[i] - root_lo[i] + 1
     big = acc  # exceeds any possible tie-break key difference
 
-    obj = [0] * n
-    for vid, c in model.objective.items():
-        obj[index[vid]] = c
+    obj = model.objective
     comb = [big * obj[i] + weights[i] for i in range(n)]
-
-    compiled = _compile_rows(model.constraints, index)
-    if compiled is None:
-        return None
-    rows, raised, lowered = compiled
+    rows, raised, lowered = model.constraints, model.raised, model.lowered
 
     cut = _Cut(comb, max((h - l for l, h in zip(root_lo, root_hi)), default=0))
     best_key: Optional[int] = None
@@ -464,5 +546,5 @@ def solve(model: IlpModel) -> Optional[Solution]:
                 cut.set_incumbent(act)
     if best is None:
         return None
-    assignment = dict(zip(ids, best))
+    assignment = dict(zip(model.variables, best))
     return Solution(assignment, sum(c * v for c, v in zip(obj, best)))

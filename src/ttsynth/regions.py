@@ -237,7 +237,9 @@ def block_prefix(places) -> str:
     return prefix
 
 
-def add_blocking(model: ilp.IlpModel, found: Region, k: int, round_no: int, prefix: str = BLOCK_PREFIX) -> ilp.IlpModel:
+def add_blocking(
+    model: ilp.IlpModel | ilp.CompiledModel, found: Region, k: int, round_no: int, prefix: str = BLOCK_PREFIX
+) -> ilp.IlpModel | ilp.CompiledModel:
     """Exclude `found` and everything componentwise above it.
 
     For every positive component s of the found region a binary indicator is
@@ -249,6 +251,10 @@ def add_blocking(model: ilp.IlpModel, found: Region, k: int, round_no: int, pref
     "<prefix><round_no>_<place>": `round_no` must differ between the rounds
     blocked on one model, and no place id may start with `prefix` (see
     block_prefix).
+
+    `model` is an ilp.IlpModel or an ilp.CompiledModel; the binaries and
+    rows are declared after the existing ones, and a compiled model
+    compiles only these rows.
     """
     support = [p for p in found.marking.keys()]
     if not support:
@@ -272,13 +278,14 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
     """Iteratively solve, record, and block until the model turns infeasible.
 
     Solves over one variable per Parikh class and maps each class value
-    back to its places. Returns every minimal nonzero region up to k in
+    back to its places. The model is compiled once; each round appends its
+    blocking rows to it. Returns every minimal nonzero region up to k in
     discovery order; with max_regions set, stops early and flags whether
     anything was left.
     """
     classes = parikh_classes(problem.spec)
     heads = set(classes.values())
-    model = merge_classes(add_seek_constraints(build_base_model(problem)), classes)
+    model = ilp.compile_model(merge_classes(add_seek_constraints(build_base_model(problem)), classes))
     prefix = block_prefix(problem.spec.all_places())
     found: list[Region] = []
     while True:
@@ -308,10 +315,17 @@ def verify_region(spec: Specification, region: Region) -> ConditionCheck:
         if region.marking[p] > region.k:
             return ConditionCheck(False, "bound", p)
 
+    # Each rise is summed straight from the arc view (post minus pre).
+    value_of = dict(region.marking.items()).get
     rise_of_label: dict[str, tuple[str, int]] = {}
     for ln in spec.nets:
+        pre, post = ln.net.pre, ln.net.post
         for e in ln.net.transitions:
-            value = sum(c * region.marking[p] for p, c in effect(ln.net, e).items())
+            value = 0
+            for p, w in post[e].items():
+                value += w * value_of(p, 0)
+            for p, w in pre[e].items():
+                value -= w * value_of(p, 0)
             label = ln.labels[e]
             if label not in rise_of_label:
                 rise_of_label[label] = (e, value)

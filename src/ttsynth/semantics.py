@@ -180,26 +180,50 @@ def default_trail_bound(net: LabelledNet, pb: PlaceBehavior) -> int:
     return pb.initial + produced * len(net.net.transitions) + max_consume
 
 
+def _trail_model(net: LabelledNet) -> ilp.CompiledModel:
+    """The trail rows of `net`, compiled on first use and kept on the net as
+    `trail_model` (outside equality and repr, like PetriNet.pre).
+
+    Per transition e, in order, an inflow row `pre[e] >= .` and a balance
+    row `effect(e) == .`, then the initial-sum row `initial == .`; one
+    variable per place. Right-hand sides and bounds are left to
+    find_token_trail, which sets them per place behaviour. The model is
+    never changed, so two threads that both compile it keep equal models.
+    """
+    model = getattr(net, "trail_model", None)
+    if model is None:
+        constraints = []
+        for e in net.net.transitions:
+            constraints.append(ilp.LinearConstraint(net.net.pre[e], ilp.GE, 0))
+            constraints.append(ilp.LinearConstraint(effect(net.net, e), ilp.EQ, 0))
+        constraints.append(ilp.LinearConstraint(dict(net.initial.items()), ilp.EQ, 0))
+        variables = [ilp.Variable(p, 0, 0) for p in net.net.places]
+        model = ilp.compile_model(ilp.IlpModel(tuple(variables), tuple(constraints)))
+        object.__setattr__(net, "trail_model", model)
+    return model
+
+
 def find_token_trail(net: LabelledNet, pb: PlaceBehavior, bound: Optional[int] = None) -> Optional[TokenTrail]:
     """Search for a valid token trail with all components <= bound.
 
     Returns the trail or None. None only means no trail exists within the
-    bound; it is not a proof that no trail exists at all.
+    bound; it is not a proof that no trail exists at all. The net's trail
+    rows are compiled once (_trail_model); each search only fills in the
+    place behaviour's right-hand sides and the bound.
     """
     if bound is None:
         bound = default_trail_bound(net, pb)
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    variables = [ilp.Variable(p, 0, bound) for p in net.net.places]
-    constraints = []
+    model = _trail_model(net)
+    rhs = []
     for e in net.net.transitions:
         label = net.labels[e]
-        constraints.append(ilp.LinearConstraint(net.net.pre[e], ilp.GE, pb.consume.get(label, 0)))
-        constraints.append(ilp.LinearConstraint(effect(net.net, e), ilp.EQ, pb.rise(label)))
-    constraints.append(
-        ilp.LinearConstraint({p: n for p, n in net.initial.items()}, ilp.EQ, pb.initial)
-    )
-    solution = ilp.solve(ilp.IlpModel(tuple(variables), tuple(constraints)))
+        rhs.append(pb.consume.get(label, 0))
+        rhs.append(pb.rise(label))
+    rhs.append(pb.initial)
+    n = len(model.variables)
+    solution = ilp.solve(model.with_rhs(rhs, [0] * n, [bound] * n))
     if solution is None:
         return None
     return Multiset({p: v for p, v in solution.assignment.items() if v})

@@ -180,6 +180,33 @@ def reference_bnb(model: ilp.IlpModel):
     return ilp.Solution(dict(zip(ids, point)), value), nodes
 
 
+def trail_model(ln: LabelledNet, pb, bound: int) -> ilp.IlpModel:
+    """The trail search of one place behaviour as its own IlpModel: one
+    [0, bound] variable per place; per transition, in order, an inflow row
+    (preset weights >= what the label consumes) and a balance row (postset
+    minus preset weights == the label's rise); then the initial-sum row.
+
+    Built straight from the arcs for every call, as find_token_trail did
+    before it compiled a net's rows once; solving it is the reference for
+    the compiled path.
+    """
+    constraints = []
+    for e in ln.net.transitions:
+        inflow = {src: w for (src, tgt), w in ln.net.arcs.items() if tgt == e}
+        balance = dict.fromkeys(ln.net.places, 0)
+        for (src, tgt), w in ln.net.arcs.items():
+            if src == e:
+                balance[tgt] += w
+            elif tgt == e:
+                balance[src] -= w
+        label = ln.labels[e]
+        constraints.append(ilp.LinearConstraint(inflow, ilp.GE, pb.consume.get(label, 0)))
+        constraints.append(ilp.LinearConstraint(balance, ilp.EQ, pb.rise(label)))
+    constraints.append(ilp.LinearConstraint(dict(ln.initial.items()), ilp.EQ, pb.initial))
+    variables = tuple(ilp.Variable(p, 0, bound) for p in ln.net.places)
+    return ilp.IlpModel(variables, tuple(constraints))
+
+
 def classical_state_regions(sg: StateGraph) -> set[frozenset]:
     """Subsets of states where each label uniformly enters, exits, or does
     not cross; the textbook region condition for state graphs."""

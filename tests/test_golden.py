@@ -10,6 +10,10 @@ branch-and-bound node) pin the branching order and the propagation
 strength. Enumeration solves the model with Parikh classes merged, which
 shrinks the interleaving's tree; the raw model, one variable per place, is
 pinned through the reference loop of test_regions.
+
+`check` of the golden net against its traces is pinned too, stdout and the
+witness trail behind each verdict: `check` prints only enabled or not, so
+the witnesses show the trail search's tie-break.
 """
 
 from pathlib import Path
@@ -19,10 +23,11 @@ import pytest
 from test_regions import raw_enumeration
 from ttsynth import ilp
 from ttsynth import io as net_io
-from ttsynth.cli import main
+from ttsynth.cli import _model_with_label_transitions, main
 from ttsynth.convert import trace_to_labelled_net
 from ttsynth.core import build_specification
 from ttsynth.regions import RegionProblem
+from ttsynth.semantics import is_enabled
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -77,3 +82,32 @@ def test_raw_search_tree_size(name, k, monkeypatch):
     calls = count_propagate(monkeypatch)
     raw_enumeration(RegionProblem(spec, k))
     assert len(calls) == RAW_NODES[name]
+
+
+def witness_report(name: str, k: int) -> str:
+    """Per trace and place of the golden net, the witness trail that
+    is_enabled finds, in the trail's own order ("not shown" if none)."""
+    model = _model_with_label_transitions(net_io.parse_pnml((GOLDEN / f"{name}.k{k}.pnml").read_bytes()))
+    lines = []
+    traces = net_io.parse_traces((GOLDEN / f"{name}.traces").read_bytes())
+    for i, trace in enumerate(traces, start=1):
+        verdicts = is_enabled(model, trace_to_labelled_net(trace))
+        for place in model.net.places:
+            trail = verdicts.witnesses.get(place)
+            text = "not shown" if trail is None else " ".join(f"{p}={v}" for p, v in trail.items()) or "empty"
+            lines.append(f"net {i}: place {place}: {text}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_check_stdout(name, k, capsys):
+    model = GOLDEN / f"{name}.k{k}.pnml"
+    assert main(["check", "--model", str(model), str(GOLDEN / f"{name}.traces")]) == 0
+    expected = (GOLDEN / f"{name}.k{k}.check.txt").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_witness_trails(name, k):
+    expected = (GOLDEN / f"{name}.k{k}.witnesses.txt").read_text(encoding="utf-8")
+    assert witness_report(name, k) == expected

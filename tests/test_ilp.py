@@ -14,6 +14,12 @@ def model(variables, constraints=(), objective=None):
     return ilp.IlpModel(tuple(variables), tuple(constraints), objective or {})
 
 
+def compiled_rows(m):
+    """(rows, raised, lowered) of the compiled model, as _propagate takes them."""
+    c = ilp.compile_model(m)
+    return c.constraints, c.raised, c.lowered
+
+
 def no_cut(m):
     """A cut that never binds: all-zero coefficients, no incumbent."""
     return ilp._Cut([0] * len(m.variables), 0)
@@ -156,14 +162,91 @@ class TestSolve:
         assert first == second
 
 
+def solve_counting(m):
+    """ilp.solve(m) and the number of _propagate calls (search nodes) it made."""
+    with mock.patch.object(ilp, "_propagate", wraps=ilp._propagate) as propagate:
+        solution = ilp.solve(m)
+    return solution, propagate.call_count
+
+
+class TestCompiledModel:
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=400)
+    def test_appending_searches_like_the_whole_model(self, seed):
+        # Compile a prefix of the variables and rows, append the rest in two
+        # steps as region enumeration does, and the search must be the one
+        # of the whole IlpModel. The prefix must stay as it was compiled.
+        rng = random.Random(seed)
+        m = random_ilp_model(rng)
+        pos = {v.id: i for i, v in enumerate(m.variables)}
+        b = rng.randint(0, len(m.constraints))
+        needed = max((pos[v] + 1 for con in m.constraints[:b] for v in con.terms), default=0)
+        a = rng.randint(needed, len(m.variables))
+        c = rng.randint(b, len(m.constraints))
+        prefix = model(m.variables[:a], m.constraints[:b])
+        compiled = ilp.compile_model(prefix)
+        whole = (
+            compiled.with_variables(m.variables[a:])
+            .with_constraints(m.constraints[b:c])
+            .with_constraints(m.constraints[c:])
+            .with_objective(m.objective)
+        )
+        assert (len(whole.variables), len(whole.constraints)) == (len(m.variables), len(m.constraints))
+        assert solve_counting(whole) == solve_counting(m)
+        assert solve_counting(compiled) == solve_counting(prefix)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=200)
+    def test_sibling_searches_like_a_fresh_model(self, seed):
+        # New right-hand sides and bounds on shared rows: the same search as
+        # an IlpModel built with them; the original is left as it was.
+        rng = random.Random(seed)
+        m = random_ilp_model(rng)
+        compiled = ilp.compile_model(m)
+        rhs = [rng.randint(-6, 8) for _ in m.constraints]
+        lower = [rng.randint(-1, 2) for _ in m.variables]
+        upper = [lb + rng.randint(0, 2) for lb in lower]
+        sibling = compiled.with_rhs(rhs, lower, upper)
+        fresh = model(
+            [ilp.Variable(v.id, lb, ub) for v, lb, ub in zip(m.variables, lower, upper)],
+            [ilp.LinearConstraint(con.terms, con.relation, b) for con, b in zip(m.constraints, rhs)],
+            m.objective,
+        )
+        assert solve_counting(sibling) == solve_counting(fresh)
+        assert solve_counting(compiled) == solve_counting(m)
+
+    def test_rows_without_terms_are_judged_on_every_solve(self):
+        m = model(
+            [ilp.Variable("x", 0, 1)],
+            [ilp.LinearConstraint({}, ilp.EQ, 0), ilp.LinearConstraint({"x": 1}, ilp.GE, 1)],
+        )
+        compiled = ilp.compile_model(m)
+        assert ilp.solve(compiled).assignment == {"x": 1}
+        assert ilp.solve(compiled.with_rhs([1, 1], [0], [1])) is None
+        assert ilp.solve(compiled.with_rhs([0, 0], [0], [1])).assignment == {"x": 0}
+        assert ilp.solve(compiled.with_constraints([ilp.LinearConstraint({}, ilp.LE, -1)])) is None
+
+    def test_invalid_extensions_rejected(self):
+        compiled = ilp.compile_model(model([ilp.Variable("x", 0, 1)]))
+        with pytest.raises(ValueError):
+            compiled.with_variables([ilp.Variable("x", 0, 1)])
+        with pytest.raises(ValueError):
+            compiled.with_constraints([ilp.LinearConstraint({"y": 1}, ilp.LE, 0)])
+        with pytest.raises(ValueError):
+            compiled.with_objective({"y": 1})
+        with pytest.raises(ValueError):
+            compiled.with_rhs([], [1], [0])
+        with pytest.raises(ValueError):
+            compiled.with_rhs([0], [0], [1])
+
+
 class TestPropagation:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=200)
     def test_full_propagation_matches_oracle(self, seed):
         rng = random.Random(seed)
         m = random_ilp_model(rng)
-        index = {v.id: i for i, v in enumerate(m.variables)}
-        compiled = ilp._compile_rows(m.constraints, index)
+        rows, raised, lowered = compiled_rows(m)
         lo = [v.lower for v in m.variables]
         hi = [v.upper for v in m.variables]
         # also from a random sub-box, as inside the search
@@ -171,10 +254,6 @@ class TestPropagation:
             if rng.random() < 0.3:
                 lo[i] = hi[i] = rng.randint(lo[i], hi[i])
         want = interval_fixpoint(m, lo, hi)
-        if compiled is None:
-            assert want is None
-            return
-        rows, raised, lowered = compiled
         ok = ilp._propagate(rows, raised, lowered, lo, hi, range(len(rows)), no_cut(m))
         assert ok == (want is not None)
         if ok:
@@ -188,11 +267,7 @@ class TestPropagation:
         # same infeasibility) as queueing every row. Walks one random branch.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
-        index = {v.id: i for i, v in enumerate(m.variables)}
-        compiled = ilp._compile_rows(m.constraints, index)
-        if compiled is None:
-            return
-        rows, raised, lowered = compiled
+        rows, raised, lowered = compiled_rows(m)
         lo = [v.lower for v in m.variables]
         hi = [v.upper for v in m.variables]
         every_row = range(len(rows))
@@ -221,11 +296,7 @@ class TestPropagation:
         # activity on its own sides is unchanged cannot tighten.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
-        index = {v.id: i for i, v in enumerate(m.variables)}
-        compiled = ilp._compile_rows(m.constraints, index)
-        if compiled is None:
-            return
-        rows, raised, lowered = compiled
+        rows, raised, lowered = compiled_rows(m)
         lo = [v.lower for v in m.variables]
         hi = [v.upper for v in m.variables]
         every_row = range(len(rows))
@@ -257,11 +328,7 @@ class TestPropagation:
         # improves, and only the cut is queued; its moves must wake rows.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
-        index = {v.id: i for i, v in enumerate(m.variables)}
-        compiled = ilp._compile_rows(m.constraints, index)
-        if compiled is None:
-            return
-        rows, raised, lowered = compiled
+        rows, raised, lowered = compiled_rows(m)
         comb = [rng.choice([0, rng.randint(-20, 20)]) for _ in m.variables]
         terms = {v.id: c for v, c in zip(m.variables, comb)}
         lo = [v.lower for v in m.variables]

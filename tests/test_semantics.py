@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq
 from gens import random_labelled_net, random_place_behavior, random_run
+from oracles import initial_sum, net_inflow, net_rise, trail_model
+from ttsynth import ilp
 from ttsynth.convert import run_to_labelled_net, slot_place_id, state_graph_to_labelled_net
 from ttsynth.core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, StateGraph
 from ttsynth.semantics import (
@@ -169,6 +171,71 @@ class TestFindTokenTrail:
         ln = make_e_seq()
         pb = behavior({"a": 2, "b": 1}, {"a": 1}, 3)
         assert default_trail_bound(ln, pb) == 3 + 1 * 2 + 2
+
+
+def behavior_at(ln, point, rng):
+    """A place behaviour for which `point` is a valid trail when every
+    label's transitions share one rise at it: per label that rise and a
+    random consume within the smallest inflow."""
+    rises, inflows = {}, {}
+    for e in ln.net.transitions:
+        rises.setdefault(ln.labels[e], net_rise(ln, point, e))
+        inflows.setdefault(ln.labels[e], []).append(net_inflow(ln, point, e))
+    consume = {label: rng.randint(max(0, -rises[label]), max(0, -rises[label], min(v))) for label, v in inflows.items()}
+    produce = {label: c + rises[label] for label, c in consume.items()}
+    return PlaceBehavior(consume, produce, initial_sum(ln, point))
+
+
+class TestTrailReuse:
+    """find_token_trail compiles a net's rows once and re-solves them with
+    each place's right-hand sides and bound; no search may see another's."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=150)
+    def test_resolving_leaks_no_state(self, seed):
+        # A random net plus a 1:1 self-loop labelled "x" (its balance row
+        # has no terms) and a transition labelled "y" with an empty preset
+        # (its inflow row has no terms). Several place behaviours, one of
+        # them repeated last, are searched on the same net object in random
+        # order; each must match a fresh solve of its own model.
+        rng = random.Random(seed)
+        base = random_labelled_net(rng, "", rng.randint(1, 4), rng.randint(0, 3))
+        p, q = rng.choice(base.net.places), rng.choice(base.net.places)
+        arcs = dict(base.net.arcs.items())
+        arcs.update({(p, "loop"): 1, ("loop", p): 1, ("source", q): rng.randint(1, 2)})
+        net = LabelledNet(
+            PetriNet(base.net.places, base.net.transitions + ("loop", "source"), Multiset(arcs)),
+            base.initial,
+            {**base.labels, "loop": "x", "source": "y"},
+        )
+        searches = []
+        for _ in range(rng.randint(2, 6)):
+            if rng.random() < 0.5:
+                pb = random_place_behavior(rng, "abcxy")
+            else:  # mostly feasible: read off a random point of the net
+                pb = behavior_at(net, {v: rng.randint(0, 2) for v in net.net.places}, rng)
+            searches.append((pb, rng.randint(0, 3)))
+        rng.shuffle(searches)
+        searches.append(searches[0])
+        for pb, bound in searches:
+            got = find_token_trail(net, pb, bound)
+            fresh = ilp.solve(trail_model(net, pb, bound))
+            want = None if fresh is None else Multiset({v: x for v, x in fresh.assignment.items() if x})
+            assert got == want
+            if pb.rise("x") != 0 or pb.consume.get("y", 0) > 0:
+                assert got is None
+            if bound == 0:
+                assert got in (None, Multiset())
+            if got is not None:
+                assert list(got) == [v for v in net.net.places if got[v]]
+
+
+    def test_compiled_rows_stay_outside_equality_and_repr(self):
+        searched, fresh = make_e_seq(), make_e_seq()
+        assert find_token_trail(searched, behavior({"a": 1}, initial=1), 1) == Multiset({"c0": 1})
+        assert hasattr(searched, "trail_model") and not hasattr(fresh, "trail_model")
+        assert searched == fresh
+        assert repr(searched) == repr(fresh)
 
 
 class TestIsEnabled:
