@@ -102,9 +102,6 @@ class IlpModel:
     def with_constraints(self, extra: Sequence[LinearConstraint]) -> "IlpModel":
         return IlpModel(self.variables, self.constraints + tuple(extra), self.objective)
 
-    def with_objective(self, objective: Mapping[str, int]) -> "IlpModel":
-        return IlpModel(self.variables, self.constraints, objective)
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -293,8 +290,9 @@ class _Cut:
     `act` holds that activity for the box being propagated; _propagate reads
     it and keeps it current as bounds move. `bound` is None until the first
     incumbent. `terms` lists (i, comb[i], |comb[i]|) by descending
-    |comb[i]|, zeros left out; it is sorted once, when the first incumbent
-    arrives, so solves that end at the root never sort. `reach` bounds the
+    |comb[i]|, zeros left out; _propagate builds and sorts it on the cut's
+    first pass, so a solve that pops no node after its first incumbent, as
+    every solve that ends at the root, never sorts. `reach` bounds the
     range hi - lo of every variable in the search: the widest root range,
     but at least 1.
     """
@@ -311,12 +309,6 @@ class _Cut:
 
     def set_incumbent(self, key: int) -> None:
         """Bound the cut to keys below `key`."""
-        if self.terms is None:
-            # `u or d` is comb[i] itself, so the terms share its integers.
-            self.terms = [
-                (i, u or d, abs(u or d)) for i, (u, d) in enumerate(zip(self.up, self.down)) if u or d
-            ]
-            self.terms.sort(key=lambda term: term[2], reverse=True)
         self.bound = key - 1
 
 
@@ -375,6 +367,10 @@ def _propagate(rows, raised, lowered, lo: list[int], hi: list[int], seeds, cut: 
             fall = []  # variables whose hi moved
             before = act
             limit = slack // cut.reach
+            if cut.terms is None:
+                # `u or d` is comb[i] itself, so the terms share its integers.
+                cut.terms = [(i, u or d, abs(u or d)) for i, (u, d) in enumerate(zip(up, down)) if u or d]
+                cut.terms.sort(key=lambda term: term[2], reverse=True)
             for i, c, size in cut.terms:
                 if size <= limit:
                     break

@@ -6,13 +6,15 @@ that equally labelled transitions have the same rise and all nets carry the
 same initial token sum. Discovery mode additionally forces the final place
 of every net to stay unmarked.
 
-Before solving, places that carry the same value in every region share one
-variable. In a trace net c0 -> c1 -> ... the value at c_i is the initial
-sum plus the rises of the first i labels, and both are shared by all nets,
-so trace places whose prefixes have the same Parikh vector (count of each
-label) form one class. Every other place is a class of its own. The merged
-model keeps the raw model's objective and tie-break (see merge_classes), so
-the regions and their order do not change.
+Places that carry the same value in every region share one variable. In a
+trace net c0 -> c1 -> ... the value at c_i is the initial sum plus the
+rises of the first i labels, and both are shared by all nets, so trace
+places whose prefixes have the same Parikh vector (count of each label)
+form one class (parikh_classes). Every other place is a class of its own.
+build_base_model writes the model over these classes in one pass; its
+objective and tie-break are those of one variable per place (see
+build_base_model), so the regions and their order do not depend on the
+classes.
 """
 
 from __future__ import annotations
@@ -89,46 +91,6 @@ def discovery_final_places(spec: Specification, overrides: Optional[Mapping[int,
     return result
 
 
-def build_base_model(problem: RegionProblem) -> ilp.IlpModel:
-    """The raw region model: one [0, k] variable per place; rise equalities
-    between the first transition of each label and every other one carrying
-    it; initial-sum equalities between net 1 and every later net; in
-    discovery mode a zero equality per final place.
-
-    Enumeration solves it with the Parikh classes merged (parikh_classes,
-    merge_classes)."""
-    spec, k = problem.spec, problem.k
-    variables = [ilp.Variable(p, 0, k) for p in spec.all_places()]
-    constraints: list[ilp.LinearConstraint] = []
-
-    first_of_label: dict[str, dict[str, int]] = {}
-    for ln in spec.nets:
-        for e in ln.net.transitions:
-            label = ln.labels[e]
-            rise = effect(ln.net, e)
-            if label not in first_of_label:
-                first_of_label[label] = rise
-            else:
-                terms = dict(first_of_label[label])
-                for p, c in rise.items():
-                    terms[p] = terms.get(p, 0) - c
-                constraints.append(ilp.LinearConstraint({p: c for p, c in terms.items() if c}, ilp.EQ, 0))
-
-    base = {p: n for p, n in spec.nets[0].initial.items()}
-    for ln in spec.nets[1:]:
-        terms = dict(base)
-        for p, n in ln.initial.items():
-            terms[p] = terms.get(p, 0) - n
-        constraints.append(ilp.LinearConstraint({p: c for p, c in terms.items() if c}, ilp.EQ, 0))
-
-    if problem.mode == "discovery":
-        finals = discovery_final_places(spec, problem.final_places)
-        for idx in sorted(finals):
-            constraints.append(ilp.LinearConstraint({finals[idx]: 1}, ilp.EQ, 0))
-
-    return ilp.IlpModel(tuple(variables), tuple(constraints))
-
-
 def _trace_prefixes(ln: LabelledNet) -> Optional[dict[str, frozenset]]:
     """Per place, the Parikh vector of the labels leading to it, if `ln` is
     a trace net; None otherwise.
@@ -180,48 +142,69 @@ def parikh_classes(spec: Specification) -> dict[str, str]:
     return {p: last[key] for p, key in key_of.items()}
 
 
-def merge_classes(model: ilp.IlpModel, classes: Mapping[str, str]) -> ilp.IlpModel:
-    """Substitute every variable v of `model` by the variable classes[v].
+def build_base_model(problem: RegionProblem, classes: Mapping[str, str]) -> ilp.IlpModel:
+    """The region model that enumeration solves, built over `classes` (see
+    parikh_classes) in one pass.
 
-    The members of a class must share their bounds. Only the class
-    variables stay, in declaration order; coefficients within a class add
-    up, so in the seek model a class's objective weight and seek
-    coefficient are its size. Rows left with no terms and rhs 0, and
-    repeats of earlier rows, are dropped. A model whose classes are all
-    singletons comes back as it is.
+    One [0, k] variable per class, named after its last member and declared
+    in place order. Then the rows, each summed per class as it is built:
+    rise equalities between the first transition of each label and every
+    other one carrying it; initial-sum equalities between net 1 and every
+    later net; in discovery mode a zero equality per final place. A row
+    left without terms (0 == 0) or repeating an earlier row is skipped.
+    Last comes the seek row sum(size * class) >= 1, whose terms are also
+    the minimized objective: a nonzero region with as few tokens as
+    possible. It is kept even without terms, so a specification without
+    places has no region.
 
-    Naming each class after its last member keeps the tie-break of
-    ilp.solve: it compares variables from the last declared backwards, and
-    on class-constant points the first difference it meets in the raw model
-    is at some class's last member, which is where the merged model meets
-    it too.
+    Per place, the objective is the token count, as with one variable per
+    place, and naming each class after its last member keeps the tie-break
+    of ilp.solve: it compares variables from the last declared backwards,
+    and on class-constant points the first difference it meets over one
+    variable per place is at some class's last member, which is where it
+    meets it here too.
     """
-    if all(c == v for v, c in classes.items()):
-        return model
+    spec, k = problem.spec, problem.k
+    constraints: list[ilp.LinearConstraint] = []
+    seen: set[frozenset] = set()
 
-    def merged(terms: Mapping[str, int]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for v, c in terms.items():
-            out[classes[v]] = out.get(classes[v], 0) + c
-        return out
+    def per_class(plus: Mapping[str, int], minus: Mapping[str, int]) -> dict[str, int]:
+        terms: dict[str, int] = {}
+        for p, c in plus.items():
+            terms[classes[p]] = terms.get(classes[p], 0) + c
+        for p, c in minus.items():
+            terms[classes[p]] = terms.get(classes[p], 0) - c
+        return terms
 
-    constraints = []
-    seen = set()
-    for con in model.constraints:
-        row = ilp.LinearConstraint(merged(con.terms), con.relation, con.rhs)
-        key = (frozenset(row.terms.items()), row.relation, row.rhs)
-        if (row.terms or row.rhs) and key not in seen:
+    def add_zero_row(terms: dict[str, int]) -> None:
+        row = ilp.LinearConstraint(terms, ilp.EQ, 0)
+        key = frozenset(row.terms.items())
+        if key and key not in seen:
             seen.add(key)
             constraints.append(row)
-    variables = [v for v in model.variables if classes[v.id] == v.id]
-    return ilp.IlpModel(tuple(variables), tuple(constraints), merged(model.objective))
 
+    first_of_label: dict[str, dict[str, int]] = {}
+    for ln in spec.nets:
+        for e in ln.net.transitions:
+            label = ln.labels[e]
+            rise = effect(ln.net, e)
+            if label not in first_of_label:
+                first_of_label[label] = rise
+            else:
+                add_zero_row(per_class(first_of_label[label], rise))
 
-def add_seek_constraints(model: ilp.IlpModel) -> ilp.IlpModel:
-    """Ask for a nonzero distribution with as few tokens as possible: the sum
-    of all current (place) variables is >= 1 and is minimized."""
-    terms = {v.id: 1 for v in model.variables}
-    return model.with_constraints([ilp.LinearConstraint(terms, ilp.GE, 1)]).with_objective(terms)
+    for ln in spec.nets[1:]:
+        add_zero_row(per_class(spec.nets[0].initial, ln.initial))
+
+    if problem.mode == "discovery":
+        finals = discovery_final_places(spec, problem.final_places)
+        for idx in sorted(finals):
+            add_zero_row(per_class({finals[idx]: 1}, {}))
+
+    sizes = per_class(dict.fromkeys(spec.all_places(), 1), {})
+    constraints.append(ilp.LinearConstraint(sizes, ilp.GE, 1))
+    variables = [ilp.Variable(p, 0, k) for p in spec.all_places() if classes[p] == p]
+    return ilp.IlpModel(tuple(variables), tuple(constraints), sizes)
 
 
 def block_prefix(places) -> str:
@@ -245,12 +228,11 @@ def add_blocking(
     For every positive component s of the found region a binary indicator is
     forced to 1 exactly when the place variable drops below s; at least one
     indicator must be 1, so any further solution is strictly smaller in at
-    least one positive component. On a merged model (merge_classes) `found`
-    marks class variables only, giving one indicator per class. The
-    binaries are named
-    "<prefix><round_no>_<place>": `round_no` must differ between the rounds
-    blocked on one model, and no place id may start with `prefix` (see
-    block_prefix).
+    least one positive component. On the class model (build_base_model)
+    `found` marks class variables only, giving one indicator per class.
+    The binaries are named "<prefix><round_no>_<place>": `round_no` must
+    differ between the rounds blocked on one model, and no place id may
+    start with `prefix` (see block_prefix).
 
     `model` is an ilp.IlpModel or an ilp.CompiledModel; the binaries and
     rows are declared after the existing ones, and a compiled model
@@ -285,7 +267,7 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
     """
     classes = parikh_classes(problem.spec)
     heads = set(classes.values())
-    model = ilp.compile_model(merge_classes(add_seek_constraints(build_base_model(problem)), classes))
+    model = ilp.compile_model(build_base_model(problem, classes))
     prefix = block_prefix(problem.spec.all_places())
     found: list[Region] = []
     while True:

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 from .core import MarkedPetriNet, Multiset, PetriNet, Specification
 from .regions import Region, RegionProblem, enumerate_minimal_regions, verify_region
-from .semantics import PlaceBehavior, inflow, rise
+from .semantics import PlaceBehavior
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,24 @@ def place_from_region(spec: Specification, region: Region) -> PlaceDefinition:
     if not check:
         raise ValueError(f"invalid region: condition {check.condition} at {check.witness}")
 
-    inflows: dict[str, list[int]] = {}
+    # Per label the least inflow and the first carrier's rise (outflow minus
+    # that inflow); verify_region showed every carrier has this rise.
+    value_of = dict(region.marking.items()).get
+    consume: dict[str, int] = {}
     rises: dict[str, int] = {}
     for ln in spec.nets:
+        pre, post = ln.net.pre, ln.net.post
         for e in ln.net.transitions:
+            inflow = 0
+            for p, w in pre[e].items():
+                inflow += w * value_of(p, 0)
             label = ln.labels[e]
-            inflows.setdefault(label, []).append(inflow(ln, region.marking, e))
-            if label not in rises:  # verify_region showed every carrier has this rise
-                rises[label] = rise(ln, region.marking, e)
+            if label not in consume:
+                consume[label] = inflow
+                rises[label] = sum(w * value_of(p, 0) for p, w in post[e].items()) - inflow
+            elif inflow < consume[label]:
+                consume[label] = inflow
 
-    consume = {label: min(values) for label, values in inflows.items()}
     produce = {label: consume[label] + rises[label] for label in consume}
 
     sums = [

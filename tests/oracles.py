@@ -207,6 +207,64 @@ def trail_model(ln: LabelledNet, pb, bound: int) -> ilp.IlpModel:
     return ilp.IlpModel(variables, tuple(constraints))
 
 
+def raw_region_model(problem) -> ilp.IlpModel:
+    """The region model of `problem` with one [0, k] variable per place, as
+    enumeration solved it before it built the model over Parikh classes.
+
+    Rows, in order: per label, a rise equality between its first transition
+    and every later one (postset minus preset weights); an initial-sum
+    equality between net 1 and every later net; in discovery mode a zero
+    equality per net's final place, the one named in problem.final_places
+    or else the only place without outgoing arcs (ValueError if there is
+    none or several); last the seek row sum(places) >= 1, whose terms are
+    also the minimized objective. Rows without terms and repeats are kept.
+
+    Built straight from the arcs; solving it and blocking each region with
+    regions.add_blocking is the reference for the regions, their order and
+    the search tree of the raw model.
+    """
+    spec = problem.spec
+    constraints = []
+    first_rise = {}
+    for ln in spec.nets:
+        for e in ln.net.transitions:
+            rise = dict.fromkeys(ln.net.places, 0)
+            for (src, tgt), w in ln.net.arcs.items():
+                if src == e:
+                    rise[tgt] += w
+                elif tgt == e:
+                    rise[src] -= w
+            label = ln.labels[e]
+            if label not in first_rise:
+                first_rise[label] = rise
+                continue
+            terms = dict(first_rise[label])
+            for p, c in rise.items():
+                terms[p] = terms.get(p, 0) - c
+            constraints.append(ilp.LinearConstraint(terms, ilp.EQ, 0))
+    for ln in spec.nets[1:]:
+        terms = dict(spec.nets[0].initial.items())
+        for p, n in ln.initial.items():
+            terms[p] = terms.get(p, 0) - n
+        constraints.append(ilp.LinearConstraint(terms, ilp.EQ, 0))
+    if problem.mode == "discovery":
+        overrides = problem.final_places or {}
+        for idx, ln in enumerate(spec.nets):
+            if idx in overrides:
+                final = overrides[idx]
+            else:
+                sinks = [p for p in ln.net.places if not any(src == p for src, _ in ln.net.arcs)]
+                if len(sinks) != 1:
+                    raise ValueError(f"no unique final place in net {idx + 1}")
+                final = sinks[0]
+            constraints.append(ilp.LinearConstraint({final: 1}, ilp.EQ, 0))
+    places = spec.all_places()
+    seek = dict.fromkeys(places, 1)
+    constraints.append(ilp.LinearConstraint(seek, ilp.GE, 1))
+    variables = tuple(ilp.Variable(p, 0, problem.k) for p in places)
+    return ilp.IlpModel(variables, tuple(constraints), seek)
+
+
 def classical_state_regions(sg: StateGraph) -> set[frozenset]:
     """Subsets of states where each label uniformly enters, exits, or does
     not cross; the textbook region condition for state graphs."""

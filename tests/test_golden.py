@@ -1,19 +1,22 @@
 """Discovery order pinned byte for byte, and the search tree by its size.
 
-The files under `golden/` were written by an earlier solver whose
-propagation swept every row at every node. The region table and the PNML
-(place ids p1, p2, ... follow discovery order) must stay identical, so any
-change to the search that reorders regions shows here. Both inputs make the
+The trace goldens under `golden/` were written by an earlier solver whose
+propagation swept every row at every node, the state graph's by the
+event-driven one that replaced it. The region table and the PNML (place
+ids p1, p2, ... follow discovery order) must stay identical, so any change
+to the search that reorders regions shows here. Every input makes the
 solver branch. The tie-break makes each optimum unique, so outputs alone do
 not see how it was found; the node counts (one _propagate call per
 branch-and-bound node) pin the branching order and the propagation
-strength. Enumeration solves the model with Parikh classes merged, which
-shrinks the interleaving's tree; the raw model, one variable per place, is
-pinned through the reference loop of test_regions.
+strength. Enumeration solves the model over Parikh classes, which shrinks
+the interleaving's tree; the raw model, one variable per place, is pinned
+through the reference loop of test_regions. The state graph's places are
+all classes of their own, and its model skips the raw model's rows without
+terms and repeats, so its two counts must agree.
 
-`check` of the golden net against its traces is pinned too, stdout and the
-witness trail behind each verdict: `check` prints only enabled or not, so
-the witnesses show the trail search's tie-break.
+`check` of the golden net against its input is pinned too: stdout and, for
+the trace inputs, the witness trail behind each verdict. `check` prints
+only enabled or not, so the witnesses show the trail search's tie-break.
 """
 
 from pathlib import Path
@@ -23,7 +26,7 @@ import pytest
 from test_regions import raw_enumeration
 from ttsynth import ilp
 from ttsynth import io as net_io
-from ttsynth.cli import _model_with_label_transitions, main
+from ttsynth.cli import _load_nets, _model_with_label_transitions, main
 from ttsynth.convert import trace_to_labelled_net
 from ttsynth.core import build_specification
 from ttsynth.regions import RegionProblem
@@ -36,10 +39,18 @@ CASES = [
     ("interleave_2x2", 1),
     # one trace of 12 distinct labels
     ("chain_12", 2),
+    # reachability graph of three independent two-state cycles
+    ("statespace_3", 1),
 ]
+TRACE_CASES = CASES[:2]
 
-NODES = {"interleave_2x2": 97, "chain_12": 352}
-RAW_NODES = {"interleave_2x2": 111, "chain_12": 352}
+INPUTS = {
+    "interleave_2x2": "interleave_2x2.traces",
+    "chain_12": "chain_12.traces",
+    "statespace_3": "statespace_3.sg",
+}
+NODES = {"interleave_2x2": 97, "chain_12": 352, "statespace_3": 91}
+RAW_NODES = {"interleave_2x2": 111, "chain_12": 352, "statespace_3": 91}
 
 
 def count_propagate(monkeypatch) -> list:
@@ -56,7 +67,7 @@ def count_propagate(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name,k", CASES)
 def test_region_table(name, k, capsys):
-    assert main(["regions", "-k", str(k), str(GOLDEN / f"{name}.traces")]) == 0
+    assert main(["regions", "-k", str(k), str(GOLDEN / INPUTS[name])]) == 0
     expected = (GOLDEN / f"{name}.k{k}.regions.txt").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
 
@@ -64,21 +75,20 @@ def test_region_table(name, k, capsys):
 @pytest.mark.parametrize("name,k", CASES)
 def test_pnml_bytes(name, k, tmp_path):
     out = tmp_path / "out.pnml"
-    assert main(["synth", "-k", str(k), "-o", str(out), str(GOLDEN / f"{name}.traces")]) == 0
+    assert main(["synth", "-k", str(k), "-o", str(out), str(GOLDEN / INPUTS[name])]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.k{k}.pnml").read_bytes()
 
 
 @pytest.mark.parametrize("name,k", CASES)
 def test_search_tree_size(name, k, monkeypatch, capsys):
     calls = count_propagate(monkeypatch)
-    assert main(["regions", "-k", str(k), str(GOLDEN / f"{name}.traces")]) == 0
+    assert main(["regions", "-k", str(k), str(GOLDEN / INPUTS[name])]) == 0
     assert len(calls) == NODES[name]
 
 
 @pytest.mark.parametrize("name,k", CASES)
 def test_raw_search_tree_size(name, k, monkeypatch):
-    traces = net_io.parse_traces((GOLDEN / f"{name}.traces").read_bytes())
-    spec = build_specification([trace_to_labelled_net(t) for t in traces])
+    spec = build_specification(_load_nets(GOLDEN / INPUTS[name]))
     calls = count_propagate(monkeypatch)
     raw_enumeration(RegionProblem(spec, k))
     assert len(calls) == RAW_NODES[name]
@@ -102,12 +112,12 @@ def witness_report(name: str, k: int) -> str:
 @pytest.mark.parametrize("name,k", CASES)
 def test_check_stdout(name, k, capsys):
     model = GOLDEN / f"{name}.k{k}.pnml"
-    assert main(["check", "--model", str(model), str(GOLDEN / f"{name}.traces")]) == 0
+    assert main(["check", "--model", str(model), str(GOLDEN / INPUTS[name])]) == 0
     expected = (GOLDEN / f"{name}.k{k}.check.txt").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 
-@pytest.mark.parametrize("name,k", CASES)
+@pytest.mark.parametrize("name,k", TRACE_CASES)
 def test_witness_trails(name, k):
     expected = (GOLDEN / f"{name}.k{k}.witnesses.txt").read_text(encoding="utf-8")
     assert witness_report(name, k) == expected

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
 from gens import random_labelled_net, random_specification
-from oracles import brute_force_minimal_regions, is_region_point
+from oracles import brute_force_minimal_regions, is_region_point, raw_region_model
 from ttsynth import ilp
 from ttsynth.convert import trace_to_labelled_net
 from ttsynth.core import LabelledNet, Multiset, PetriNet, build_specification
@@ -17,12 +17,10 @@ from ttsynth.regions import (
     RegionEnumeration,
     RegionProblem,
     add_blocking,
-    add_seek_constraints,
     block_prefix,
     build_base_model,
     discovery_final_places,
     enumerate_minimal_regions,
-    merge_classes,
     parikh_classes,
     verify_region,
 )
@@ -33,10 +31,11 @@ def markings(enumeration):
 
 
 def raw_enumeration(problem: RegionProblem) -> RegionEnumeration:
-    """Reference enumeration over the raw model, one variable per place and
-    no class merging: solve, record, block until infeasible."""
+    """Reference enumeration over the raw model (oracles.raw_region_model),
+    one variable per place and no classes: solve, record, block until
+    infeasible."""
     places = problem.spec.all_places()
-    model = add_seek_constraints(build_base_model(problem))
+    model = raw_region_model(problem)
     prefix = block_prefix(places)
     found = []
     while True:
@@ -48,6 +47,20 @@ def raw_enumeration(problem: RegionProblem) -> RegionEnumeration:
             return RegionEnumeration(tuple(found), truncated=True)
         found.append(region)
         model = add_blocking(model, region, problem.k, len(found), prefix)
+
+
+def singletons(spec) -> dict[str, str]:
+    """The partition with one class per place."""
+    return {p: p for p in spec.all_places()}
+
+
+def class_model(problem: RegionProblem) -> ilp.IlpModel:
+    """The model enumeration solves: over the Parikh classes."""
+    return build_base_model(problem, parikh_classes(problem.spec))
+
+
+def row_keys(constraints) -> list:
+    return [(frozenset(c.terms.items()), c.relation, c.rhs) for c in constraints]
 
 
 @st.composite
@@ -64,43 +77,56 @@ def trace_logs_with_nets(draw):
 
 
 class TestBuildBaseModel:
+    """The rows over one class per place; the seek row comes last."""
+
     def test_e_seq_counts(self):
-        model = build_base_model(RegionProblem(spec_of(make_e_seq()), 1))
+        spec = spec_of(make_e_seq())
+        model = build_base_model(RegionProblem(spec, 1), singletons(spec))
         assert [v.id for v in model.variables] == ["c0", "c1", "c2"]
         assert all((v.lower, v.upper) == (0, 1) for v in model.variables)
-        assert len(model.constraints) == 0  # labels unique, single net
+        # labels unique, single net: the seek row alone
+        assert row_keys(model.constraints) == [(frozenset({"c0": 1, "c1": 1, "c2": 1}.items()), ilp.GE, 1)]
 
     def test_e_dup_rise_equality(self):
-        model = build_base_model(RegionProblem(spec_of(make_e_dup()), 1))
+        spec = spec_of(make_e_dup())
+        model = build_base_model(RegionProblem(spec, 1), singletons(spec))
         assert len(model.variables) == 3
-        assert len(model.constraints) == 1
+        assert len(model.constraints) == 2
         con = model.constraints[0]
         assert con.relation == ilp.EQ and con.rhs == 0
         # rise(e1) = rise(e2) collapses to -c0 + 2 c1 - c2 = 0
         assert con.terms == {"c0": -1, "c1": 2, "c2": -1}
 
     def test_e_two_rise_and_initial_sum(self):
-        model = build_base_model(RegionProblem(spec_of(make_e_two_a(), make_e_two_b()), 1))
+        spec = spec_of(make_e_two_a(), make_e_two_b())
+        model = build_base_model(RegionProblem(spec, 1), singletons(spec))
         assert len(model.variables) == 4
-        assert len(model.constraints) == 2
-        rise_eq, initial_eq = model.constraints
+        assert len(model.constraints) == 3
+        rise_eq, initial_eq, _ = model.constraints
         assert rise_eq.terms == {"d1": 1, "d0": -1, "g1": -1, "g0": 1}
         assert initial_eq.terms == {"d0": 1, "g0": -1}
 
     def test_discovery_adds_final_zero(self):
-        model = build_base_model(RegionProblem(spec_of(make_e_seq()), 1, "discovery"))
-        assert model.constraints[-1].terms == {"c2": 1}
-        assert model.constraints[-1].relation == ilp.EQ
-        assert model.constraints[-1].rhs == 0
+        spec = spec_of(make_e_seq())
+        model = build_base_model(RegionProblem(spec, 1, "discovery"), singletons(spec))
+        final, seek = model.constraints[-2:]
+        assert final.terms == {"c2": 1}
+        assert final.relation == ilp.EQ
+        assert final.rhs == 0
+        assert seek.relation == ilp.GE and seek.terms == model.objective
 
     def test_discovery_without_unique_final_errors(self):
         net = PetriNet(("p", "q"), ("t",), Multiset({("t", "p"): 1, ("t", "q"): 1}))
         ln = LabelledNet(net, Multiset(), {"t": "a"})
+        spec = spec_of(ln)
         with pytest.raises(ValueError, match="no unique final place"):
-            build_base_model(RegionProblem(spec_of(ln), 1, "discovery"))
+            build_base_model(RegionProblem(spec, 1, "discovery"), singletons(spec))
+        with pytest.raises(ValueError, match="no unique final place"):
+            raw_region_model(RegionProblem(spec, 1, "discovery"))
 
     def test_bound_is_k(self):
-        model = build_base_model(RegionProblem(spec_of(make_e_seq()), 3))
+        spec = spec_of(make_e_seq())
+        model = build_base_model(RegionProblem(spec, 3), singletons(spec))
         assert all(v.upper == 3 for v in model.variables)
 
 
@@ -111,19 +137,20 @@ class TestSeekAndBlocking:
             ((make_e_dup(),), 3),
             ((make_e_two_a(), make_e_two_b()), 2),
         ]:
-            model = add_seek_constraints(build_base_model(RegionProblem(spec_of(*nets), 1)))
-            solution = ilp.solve(model)
-            assert solution.objective_value == expected
+            problem = RegionProblem(spec_of(*nets), 1)
+            for model in (class_model(problem), raw_region_model(problem)):
+                solution = ilp.solve(model)
+                assert solution.objective_value == expected
 
     def test_e_dup_blocked_becomes_infeasible(self):
         spec = spec_of(make_e_dup())
-        model = add_seek_constraints(build_base_model(RegionProblem(spec, 1)))
+        model = class_model(RegionProblem(spec, 1))
         region = Region(Multiset({"c0": 1, "c1": 1, "c2": 1}), 1)
         assert ilp.solve(add_blocking(model, region, 1, 1)) is None
 
     def test_e_seq_blocking_sequence(self):
         spec = spec_of(make_e_seq())
-        model = add_seek_constraints(build_base_model(RegionProblem(spec, 1)))
+        model = class_model(RegionProblem(spec, 1))
         model = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1, 1)
         solution = ilp.solve(model)
         region_part = {p: solution.assignment[p] for p in ("c0", "c1", "c2")}
@@ -132,7 +159,7 @@ class TestSeekAndBlocking:
     def test_k1_binaries_collapse_to_complement(self):
         # with k=1 the added inequalities force flag = 1 - place
         spec = spec_of(make_e_seq())
-        model = add_seek_constraints(build_base_model(RegionProblem(spec, 1)))
+        model = class_model(RegionProblem(spec, 1))
         blocked = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1, 1)
         flag = [v.id for v in blocked.variables if v.id.startswith("_blk")][0]
         lo_hi = [(c.relation, c.rhs) for c in blocked.constraints if flag in c.terms and "c0" in c.terms]
@@ -146,14 +173,14 @@ class TestSeekAndBlocking:
 
     def test_blocking_zero_region_rejected(self):
         spec = spec_of(make_e_seq())
-        model = add_seek_constraints(build_base_model(RegionProblem(spec, 1)))
+        model = class_model(RegionProblem(spec, 1))
         with pytest.raises(ValueError):
             add_blocking(model, Region(Multiset(), 1), 1, 1)
 
     def test_blocking_accepts_exactly_smaller_assignments(self):
         # sweep every (place, flag) assignment on a small k=2 model
         spec = spec_of(make_e_dup())
-        base = build_base_model(RegionProblem(spec, 2))
+        base = class_model(RegionProblem(spec, 2))
         found = Region(Multiset({"c0": 2, "c1": 1}), 2)
         blocked = add_blocking(base, found, 2, 1)
         flags = [v.id for v in blocked.variables if v.id.startswith("_blk")]
@@ -253,6 +280,17 @@ class TestEnumerate:
             assert got == brute_force_minimal_regions(spec, k, finals)
             checked += 1
         assert checked >= 10
+
+
+    def test_placeless_specification_has_no_regions(self):
+        # the seek row keeps the model infeasible, although it has no terms;
+        # the rise and initial-sum rows of the two nets are 0 == 0
+        ln = LabelledNet(PetriNet((), ("t",), Multiset()), Multiset(), {"t": "a"})
+        problem = RegionProblem(spec_of(ln, ln), 1)
+        model = class_model(problem)
+        assert model.variables == ()
+        assert row_keys(model.constraints) == [(frozenset(), ilp.GE, 1)]
+        assert enumerate_minimal_regions(problem) == RegionEnumeration((), truncated=False)
 
 
 class TestVerifyRegion:
@@ -367,8 +405,8 @@ class TestParikhClasses:
 
     def test_merged_model_has_one_variable_per_class(self):
         spec = log_spec("ab", "ba", "ab", "ba")
-        raw = add_seek_constraints(build_base_model(RegionProblem(spec, 2)))
-        merged = merge_classes(raw, parikh_classes(spec))
+        raw = raw_region_model(RegionProblem(spec, 2))
+        merged = class_model(RegionProblem(spec, 2))
         assert [v.id for v in merged.variables] == ["n3.c1", "n4.c0", "n4.c1", "n4.c2"]
         assert merged.objective == {"n4.c0": 4, "n3.c1": 2, "n4.c1": 2, "n4.c2": 4}
         seek = [c for c in merged.constraints if c.relation == ilp.GE]
@@ -379,7 +417,9 @@ class TestParikhClasses:
         assert len(merged.constraints) == 3
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_all_singletons_leave_the_model_unchanged(self, k):
+    def test_all_singletons_give_the_raw_rows(self, k):
+        # over singletons the rows are the raw model's, in order, minus rows
+        # without terms and repeats
         rng = random.Random(5)
         cases = [(log_spec("abcab"), MODES), (spec_of(make_e_dup()), MODES)]
         cases += [(random_specification(rng), ("synthesis",)) for _ in range(20)]
@@ -387,8 +427,13 @@ class TestParikhClasses:
             classes = parikh_classes(spec)
             assert list(classes.values()) == list(spec.all_places())
             for mode in modes:
-                raw = add_seek_constraints(build_base_model(RegionProblem(spec, k, mode)))
-                assert ilp.format_lp(merge_classes(raw, classes)) == ilp.format_lp(raw)
+                problem = RegionProblem(spec, k, mode)
+                raw = raw_region_model(problem)
+                model = build_base_model(problem, classes)
+                expected = list(dict.fromkeys(key for key in row_keys(raw.constraints) if key[0]))
+                assert row_keys(model.constraints) == expected
+                assert model.variables == raw.variables
+                assert model.objective == raw.objective
 
     def test_clashing_ids_inside_merged_classes(self):
         # renamed ids n1.c0, ... and a net whose ids look like both renamed

@@ -5,7 +5,7 @@ import pytest
 from fixture_nets import make_concurrent_chains, make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
 from gens import random_specification
 from oracles import brute_force_minimal_regions, lts_isomorphic, net_inflow, net_rise, relabel_arcs
-from ttsynth.core import Multiset, enabled_transitions, fire, reachability_graph
+from ttsynth.core import LabelledNet, Multiset, PetriNet, enabled_transitions, fire, reachability_graph
 from ttsynth.regions import Region, RegionProblem
 from ttsynth.semantics import is_valid_token_trail
 from ttsynth.synthesis import PlaceDefinition, dedupe_places, place_from_region, synthesize
@@ -51,6 +51,21 @@ class TestPlaceFromRegion:
                         label = ln.labels[e]
                         expected_rise = place.produce.get(label, 0) - place.consume.get(label, 0)
                         assert net_rise(ln, point, e) == expected_rise
+
+    def test_consume_is_least_inflow(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            spec = random_specification(rng)
+            k = rng.randint(1, 2)
+            for marking in brute_force_minimal_regions(spec, k):
+                place = place_from_region(spec, Region(marking, k))
+                point = dict(marking.items())
+                least: dict[str, int] = {}
+                for ln in spec.nets:
+                    for e in ln.net.transitions:
+                        value = net_inflow(ln, point, e)
+                        least[ln.labels[e]] = min(least.get(ln.labels[e], value), value)
+                assert place.consume == {label: n for label, n in least.items() if n}
 
 
 class TestDedupe:
@@ -107,6 +122,14 @@ class TestSynthesize:
         m = fire(res.net, m, "a")
         m = fire(res.net, m, "a")
         assert "a" not in enabled_transitions(res.net, m)
+
+    def test_placeless_specification(self):
+        # nothing to mark: no region, and a net of bare transitions
+        ln = LabelledNet(PetriNet((), ("t",), Multiset()), Multiset(), {"t": "a"})
+        res = synthesize(RegionProblem(spec_of(ln), 1))
+        assert res.regions == () and res.places == ()
+        assert res.net.net.places == () and res.net.net.transitions == ("a",)
+        assert not res.truncated
 
     def test_e_two_result(self):
         res = synthesize(RegionProblem(spec_of(make_e_two_a(), make_e_two_b()), 1))
