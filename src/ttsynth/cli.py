@@ -9,6 +9,7 @@ error, 3 the region cap truncated the result (which is still written).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -61,14 +62,32 @@ def _model_with_label_transitions(ln: LabelledNet) -> MarkedPetriNet:
     return _rename_net(ln, mapping).marked()
 
 
+def _write_all(documents: Sequence[tuple[Path, bytes]]) -> None:
+    """Write all documents or none: each to a new temporary file next to its
+    target, all renamed into place once every write has succeeded."""
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for target, payload in documents:
+            if target.is_dir():
+                raise IsADirectoryError(f"output is a directory: {str(target)!r}")
+            tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+            with open(tmp, "xb") as fh:
+                staged.append((tmp, target))
+                fh.write(payload)
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
 def _cmd_synth(args) -> int:
     problem = _build_problem(args)
     result = synthesize(problem)
-    pnml = net_io.write_pnml(result)
-    dot = net_io.export_dot(result) if args.dot else None
-    Path(args.out).write_bytes(pnml)
-    if dot is not None:
-        Path(args.dot).write_text(dot, encoding="utf-8")
+    documents = [(Path(args.out), net_io.write_pnml(result))]
+    if args.dot:
+        documents.append((Path(args.dot), net_io.export_dot(result).encode("utf-8")))
+    _write_all(documents)
     print(f"regions: {len(result.regions)}", file=sys.stderr)
     print(f"places: {len(result.places)}", file=sys.stderr)
     if result.truncated:
@@ -94,16 +113,15 @@ def _cmd_check(args) -> int:
         spec_nets.extend(_load_nets(Path(name)))
     if not spec_nets:
         raise ValueError("empty specification: inputs contain no nets")
-    any_not_shown = False
-    for i, spec_net in enumerate(spec_nets, start=1):
-        verdicts = is_enabled(model, spec_net, args.bound)
+    # Every verdict first, so that an error prints no verdict line.
+    verdicts = [is_enabled(model, spec_net, args.bound) for spec_net in spec_nets]
+    for i, verdict in enumerate(verdicts, start=1):
         for place in model.net.places:
-            if place in verdicts.witnesses:
+            if place in verdict.witnesses:
                 print(f"net {i}: place {place}: enabled")
             else:
                 print(f"net {i}: place {place}: not shown within bound")
-        any_not_shown = any_not_shown or not verdicts.enabled
-    return EXIT_NOT_SHOWN if any_not_shown else EXIT_OK
+    return EXIT_OK if all(v.enabled for v in verdicts) else EXIT_NOT_SHOWN
 
 
 def _cmd_convert(args) -> int:
@@ -119,8 +137,8 @@ def _cmd_convert(args) -> int:
             (out.with_name(f"{out.stem}-{i}{out.suffix}"), net_io.write_pnml(ln))
             for i, ln in enumerate(nets, start=1)
         ]
-    for target, payload in documents:
-        target.write_bytes(payload)
+    _write_all(documents)
+    for target, _ in documents:
         print(f"wrote {target}", file=sys.stderr)
     return EXIT_OK
 

@@ -137,10 +137,6 @@ def check_assignment(model: IlpModel, assignment: Mapping[str, int]) -> Assignme
     return AssignmentCheck(True)
 
 
-def objective_value(model: IlpModel, assignment: Mapping[str, int]) -> int:
-    return sum(c * assignment[v] for v, c in model.objective.items())
-
-
 def format_lp(model: IlpModel) -> str:
     """Plain-text dump of the model for inspection (not a stability contract)."""
     lines = ["minimize"]

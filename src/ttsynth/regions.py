@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Tuple
 
 from . import ilp
 from .core import LabelledNet, Multiset, Specification, effect
-from .semantics import ConditionCheck
+from .semantics import ConditionCheck, PlaceBehavior
 
 BLOCK_PREFIX = "_blk"
 
@@ -287,7 +287,11 @@ def verify_region(spec: Specification, region: Region) -> ConditionCheck:
     """Re-check a region directly from the definitions, independent of the ILP.
 
     Failure names the first violated condition: "bound", "rise" (same label,
-    same rise) or "initial-sum" (equal sums across nets).
+    same rise) or "initial-sum" (equal sums across nets). Success carries
+    the place the region induces (ConditionCheck.place), read off the same
+    arc sums: per label it consumes the least inflow over the label's
+    transitions and produces that plus the label's rise, and it holds the
+    initial sum shared by all nets.
     """
     places = set(spec.all_places())
     unknown = set(region.marking) - places
@@ -297,27 +301,34 @@ def verify_region(spec: Specification, region: Region) -> ConditionCheck:
         if region.marking[p] > region.k:
             return ConditionCheck(False, "bound", p)
 
-    # Each rise is summed straight from the arc view (post minus pre).
+    # One walk over the arc view: per label the first carrier's rise (post
+    # minus pre) and the least inflow over its carriers.
     value_of = dict(region.marking.items()).get
     rise_of_label: dict[str, tuple[str, int]] = {}
+    least_inflow: dict[str, int] = {}
     for ln in spec.nets:
         pre, post = ln.net.pre, ln.net.post
         for e in ln.net.transitions:
-            value = 0
+            inflow = 0
+            for p, w in pre[e].items():
+                inflow += w * value_of(p, 0)
+            value = -inflow
             for p, w in post[e].items():
                 value += w * value_of(p, 0)
-            for p, w in pre[e].items():
-                value -= w * value_of(p, 0)
             label = ln.labels[e]
             if label not in rise_of_label:
                 rise_of_label[label] = (e, value)
+                least_inflow[label] = inflow
             else:
                 first, expected = rise_of_label[label]
                 if value != expected:
                     return ConditionCheck(False, "rise", f"{first}/{e}")
+                if inflow < least_inflow[label]:
+                    least_inflow[label] = inflow
 
     sums = [sum(n * region.marking[p] for p, n in ln.initial.items()) for ln in spec.nets]
     for idx, s in enumerate(sums[1:], start=2):
         if s != sums[0]:
             return ConditionCheck(False, "initial-sum", f"net 1 vs net {idx}")
-    return ConditionCheck(True)
+    produce = {label: least + rise_of_label[label][1] for label, least in least_inflow.items()}
+    return ConditionCheck(True, place=PlaceBehavior(least_inflow, produce, sums[0]))

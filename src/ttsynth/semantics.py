@@ -8,7 +8,7 @@ label, and the initially marked places carry the place's initial tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
 from . import ilp
@@ -120,11 +120,13 @@ class Run:
 class ConditionCheck:
     """Outcome of a validity check of a token trail, a compact token flow or
     a region (regions.verify_region); on failure names the first violated
-    condition (in checking order) and the smallest witness."""
+    condition (in checking order) and the smallest witness. A region that
+    passes also carries the place it induces (`place`, outside equality)."""
 
     ok: bool
     condition: Optional[str] = None
     witness: Optional[str] = None
+    place: Optional[PlaceBehavior] = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -10,7 +10,7 @@ synthesized net; every input net stays simulatable by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .core import MarkedPetriNet, Multiset, PetriNet, Specification
 from .regions import Region, RegionProblem, enumerate_minimal_regions, verify_region
@@ -18,20 +18,14 @@ from .semantics import PlaceBehavior
 
 
 @dataclass(frozen=True)
-class PlaceDefinition:
-    """Arc weights per label plus initial tokens for one synthesized place.
+class PlaceDefinition(PlaceBehavior):
+    """Arc weights per label plus initial tokens for one synthesized place,
+    with the region it came from.
 
     Labels absent from both mappings are unconnected to the place.
     """
 
-    consume: Mapping[str, int]
-    produce: Mapping[str, int]
-    initial: int
     source_region: Optional[Region] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "consume", {k: v for k, v in dict(self.consume).items() if v})
-        object.__setattr__(self, "produce", {k: v for k, v in dict(self.produce).items() if v})
 
     def key(self) -> tuple:
         return (
@@ -63,36 +57,13 @@ class SynthesisResult:
 
 
 def place_from_region(spec: Specification, region: Region) -> PlaceDefinition:
-    """Build the most restrictive place the region can witness."""
+    """Build the most restrictive place the region can witness, as
+    verify_region reads it off the region's arcs."""
     check = verify_region(spec, region)
     if not check:
         raise ValueError(f"invalid region: condition {check.condition} at {check.witness}")
-
-    # Per label the least inflow and the first carrier's rise (outflow minus
-    # that inflow); verify_region showed every carrier has this rise.
-    value_of = dict(region.marking.items()).get
-    consume: dict[str, int] = {}
-    rises: dict[str, int] = {}
-    for ln in spec.nets:
-        pre, post = ln.net.pre, ln.net.post
-        for e in ln.net.transitions:
-            inflow = 0
-            for p, w in pre[e].items():
-                inflow += w * value_of(p, 0)
-            label = ln.labels[e]
-            if label not in consume:
-                consume[label] = inflow
-                rises[label] = sum(w * value_of(p, 0) for p, w in post[e].items()) - inflow
-            elif inflow < consume[label]:
-                consume[label] = inflow
-
-    produce = {label: consume[label] + rises[label] for label in consume}
-
-    sums = [
-        sum(n * region.marking[p] for p, n in ln.initial.items()) for ln in spec.nets
-    ]
-    assert all(s == sums[0] for s in sums), "initial sums diverge across nets"
-    return PlaceDefinition(consume, produce, sums[0], region)
+    place = check.place
+    return PlaceDefinition(place.consume, place.produce, place.initial, region)
 
 
 def dedupe_places(places: Sequence[PlaceDefinition]) -> list[PlaceDefinition]:

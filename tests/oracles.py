@@ -49,6 +49,27 @@ def is_region_point(spec: Specification, marking: dict, k: int, finals=None) -> 
     return True
 
 
+def first_region_violation(spec: Specification, marking: dict, k: int):
+    """(condition, witness) of the first violated region condition, or
+    (None, None): bounds in the marking's order, then each transition's rise
+    against its label's first carrier in net order ("first/e"), then each
+    net's initial sum against net 1's ("net 1 vs net N")."""
+    for p, v in marking.items():
+        if v > k:
+            return "bound", p
+    first_of_label: dict[str, tuple[str, int]] = {}
+    for ln in spec.nets:
+        for e in ln.net.transitions:
+            rise = net_rise(ln, marking, e)
+            first, first_rise = first_of_label.setdefault(ln.labels[e], (e, rise))
+            if rise != first_rise:
+                return "rise", f"{first}/{e}"
+    for idx, ln in enumerate(spec.nets[1:], start=2):
+        if initial_sum(ln, marking) != initial_sum(spec.nets[0], marking):
+            return "initial-sum", f"net 1 vs net {idx}"
+    return None, None
+
+
 def brute_force_minimal_regions(spec: Specification, k: int, finals=None) -> set[Multiset]:
     """Componentwise-minimal nonzero points satisfying the region conditions."""
     places = spec.all_places()

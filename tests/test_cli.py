@@ -69,6 +69,18 @@ class TestSynth:
         assert code == 3
         assert out.exists()  # result is still written
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        traces = write(tmp_path, "spec.traces", "a b\n")
+        out, dot = tmp_path / "out.pnml", tmp_path / "nodir" / "out.dot"
+        assert main(["synth", "-o", str(out), "--dot", str(dot), traces]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.traces"]
+        out.write_bytes(b"earlier")
+        assert main(["synth", "-o", str(out), "--dot", str(dot), traces]) == 2
+        assert out.read_bytes() == b"earlier"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pnml", "spec.traces"]
+        assert main(["synth", "-o", str(out), "--dot", str(tmp_path), traces]) == 2
+        assert out.read_bytes() == b"earlier"
+
     def test_dot_output(self, tmp_path):
         traces = write(tmp_path, "spec.traces", "a b\n")
         out, dot = tmp_path / "out.pnml", tmp_path / "out.dot"
@@ -146,10 +158,14 @@ class TestCheck:
         assert out.count("enabled") == 3
 
     def test_missing_label_is_an_error(self, tmp_path, capsys):
-        _, model = self.synth_model(tmp_path)
+        traces, model = self.synth_model(tmp_path)
         wider = write(tmp_path, "wider.traces", "a b c\n")
-        assert main(["check", "--model", model, wider]) == 2
-        assert "unknown label" in capsys.readouterr().err
+        capsys.readouterr()
+        for specs in ([wider], [traces, wider]):
+            assert main(["check", "--model", model, *specs]) == 2
+            captured = capsys.readouterr()
+            assert "unknown label" in captured.err
+            assert captured.out == ""
 
     def test_restrictive_model_fails_with_place_named(self, tmp_path, capsys):
         model_doc = b"""<?xml version="1.0"?>
@@ -208,6 +224,12 @@ class TestConvert:
         assert not out.exists()
         assert (tmp_path / "t-1.pnml").exists()
         assert (tmp_path / "t-2.pnml").exists()
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        traces = write(tmp_path, "t.traces", "a\na b\n")
+        (tmp_path / "t-2.pnml").mkdir()
+        assert main(["convert", traces, "-o", str(tmp_path / "t.pnml")]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t-2.pnml", "t.traces"]
 
     def test_cyclic_run_rejected(self, tmp_path, capsys):
         run = write(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
 from gens import random_labelled_net, random_specification
-from oracles import brute_force_minimal_regions, is_region_point, raw_region_model
+from oracles import brute_force_minimal_regions, first_region_violation, is_region_point, raw_region_model
 from ttsynth import ilp
 from ttsynth.convert import trace_to_labelled_net
 from ttsynth.core import LabelledNet, Multiset, PetriNet, build_specification
@@ -326,6 +326,11 @@ class TestVerifyRegion:
                 point = {p: rng.randint(0, 2) for p in places}
                 region = Region(Multiset({p: v for p, v in point.items() if v}), 2)
                 assert bool(verify_region(spec, region)) == is_region_point(spec, point, 2)
+                support = dict(region.marking.items())
+                for k in (1, 2):
+                    verdict = verify_region(spec, Region(region.marking, k))
+                    assert (verdict.condition, verdict.witness) == first_region_violation(spec, support, k)
+                    assert (verdict.place is not None) == verdict.ok
 
 
 class TestDiscoveryFinalPlaces:

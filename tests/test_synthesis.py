@@ -4,7 +4,8 @@ import pytest
 
 from fixture_nets import make_concurrent_chains, make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
 from gens import random_specification
-from oracles import brute_force_minimal_regions, lts_isomorphic, net_inflow, net_rise, relabel_arcs
+from oracles import brute_force_minimal_regions, initial_sum, lts_isomorphic, net_inflow, net_rise, relabel_arcs
+from ttsynth.convert import trace_to_labelled_net
 from ttsynth.core import LabelledNet, Multiset, PetriNet, enabled_transitions, fire, reachability_graph
 from ttsynth.regions import Region, RegionProblem
 from ttsynth.semantics import is_valid_token_trail
@@ -52,6 +53,13 @@ class TestPlaceFromRegion:
                         expected_rise = place.produce.get(label, 0) - place.consume.get(label, 0)
                         assert net_rise(ln, point, e) == expected_rise
 
+    def test_labels_keep_first_occurrence_order(self):
+        # "c b a" with c1..c3 marked: c fills the place, b and a read it
+        spec = spec_of(trace_to_labelled_net(("c", "b", "a")))
+        place = place_from_region(spec, Region(Multiset({"c1": 1, "c2": 1, "c3": 1}), 1))
+        assert list(place.consume.items()) == [("b", 1), ("a", 1)]
+        assert list(place.produce.items()) == [("c", 1), ("b", 1), ("a", 1)]
+
     def test_consume_is_least_inflow(self):
         rng = random.Random(6)
         for _ in range(30):
@@ -61,11 +69,16 @@ class TestPlaceFromRegion:
                 place = place_from_region(spec, Region(marking, k))
                 point = dict(marking.items())
                 least: dict[str, int] = {}
+                rise: dict[str, int] = {}
                 for ln in spec.nets:
                     for e in ln.net.transitions:
                         value = net_inflow(ln, point, e)
                         least[ln.labels[e]] = min(least.get(ln.labels[e], value), value)
+                        rise.setdefault(ln.labels[e], net_rise(ln, point, e))
                 assert place.consume == {label: n for label, n in least.items() if n}
+                produce = [(label, n + rise[label]) for label, n in least.items() if n + rise[label]]
+                assert list(place.produce.items()) == produce
+                assert place.initial == initial_sum(spec.nets[0], point)
 
 
 class TestDedupe:
