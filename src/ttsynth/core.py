@@ -161,7 +161,12 @@ class PetriNet:
 
 @dataclass(frozen=True)
 class MarkedPetriNet:
-    """A net together with its initial marking."""
+    """A net together with its initial marking.
+
+    semantics.is_enabled reads every place's behaviour once and keeps them
+    on the net as `place_behaviors`; derived from the fields, equality and
+    repr ignore it.
+    """
 
     net: PetriNet
     initial: Marking
@@ -179,9 +184,11 @@ class LabelledNet:
     Several transitions may share a label (label splitting); the labelling
     must be total.
 
-    semantics.find_token_trail compiles the net's trail rows on first use
-    and keeps them on it as `trail_model`; like PetriNet.pre/post it is
-    derived from the fields, and equality and repr ignore it.
+    semantics.find_token_trail keeps on the net, on first use, the
+    spanning-tree walk that gives its trails when it is a connected state
+    machine (`trail_walk`, None for other nets) and, for other nets, the
+    compiled trail rows (`trail_model`); like PetriNet.pre/post they are
+    derived from the fields, and equality and repr ignore them.
     """
 
     net: PetriNet

@@ -205,18 +205,87 @@ def _trail_model(net: LabelledNet) -> ilp.CompiledModel:
     return model
 
 
+def _trail_walk(net: LabelledNet) -> Optional[tuple]:
+    """The spanning-tree walk of `net` when it is a connected state machine,
+    else None; worked out on first use and kept on the net as `trail_walk`
+    (outside equality and repr, like trail_model).
+
+    A connected state machine: every transition has exactly one input and
+    one output place, each by an arc of weight 1 (they may be the same
+    place); the initial marking is one token on one place p0; and every
+    place is linked to p0 when arc direction is ignored. Trace nets and
+    converted state graphs are such nets. The walk is (p0, steps, arcs):
+    `steps` lists (place, parent, label, sign) in breadth-first order from
+    p0, one per tree arc, so that a trail has place = parent + sign *
+    rise(label); `arcs` lists (input place, output place, label) for every
+    transition in order.
+    """
+    if hasattr(net, "trail_walk"):
+        return net.trail_walk
+    pre, post = net.net.pre, net.net.post
+    walk = None
+    if len(net.initial) == 1 and net.initial.total() == 1 and all(
+        list(pre[e].values()) == [1] == list(post[e].values()) for e in net.net.transitions
+    ):
+        root = next(iter(net.initial))
+        arcs = tuple((next(iter(pre[e])), next(iter(post[e])), net.labels[e]) for e in net.net.transitions)
+        neighbours: dict[str, list] = {p: [] for p in net.net.places}
+        for p, q, label in arcs:
+            neighbours[p].append((q, label, 1))
+            neighbours[q].append((p, label, -1))
+        reached, steps = [root], []
+        seen = {root}
+        for place in reached:  # grows while it is walked: breadth-first
+            for nxt, label, sign in neighbours[place]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    reached.append(nxt)
+                    steps.append((nxt, place, label, sign))
+        if len(seen) == len(net.net.places):
+            walk = (root, tuple(steps), arcs)
+    object.__setattr__(net, "trail_walk", walk)
+    return walk
+
+
+def _trail_by_walk(net: LabelledNet, walk, pb: PlaceBehavior, bound: int) -> Optional[TokenTrail]:
+    """The one point that the initial-sum row and the balance rows leave on
+    a connected state machine, if it lies in [0, bound] and meets every
+    inflow and balance row; else None (what ilp.solve returns on the rows)."""
+    root, steps, arcs = walk
+    if pb.initial > bound:
+        return None
+    x = {root: pb.initial}
+    for place, parent, label, sign in steps:
+        value = x[parent] + sign * pb.rise(label)
+        if not 0 <= value <= bound:
+            return None
+        x[place] = value
+    for p, q, label in arcs:
+        if x[p] < pb.consume.get(label, 0) or x[q] - x[p] != pb.rise(label):
+            return None
+    return Multiset({p: x[p] for p in net.net.places if x[p]})
+
+
 def find_token_trail(net: LabelledNet, pb: PlaceBehavior, bound: Optional[int] = None) -> Optional[TokenTrail]:
     """Search for a valid token trail with all components <= bound.
 
     Returns the trail or None. None only means no trail exists within the
-    bound; it is not a proof that no trail exists at all. The net's trail
-    rows are compiled once (_trail_model); each search only fills in the
-    place behaviour's right-hand sides and the bound.
+    bound; it is not a proof that no trail exists at all. On a connected
+    state machine (_trail_walk, kept on the net as `trail_walk`) the
+    initial sum and the label rises fix the only candidate, so one walk
+    computes it and tests every row; no ILP is built. On any other net the
+    trail rows are compiled once (_trail_model, kept as `trail_model`) and
+    each search only fills in the place behaviour's right-hand sides and
+    the bound. Both give what ilp.solve gives on the rows, keys in place
+    order.
     """
     if bound is None:
         bound = default_trail_bound(net, pb)
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    walk = _trail_walk(net)
+    if walk is not None:
+        return _trail_by_walk(net, walk, pb, bound)
     model = _trail_model(net)
     rhs = []
     for e in net.net.transitions:
@@ -249,20 +318,39 @@ class Enabledness:
         return self.enabled
 
 
+def _place_behaviors(model: MarkedPetriNet) -> dict[str, PlaceBehavior]:
+    """Every model place's behaviour, in place order, read in one pass over
+    the arcs on first use and kept on the model as `place_behaviors`
+    (outside equality and repr, like trail_model)."""
+    behaviors = getattr(model, "place_behaviors", None)
+    if behaviors is None:
+        consume: dict[str, dict[str, int]] = {p: {} for p in model.net.places}
+        produce: dict[str, dict[str, int]] = {p: {} for p in model.net.places}
+        for t in model.net.transitions:
+            for p, w in model.net.pre[t].items():
+                consume[p][t] = w
+            for p, w in model.net.post[t].items():
+                produce[p][t] = w
+        behaviors = {p: PlaceBehavior(consume[p], produce[p], model.initial[p]) for p in model.net.places}
+        object.__setattr__(model, "place_behaviors", behaviors)
+    return behaviors
+
+
 def place_behavior_of(model: MarkedPetriNet, place: str) -> PlaceBehavior:
     """Read one model place as consume/produce per transition plus tokens."""
-    if place not in model.net.places:
+    behaviors = _place_behaviors(model)
+    if place not in behaviors:
         raise ValueError(f"unknown place: {place!r}")
-    consume = {t: ws[place] for t, ws in model.net.pre.items() if place in ws}
-    produce = {t: ws[place] for t, ws in model.net.post.items() if place in ws}
-    return PlaceBehavior(consume, produce, model.initial[place])
+    return behaviors[place]
 
 
 def is_enabled(model: MarkedPetriNet, spec_net: LabelledNet, bound: Optional[int] = None) -> Enabledness:
     """Search a witness trail in spec_net for every place of the model.
 
     The model's transitions act as the label universe; a spec label missing
-    from the model is an error.
+    from the model is an error. The model's place behaviours are read once
+    and kept on it (_place_behaviors), so checking many spec nets against
+    one model reads its arcs once.
     """
     labels = set(spec_net.labels.values())
     missing = labels - set(model.net.transitions)
@@ -270,8 +358,7 @@ def is_enabled(model: MarkedPetriNet, spec_net: LabelledNet, bound: Optional[int
         raise ValueError(f"unknown label: {sorted(missing)[0]!r}")
     witnesses: dict[str, TokenTrail] = {}
     not_shown: list[str] = []
-    for place in model.net.places:
-        pb = place_behavior_of(model, place)
+    for place, pb in _place_behaviors(model).items():
         trail = find_token_trail(spec_net, pb, bound)
         if trail is None:
             not_shown.append(place)

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from test_regions import raw_enumeration
+from test_semantics import counting_solves
 from ttsynth import ilp
 from ttsynth import io as net_io
 from ttsynth.cli import _load_nets, _model_with_label_transitions, main
@@ -115,6 +116,16 @@ def test_check_stdout(name, k, capsys):
     assert main(["check", "--model", str(model), str(GOLDEN / INPUTS[name])]) == 0
     expected = (GOLDEN / f"{name}.k{k}.check.txt").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_check_takes_the_walk(name, k, monkeypatch, capsys):
+    # Trace nets and converted state graphs are connected state machines,
+    # so every trail of `check` comes from the walk, none from the solver.
+    solves = counting_solves(monkeypatch)
+    model = GOLDEN / f"{name}.k{k}.pnml"
+    assert main(["check", "--model", str(model), str(GOLDEN / INPUTS[name])]) == 0
+    assert solves == []
 
 
 @pytest.mark.parametrize("name,k", TRACE_CASES)

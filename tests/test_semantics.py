@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq
-from gens import random_labelled_net, random_place_behavior, random_run
+from gens import random_labelled_net, random_place_behavior, random_run, random_state_graph, random_trace
 from oracles import initial_sum, net_inflow, net_rise, trail_model
 from ttsynth import ilp
-from ttsynth.convert import run_to_labelled_net, slot_place_id, state_graph_to_labelled_net
+from ttsynth.convert import run_to_labelled_net, slot_place_id, state_graph_to_labelled_net, trace_to_labelled_net
 from ttsynth.core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, StateGraph
 from ttsynth.semantics import (
     SINK,
@@ -229,13 +229,118 @@ class TestTrailReuse:
             if got is not None:
                 assert list(got) == [v for v in net.net.places if got[v]]
 
-
     def test_compiled_rows_stay_outside_equality_and_repr(self):
-        searched, fresh = make_e_seq(), make_e_seq()
-        assert find_token_trail(searched, behavior({"a": 1}, initial=1), 1) == Multiset({"c0": 1})
+        # A run net has one marked place per event, so it takes the solver.
+        run = Run(("v1", "v2"), (("v1", "v2"),), {"v1": "a", "v2": "b"})
+        searched, fresh = run_to_labelled_net(run), run_to_labelled_net(run)
+        trail = find_token_trail(searched, behavior({"b": 1}, {"a": 1}), 1)
+        assert trail == Multiset({slot_place_id(("v1", "v2")): 1})
         assert hasattr(searched, "trail_model") and not hasattr(fresh, "trail_model")
         assert searched == fresh
         assert repr(searched) == repr(fresh)
+
+    def test_cached_walk_stays_outside_equality_and_repr(self):
+        searched, fresh = make_e_seq(), make_e_seq()
+        assert find_token_trail(searched, behavior({"a": 1}, initial=1), 1) == Multiset({"c0": 1})
+        assert hasattr(searched, "trail_walk") and not hasattr(fresh, "trail_walk")
+        assert not hasattr(searched, "trail_model")
+        assert searched == fresh
+        assert repr(searched) == repr(fresh)
+
+
+def reference_trail(net, pb, bound):
+    """What ilp.solve gives on the trail rows, built afresh from the arcs."""
+    solution = ilp.solve(trail_model(net, pb, bound))
+    return None if solution is None else Multiset({p: v for p, v in solution.assignment.items() if v})
+
+
+def counting_solves(monkeypatch) -> list:
+    solves = []
+    solve = ilp.solve
+    monkeypatch.setattr(ilp, "solve", lambda *args: solves.append(None) or solve(*args))
+    return solves
+
+
+def chain_net(arcs, initial, places=("c0", "c1", "c2"), transitions=("e1", "e2")):
+    labels = {e: label for e, label in zip(transitions, "abcxy")}
+    return LabelledNet(PetriNet(places, transitions, Multiset(arcs)), Multiset(initial), labels)
+
+
+CHAIN_ARCS = {("c0", "e1"): 1, ("e1", "c1"): 1, ("c1", "e2"): 1, ("e2", "c2"): 1}
+
+#: Builders of nets that miss exactly one property of a connected state machine.
+NOT_STATE_MACHINES = {
+    "weight-2 arc": lambda: chain_net({**CHAIN_ARCS, ("e1", "c1"): 2}, {"c0": 1}),
+    "two input places": lambda: chain_net({**CHAIN_ARCS, ("c0", "e2"): 1}, {"c0": 1}),
+    "no input place": lambda: chain_net(
+        {**CHAIN_ARCS, ("e3", "c1"): 1}, {"c0": 1}, transitions=("e1", "e2", "e3")
+    ),
+    "2-token initial place": lambda: chain_net(CHAIN_ARCS, {"c0": 2}),
+    "two marked places": lambda: chain_net(CHAIN_ARCS, {"c0": 1, "c1": 1}),
+    "unconnected place": lambda: chain_net(CHAIN_ARCS, {"c0": 1}, places=("c0", "c1", "c2", "d")),
+}
+
+
+class TestTrailWalk:
+    """On a connected state machine find_token_trail walks a spanning tree
+    instead of solving; it must give exactly what ilp.solve gives."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=300)
+    def test_walk_equals_solver(self, seed):
+        # Trace nets, and state graphs with self-loops and repeated labels.
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            net = trace_to_labelled_net(random_trace(rng, max_len=6))
+        else:
+            net = state_graph_to_labelled_net(random_state_graph(rng))
+        for _ in range(4):
+            if rng.random() < 0.4:
+                pb = random_place_behavior(rng, "abc")
+            else:  # feasible when the point's rises agree per label
+                flat = rng.random() < 0.3
+                level = rng.randint(0, 2)
+                point = {p: level if flat else rng.randint(0, 2) for p in net.net.places}
+                pb = behavior_at(net, point, rng)
+            bound = rng.randint(0, 3)
+            got = find_token_trail(net, pb, bound)
+            want = reference_trail(net, pb, bound)
+            assert got == want
+            assert got is None or list(got) == list(want)
+        assert net.trail_walk is not None and not hasattr(net, "trail_model")
+
+    def test_walk_finds_trails(self, monkeypatch):
+        # The property above sees feasible searches, not only None.
+        solves = counting_solves(monkeypatch)
+        found = 0
+        rng = random.Random(5)
+        for _ in range(100):
+            net = state_graph_to_labelled_net(random_state_graph(rng))
+            point = {p: rng.randint(0, 2) for p in net.net.places}
+            found += find_token_trail(net, behavior_at(net, point, rng), 2) is not None
+        assert found > 20 and solves == []
+
+    def test_backwards_tree_arc(self):
+        # s0 -a-> s1 -b-> s2 -c-> s3 -d-> s0: the walk reaches s3 from s0
+        # against the arc d, so s3 = s0 - rise(d).
+        cycle = StateGraph(
+            ("s0", "s1", "s2", "s3"), "s0",
+            (("s0", "a", "s1"), ("s1", "b", "s2"), ("s2", "c", "s3"), ("s3", "d", "s0")),
+        )
+        net = state_graph_to_labelled_net(cycle)
+        pb = behavior({"d": 1}, {"a": 1})
+        assert find_token_trail(net, pb, 1) == Multiset({"s1": 1, "s2": 1, "s3": 1}) == reference_trail(net, pb, 1)
+        assert ("s3", "s0", "d", -1) in net.trail_walk[1]
+
+    @pytest.mark.parametrize("name", NOT_STATE_MACHINES)
+    def test_other_nets_take_the_solver(self, name, monkeypatch):
+        net = NOT_STATE_MACHINES[name]()
+        pb = behavior({"a": 1}, {"b": 1}, 1)
+        solves = counting_solves(monkeypatch)
+        got = find_token_trail(net, pb, 2)
+        assert len(solves) == 1
+        assert net.trail_walk is None
+        assert got == reference_trail(net, pb, 2)
 
 
 class TestIsEnabled:
@@ -271,6 +376,25 @@ class TestIsEnabled:
         model = MarkedPetriNet(PetriNet(("p",), ("a",), Multiset()), Multiset())
         with pytest.raises(ValueError, match="unknown label"):
             is_enabled(model, make_e_seq())  # spec uses label b too
+
+    def test_place_behaviors_are_read_once_outside_equality_and_repr(self):
+        def model():
+            return MarkedPetriNet(
+                PetriNet(("p", "q"), ("a", "b"), Multiset({("p", "a"): 1, ("a", "q"): 1, ("q", "b"): 2})),
+                Multiset({"p": 1}),
+            )
+
+        searched, fresh = model(), model()
+        assert is_enabled(searched, make_e_seq()).not_shown == ("q",)
+        behaviors = searched.place_behaviors
+        assert list(behaviors) == ["p", "q"] and not hasattr(fresh, "place_behaviors")
+        assert searched == fresh
+        assert repr(searched) == repr(fresh)
+        assert is_enabled(searched, make_e_seq()).not_shown == ("q",)  # a second spec net
+        assert searched.place_behaviors is behaviors
+        assert behaviors["q"] == place_behavior_of(fresh, "q") == behavior({"b": 2}, {"a": 1})
+        with pytest.raises(ValueError, match="unknown place"):
+            place_behavior_of(searched, "zz")
 
     def test_place_behavior_of_reads_weights(self):
         model = MarkedPetriNet(
