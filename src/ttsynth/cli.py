@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -63,19 +64,40 @@ def _model_with_label_transitions(ln: LabelledNet) -> MarkedPetriNet:
 
 
 def _write_all(documents: Sequence[tuple[Path, bytes]]) -> None:
-    """Write all documents or none: each to a new temporary file next to its
-    target, all renamed into place once every write has succeeded."""
+    """Write every document, and none when one of them cannot be staged.
+
+    A target is written through its symlinks: the link stays, and the file
+    it points to gets the bytes. A regular or missing file is staged in a
+    new temporary file next to it, with the mode of the file it replaces,
+    and renamed into place at the end. Any other target (a FIFO, a device)
+    cannot be replaced by a rename; it is opened and written directly once
+    every document is staged, before the renames.
+    """
     staged: list[tuple[Path, Path]] = []
+    direct: list[tuple[Path, bytes]] = []
     try:
         for target, payload in documents:
-            if target.is_dir():
+            path = Path(os.path.realpath(target))
+            try:
+                mode = path.stat().st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and stat.S_ISDIR(mode):
                 raise IsADirectoryError(f"output is a directory: {str(target)!r}")
-            tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+            if mode is not None and not stat.S_ISREG(mode):
+                direct.append((path, payload))
+                continue
+            tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
             with open(tmp, "xb") as fh:
-                staged.append((tmp, target))
+                staged.append((tmp, path))
                 fh.write(payload)
-        for tmp, target in staged:
-            os.replace(tmp, target)
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+        for path, payload in direct:
+            with open(path, "wb") as fh:
+                fh.write(payload)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)

@@ -34,6 +34,15 @@ class Multiset:
         self._items = data
         self._hash = None
 
+    @classmethod
+    def _of(cls, data: dict) -> "Multiset":
+        """A multiset over `data`, taken as it is: every count must already
+        be a positive int, and `data` must not change afterwards."""
+        multiset = cls.__new__(cls)
+        multiset._items = data
+        multiset._hash = None
+        return multiset
+
     def __getitem__(self, key) -> int:
         return self._items.get(key, 0)
 

@@ -5,10 +5,20 @@ tolerance anywhere. Among equal-objective optima the solver deterministically
 returns the assignment that is smallest when variables are compared from the
 last declared one backwards, so identical models always yield identical
 solutions.
+
+solve() is a depth-first branch and bound with exact interval
+propagation at every node. compile_model() turns each constraint into one
+`<=` row per side (an equality into two) and lists, per variable, the rows
+whose minimum activity each of its bounds moves. A search keeps one box,
+every row's minimum activity on it and a trail of bound moves to undo on
+backtracking. A row pass reads its carried activity, so a row that cannot
+tighten costs O(1) instead of a sum over its terms. The incumbent cut is
+one more row, whose right-hand side drops with each better point.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Tuple
@@ -112,31 +122,6 @@ class Solution:
         object.__setattr__(self, "assignment", dict(self.assignment))
 
 
-@dataclass(frozen=True)
-class AssignmentCheck:
-    ok: bool
-    violated: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_assignment(model: IlpModel, assignment: Mapping[str, int]) -> AssignmentCheck:
-    """Verify bounds and every constraint; name the first violation."""
-    for v in model.variables:
-        if v.id not in assignment:
-            raise ValueError(f"assignment misses variable {v.id!r}")
-        val = assignment[v.id]
-        if not (v.lower <= val <= v.upper):
-            return AssignmentCheck(False, f"bound {v.id} in [{v.lower}, {v.upper}]")
-    for idx, con in enumerate(model.constraints):
-        total = sum(c * assignment[v] for v, c in con.terms.items())
-        ok = (total <= con.rhs) if con.relation == LE else (total >= con.rhs) if con.relation == GE else (total == con.rhs)
-        if not ok:
-            return AssignmentCheck(False, f"constraint {idx}: {con.render()}")
-    return AssignmentCheck(True)
-
-
 def format_lp(model: IlpModel) -> str:
     """Plain-text dump of the model for inspection (not a stability contract)."""
     lines = ["minimize"]
@@ -151,62 +136,65 @@ def format_lp(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile_rows(
-    constraints: Sequence[LinearConstraint], index: Mapping[str, int], rows: list, raised: list, lowered: list
-) -> None:
-    """Append one row `(idxs, coeffs, lob, hib)` per constraint to `rows`,
-    numbered on from the rows already there, and enter it in the wake lists
-    of its variables: `raised[i]` holds the rows that can react when lo[i]
-    rises, `lowered[i]` those that can react when hi[i] falls.
 
-    A `<= hib` side reads the row's minimum activity, which takes lo[i]
-    where c > 0 and hi[i] where c < 0; a `>= lob` side reads the maximum,
-    which takes the other bound; an equality row reads both. A constraint
-    without terms becomes a row without terms: no variable wakes it, and
-    the root's pass over every row judges it against its own right-hand
-    side. A wake list that gains rows is replaced by a longer copy, never
-    extended, so a model sharing it (CompiledModel) is left as it was.
+
+def _min_activity(terms, lo: Sequence[int], hi: Sequence[int]) -> int:
+    """The least value of sum(c * x[i] for i, c in terms) on the box [lo, hi]."""
+    return sum([c * lo[i] if c > 0 else c * hi[i] for i, c in terms])
+
+
+def _compile_rows(sides, lo, hi, rows: list, act: list, lo_occurs: list, hi_occurs: list) -> None:
+    """Append one row `(terms, sizes, rhs, cmax, partner)` per side
+    `(terms, rhs, partner)` to `rows`, numbered on from the rows already
+    there, its minimum activity on the box [lo, hi] to `act`, and enter it
+    in the occurrence lists of its variables.
+
+    A side is a `<=` constraint sum(c * x[i] for i, c in terms) <= rhs,
+    with terms by variable position; zero coefficients are left out.
+    `partner` is the row of the other side of an equality (the same terms
+    negated, rhs negated), else None. The row lists its terms by
+    descending |c|, ties in the given order, `sizes` holds their -|c| (so
+    it ascends, for bisect) and cmax is the largest |c| (0 without terms).
+    A row's minimum activity on a box takes lo[i] where c > 0 and hi[i]
+    where c < 0, so `lo_occurs[i]` lists the (row, c) of every row holding
+    variable i with c > 0 and `hi_occurs[i]` those with c < 0: the rows
+    whose minimum activity grows by c times the move when lo[i] rises or
+    hi[i] falls, and the only rows such a move can make tighten. A list
+    that gains entries is replaced by a longer copy, never extended, so a
+    model sharing it (CompiledModel) is left as it was.
     """
-    new_raised: dict[int, list[int]] = {}
-    new_lowered: dict[int, list[int]] = {}
-    for con in constraints:
-        if con.relation == LE:
-            lob, hib = None, con.rhs
-        elif con.relation == GE:
-            lob, hib = con.rhs, None
-        else:
-            lob, hib = con.rhs, con.rhs
+    new_lo: dict[int, list] = {}
+    new_hi: dict[int, list] = {}
+    for terms, rhs, partner in sides:
         r = len(rows)
-        try:
-            idxs = tuple(map(index.__getitem__, con.terms))
-        except KeyError as exc:
-            raise ValueError(f"constraint references unknown variable {exc.args[0]!r}") from None
-        coeffs = tuple(con.terms.values())
-        for i, c in zip(idxs, coeffs):
-            if hib is not None:
-                (new_raised if c > 0 else new_lowered).setdefault(i, []).append(r)
-            if lob is not None:
-                (new_lowered if c > 0 else new_raised).setdefault(i, []).append(r)
-        rows.append((idxs, coeffs, lob, hib))
-    for i, extra in new_raised.items():
-        raised[i] = raised[i] + extra
-    for i, extra in new_lowered.items():
-        lowered[i] = lowered[i] + extra
+        terms = sorted(((i, c) for i, c in terms if c), key=lambda t: -abs(t[1]))
+        for i, c in terms:
+            (new_lo if c > 0 else new_hi).setdefault(i, []).append((r, c))
+        sizes = tuple(-abs(c) for _, c in terms)
+        rows.append((tuple(terms), sizes, rhs, -sizes[0] if sizes else 0, partner))
+        act.append(_min_activity(terms, lo, hi))
+    for lists, new in ((lo_occurs, new_lo), (hi_occurs, new_hi)):
+        for i, extra in new.items():
+            lists[i] = lists[i] + extra
 
 
 @dataclass(frozen=True, eq=False)
 class CompiledModel:
     """An IlpModel compiled for solve(): variables by position, rows with
-    their wake lists, bounds and objective as lists.
+    their occurrence lists and activities, bounds and objective as lists.
 
-    `variables` holds the variable ids in declaration order and
-    `constraints` the rows `(idxs, coeffs, lob, hib)` of _compile_rows, one
-    per declared constraint and in its order, so both have the lengths of
-    the model's own tuples. `index` maps each id to its position, and
-    `lower`, `upper` and `objective` are indexed like `variables`. Like
-    IlpModel it is never changed after construction: with_rhs() returns a
-    sibling with new right-hand sides and bounds that shares the terms and
-    wake lists, and with_variables(), with_constraints() and
+    Each declared constraint is compiled into its `<=` sides: a `<=`
+    constraint into itself, a `>=` one into its negation and an equality
+    into both. `rows` holds these rows `(terms, sizes, rhs, cmax, partner)`
+    of _compile_rows in declaration order, `act[r]` the minimum activity of
+    row r on the declared bounds, and `constraints[r]` the pairs
+    (row, sign) of declared constraint r, so `variables` and
+    `constraints` have the lengths of the model's own tuples. `index` maps
+    each id to its position, and `lower`, `upper`, `objective`,
+    `lo_occurs` and `hi_occurs` are indexed like `variables`. Like IlpModel
+    it is never changed after construction: with_rhs() returns a sibling
+    with new right-hand sides and bounds that shares the terms and the
+    occurrence lists, and with_variables(), with_constraints() and
     with_objective() return an extended model that compiles only what it
     adds. Ids are read only there and in the solution, never in the search.
     """
@@ -217,24 +205,27 @@ class CompiledModel:
     upper: list
     objective: list
     constraints: list
-    raised: list
-    lowered: list
+    rows: list
+    act: list
+    lo_occurs: list
+    hi_occurs: list
 
     def with_rhs(self, rhs: Sequence[int], lower: Sequence[int], upper: Sequence[int]) -> "CompiledModel":
-        """The same rows with right-hand side rhs[r] for row r (its
-        relation kept) and variable i bounded to [lower[i], upper[i]]."""
+        """The same rows with right-hand side rhs[r] for declared
+        constraint r (its relation kept) and variable i bounded to
+        [lower[i], upper[i]]."""
         if len(rhs) != len(self.constraints) or len(lower) != len(upper) or len(lower) != len(self.variables):
             raise ValueError("with_rhs needs one rhs per row and one bound pair per variable")
         for vid, lb, ub in zip(self.variables, lower, upper):
             if lb > ub:
                 raise ValueError(f"empty domain for {vid!r}: [{lb}, {ub}]")
-        rows = [
-            (idxs, coeffs, None if lob is None else b, None if hib is None else b)
-            for (idxs, coeffs, lob, hib), b in zip(self.constraints, rhs)
-        ]
-        return CompiledModel(
-            self.variables, self.index, list(lower), list(upper), self.objective, rows, self.raised, self.lowered
-        )
+        rows = list(self.rows)
+        for sides, b in zip(self.constraints, rhs):
+            for r, sign in sides:
+                terms, sizes, _, cmax, partner = rows[r]
+                rows[r] = (terms, sizes, sign * b, cmax, partner)
+        act = [_min_activity(terms, lower, upper) for terms, _, _, _, _ in rows]
+        return replace(self, lower=list(lower), upper=list(upper), rows=rows, act=act)
 
     def with_variables(self, extra: Sequence[Variable]) -> "CompiledModel":
         """Variables declared after the existing ones, with objective 0."""
@@ -243,6 +234,7 @@ class CompiledModel:
             if v.id in index:
                 raise ValueError("duplicate variable id")
             index[v.id] = len(index)
+        empty = [[] for _ in extra]
         return replace(
             self,
             variables=self.variables + tuple(v.id for v in extra),
@@ -250,15 +242,35 @@ class CompiledModel:
             lower=self.lower + [v.lower for v in extra],
             upper=self.upper + [v.upper for v in extra],
             objective=self.objective + [0] * len(extra),
-            raised=self.raised + [[] for _ in extra],
-            lowered=self.lowered + [[] for _ in extra],
+            lo_occurs=self.lo_occurs + empty,
+            hi_occurs=self.hi_occurs + empty,
         )
 
     def with_constraints(self, extra: Sequence[LinearConstraint]) -> "CompiledModel":
         """Rows declared after the existing ones."""
-        rows, raised, lowered = list(self.constraints), list(self.raised), list(self.lowered)
-        _compile_rows(extra, self.index, rows, raised, lowered)
-        return replace(self, constraints=rows, raised=raised, lowered=lowered)
+        constraints, rows, act = list(self.constraints), list(self.rows), list(self.act)
+        lo_occurs, hi_occurs = list(self.lo_occurs), list(self.hi_occurs)
+        sides = []
+        for con in extra:
+            try:
+                terms = [(self.index[v], c) for v, c in con.terms.items()]
+            except KeyError as exc:
+                raise ValueError(f"constraint references unknown variable {exc.args[0]!r}") from None
+            negated = [(i, -c) for i, c in terms]
+            r = len(rows) + len(sides)
+            if con.relation == EQ:
+                constraints.append(((r, 1), (r + 1, -1)))
+                sides += [(terms, con.rhs, r + 1), (negated, -con.rhs, r)]
+            elif con.relation == LE:
+                constraints.append(((r, 1),))
+                sides.append((terms, con.rhs, None))
+            else:
+                constraints.append(((r, -1),))
+                sides.append((negated, -con.rhs, None))
+        _compile_rows(sides, self.lower, self.upper, rows, act, lo_occurs, hi_occurs)
+        return replace(
+            self, constraints=constraints, rows=rows, act=act, lo_occurs=lo_occurs, hi_occurs=hi_occurs
+        )
 
     def with_objective(self, objective: Mapping[str, int]) -> "CompiledModel":
         """The same model minimizing `objective` instead."""
@@ -272,78 +284,115 @@ class CompiledModel:
 
 def compile_model(model: IlpModel) -> CompiledModel:
     """Compile every row of `model` once (see _compile_rows)."""
-    empty = CompiledModel((), {}, [], [], [], [], [], [])
+    empty = CompiledModel((), {}, [], [], [], [], [], [], [], [])
     compiled = empty.with_variables(model.variables).with_constraints(model.constraints)
     return compiled.with_objective(model.objective)
 
 
-class _Cut:
-    """The incumbent cut `sum(comb[i] * x[i]) <= bound` of solve(), kept
-    apart from the rows because it is dense.
+class _Search:
+    """The state of one search: the model's rows with the incumbent cut
+    appended, one box, every row's minimum activity on it, the queue of
+    rows to visit and the undo trail.
 
-    `up[i]` is comb[i] where positive and `down[i]` where negative, else 0,
-    so the cut's minimum activity on a box is sum(up[i]*lo[i] + down[i]*hi[i]).
-    `act` holds that activity for the box being propagated; _propagate reads
-    it and keeps it current as bounds move. `bound` is None until the first
-    incumbent. `terms` lists (i, comb[i], |comb[i]|) by descending
-    |comb[i]|, zeros left out; _propagate builds and sorts it on the cut's
-    first pass, so a solve that pops no node after its first incumbent, as
-    every solve that ends at the root, never sorts. `reach` bounds the
-    range hi - lo of every variable in the search: the widest root range,
-    but at least 1.
+    `rows`, `lo_occurs` and `hi_occurs` are the model's (see _compile_rows)
+    plus one more row at position `cut`: the incumbent cut
+    `sum(comb[i] * x[i]) <= rhs`. Its rhs is None, which bounds nothing,
+    until set_incumbent() sets it; otherwise it is an ordinary row. `lo`
+    and `hi` bound the variables, and `act[r]` is the least value of row
+    r's sum over that box. So the row of a `<=` constraint carries the
+    constraint's minimum activity, the row of a `>=` constraint (its
+    negation) minus its maximum, and an equality's two rows carry both.
+
+    Every bound move goes through move() or _propagate. A move adds its
+    change to the activities that read the moved bound, queues those rows
+    (`queue`, with `queued[r]` set while row r is in it) and records
+    (variable, old bound, bounds, occurrences) on `trail`, the last two
+    being lo and lo_occurs for a lower bound and hi and hi_occurs for an
+    upper one. undo(mark) takes back the moves after the first `mark`,
+    activities included. `reach` is the widest range hi - lo of the first
+    box, but at least 1, so it bounds every range the search meets.
     """
 
-    __slots__ = ("up", "down", "reach", "terms", "bound", "act")
+    __slots__ = ("rows", "lo_occurs", "hi_occurs", "cut", "lo", "hi", "act", "queue", "queued", "trail", "reach")
 
-    def __init__(self, comb: Sequence[int], reach: int):
-        self.up = [c if c > 0 else 0 for c in comb]
-        self.down = [c if c < 0 else 0 for c in comb]
-        self.reach = max(reach, 1)
-        self.terms = None
-        self.bound = None
-        self.act = 0
+    def __init__(self, model: CompiledModel, comb: Sequence[int]):
+        self.lo = lo = list(model.lower)
+        self.hi = hi = list(model.upper)
+        self.rows = list(model.rows)
+        self.act = list(model.act)
+        self.lo_occurs = list(model.lo_occurs)
+        self.hi_occurs = list(model.hi_occurs)
+        self.cut = len(self.rows)
+        _compile_rows([(enumerate(comb), None, None)], lo, hi, self.rows, self.act, self.lo_occurs, self.hi_occurs)
+        self.queue = deque()
+        self.queued = bytearray(len(self.rows))
+        self.trail = []
+        self.reach = max(max((h - l for l, h in zip(lo, hi)), default=0), 1)
 
     def set_incumbent(self, key: int) -> None:
         """Bound the cut to keys below `key`."""
-        self.bound = key - 1
+        terms, sizes, _, cmax, partner = self.rows[self.cut]
+        self.rows[self.cut] = (terms, sizes, key - 1, cmax, partner)
+
+    def move(self, i: int, upper: bool, bound: int) -> None:
+        """Set hi[i] (when `upper`) or lo[i] to `bound`, which must narrow it."""
+        bounds, occurs = (self.hi, self.hi_occurs) if upper else (self.lo, self.lo_occurs)
+        act, queue, queued = self.act, self.queue, self.queued
+        self.trail.append((i, bounds[i], bounds, occurs))
+        delta = bound - bounds[i]
+        bounds[i] = bound
+        for r, c in occurs[i]:
+            act[r] += c * delta
+            if not queued[r]:
+                queued[r] = 1
+                queue.append(r)
+
+    def undo(self, mark: int) -> None:
+        """Take back every move after the first `mark` on the trail."""
+        trail, act = self.trail, self.act
+        for i, old, bounds, occurs in reversed(trail[mark:]):
+            delta = old - bounds[i]
+            bounds[i] = old
+            for r, c in occurs[i]:
+                act[r] += c * delta
+        del trail[mark:]
 
 
-def _propagate(rows, raised, lowered, lo: list[int], hi: list[int], seeds, cut: _Cut) -> bool:
+def _propagate(search: _Search, seeds) -> bool:
     """Tighten integer bounds to a fixpoint; False means provably infeasible.
 
-    Each row `(idxs, coeffs, lob, hib)` (see _compile_rows) states
-    lob <= sum(coeffs * x) <= hib, None being an open side. Propagation is
-    event-driven: only the rows in `seeds` are queued at first, and a row
-    pass that raises lo[i] re-queues `raised[i]` and one that lowers hi[i]
-    re-queues `lowered[i]`, the row itself included when listed. A row whose
-    activity on the sides it has did not change can neither tighten nor
-    fail, so the other rows need no visit. Rows never queued must already be
-    at fixpoint on the given box. A row pass skips its per-variable loop
-    when no term's span |c|*(hi-lo) exceeds the row's slack on either side,
-    as that loop could not tighten anything.
+    Each row `(terms, sizes, rhs, cmax, partner)` of `search.rows` (see
+    _compile_rows) states sum(c * x[i]) <= rhs; the cut is one of them.
+    Propagation is event-driven: it visits the rows queued by earlier
+    moves (see _Search) and those in `seeds`, and a pass that raises lo[i]
+    or lowers hi[i] queues the rows in lo_occurs[i] or hi_occurs[i], whose
+    activities that move raised. A row whose activity did not change can
+    neither tighten nor fail, so the other rows need no visit. Rows never
+    queued must already be at fixpoint on the given box. The queue is empty
+    again when this returns.
 
-    `cut` (see _Cut) is a further `<=` row with its minimum activity
-    carried in `cut.act`: every move of a bound that activity reads adds
-    comb[i] times the move, and queues the cut if it has a bound. A bounded
-    cut is always queued first, since the bound may have dropped since the
-    box was last at fixpoint. A cut pass sums nothing: with slack
-    S = bound - act it visits terms by descending |c| and stops at the first
-    with |c| * reach <= S, as no later term can tighten. Its own moves do
-    not change its activity. A cut over all-zero coefficients and without a
-    bound leaves the rows to themselves.
+    A pass reads the row's carried activity: the row fails when it exceeds
+    rhs, and a term can tighten only if its span |c| * (hi - lo) exceeds
+    the slack rhs - activity. Two O(1) tests show that no span does: no
+    span exceeds |c| * reach, so none can when cmax * reach fits in the
+    slack; and the spans of an equality's row add up to its slack plus its
+    partner's, so none can when the partner is tight (the activity of one
+    row is minus the maximum activity of the other). Otherwise the pass
+    visits only the leading terms with |c| * reach above the slack (the
+    terms come by descending |c|), and each of these that is not fixed
+    tightens exactly when its span exceeds the slack. A pass moves only
+    bounds that its own activity does not read, so the slack stays as it
+    is through the pass and the row cannot empty a domain. Every move
+    updates the activities that read the moved bound and goes on the trail.
 
     The rows act as monotone narrowing operators, so the box reached is
     their greatest common fixpoint below the given one whatever order the
     rows are visited in: seeding with all rows or only with those woken
     since the last fixpoint gives the same bounds.
     """
-    ncut = len(rows)  # the cut's position in the queue
-    queued = bytearray(ncut + 1)
-    queue = deque()
-    up, down, bound, act = cut.up, cut.down, cut.bound, cut.act
-    if bound is not None:
-        queued[ncut] = 1
-        queue.append(ncut)
+    rows, lo_occurs, hi_occurs = search.rows, search.lo_occurs, search.hi_occurs
+    lo, hi, act, trail, reach = search.lo, search.hi, search.act, search.trail, search.reach
+    queue, queued = search.queue, search.queued
     for r in seeds:
         if not queued[r]:
             queued[r] = 1
@@ -351,113 +400,44 @@ def _propagate(rows, raised, lowered, lo: list[int], hi: list[int], seeds, cut: 
     while queue:
         r = queue.popleft()
         queued[r] = 0
-        if r == ncut:
-            slack = bound - act
-            if slack < 0:
-                return False
-            # A term can tighten only if |c| * (hi - lo) > slack, so none
-            # can from the first with |c| * reach <= slack, i.e. |c| <= limit.
-            # The cut lowers hi where c > 0 and raises lo where c < 0, bounds
-            # its activity does not read, so the activity stays as it is.
-            rise = []  # variables whose lo moved
-            fall = []  # variables whose hi moved
-            before = act
-            limit = slack // cut.reach
-            if cut.terms is None:
-                # `u or d` is comb[i] itself, so the terms share its integers.
-                cut.terms = [(i, u or d, abs(u or d)) for i, (u, d) in enumerate(zip(up, down)) if u or d]
-                cut.terms.sort(key=lambda term: term[2], reverse=True)
-            for i, c, size in cut.terms:
-                if size <= limit:
-                    break
-                if c > 0:
-                    nb = lo[i] + slack // c
-                    if nb < hi[i]:
-                        hi[i] = nb
-                        fall.append(i)
-                else:
-                    nb = hi[i] - slack // -c
-                    if nb > lo[i]:
-                        lo[i] = nb
-                        rise.append(i)
-        else:
-            idxs, coeffs, lob, hib = rows[r]
-            minact = 0
-            maxact = 0
-            span = 0
-            for i, c in zip(idxs, coeffs):
-                if c > 0:
-                    a = c * lo[i]
-                    b = c * hi[i]
-                else:
-                    a = c * hi[i]
-                    b = c * lo[i]
-                minact += a
-                maxact += b
-                if b - a > span:
-                    span = b - a
-            if hib is not None and minact > hib:
-                return False
-            if lob is not None and maxact < lob:
-                return False
-            if (hib is None or span <= hib - minact) and (lob is None or span <= maxact - lob):
+        terms, sizes, rhs, cmax, partner = rows[r]
+        if rhs is None:
+            continue
+        slack = rhs - act[r]
+        if slack < 0:
+            for r in queue:
+                queued[r] = 0
+            queue.clear()
+            return False
+        if cmax * reach <= slack or (partner is not None and act[partner] + rhs >= 0):
+            continue
+        # Only the leading terms with |c| * reach > slack can tighten. A
+        # move does what _Search.move() does, inlined for speed.
+        for i, c in terms[: bisect_left(sizes, -(slack // reach))]:
+            if lo[i] == hi[i]:
                 continue
-            rise = []
-            fall = []
-            before = act
-            # `a // c` is the floor and `-(-a // c)` the ceiling of a / c, for either sign of c.
-            for i, c in zip(idxs, coeffs):
-                cmin = c * lo[i] if c > 0 else c * hi[i]
-                if hib is not None:
-                    slack = hib - (minact - cmin)
-                    if c > 0:
-                        nb = slack // c
-                        if nb < hi[i]:
-                            maxact += c * (nb - hi[i])
-                            act += down[i] * (nb - hi[i])
-                            hi[i] = nb
-                            fall.append(i)
-                    else:
-                        nb = -(-slack // c)
-                        if nb > lo[i]:
-                            maxact += c * (nb - lo[i])
-                            act += up[i] * (nb - lo[i])
-                            lo[i] = nb
-                            rise.append(i)
-                    if lo[i] > hi[i]:
-                        return False
-                if lob is not None:
-                    need = lob - (maxact - (c * hi[i] if c > 0 else c * lo[i]))
-                    if c > 0:
-                        nb = -(-need // c)
-                        if nb > lo[i]:
-                            minact += c * (nb - lo[i])
-                            act += up[i] * (nb - lo[i])
-                            lo[i] = nb
-                            rise.append(i)
-                    else:
-                        nb = need // c
-                        if nb < hi[i]:
-                            minact += c * (nb - hi[i])
-                            act += down[i] * (nb - hi[i])
-                            hi[i] = nb
-                            fall.append(i)
-                    if lo[i] > hi[i]:
-                        return False
-        for i in rise:
-            for s in raised[i]:
-                if not queued[s]:
-                    queued[s] = 1
-                    queue.append(s)
-        for i in fall:
-            for s in lowered[i]:
-                if not queued[s]:
-                    queued[s] = 1
-                    queue.append(s)
-        if act != before and bound is not None and not queued[ncut]:
-            queued[ncut] = 1
-            queue.append(ncut)
-    cut.act = act
+            if c > 0:
+                nb = lo[i] + slack // c
+                if nb < hi[i]:
+                    trail.append((i, hi[i], hi, hi_occurs))
+                    delta = nb - hi[i]
+                    hi[i] = nb
+                    for s, d in hi_occurs[i]:
+                        act[s] += d * delta
+                        if not queued[s]:
+                            queued[s] = 1
+                            queue.append(s)
+            else:
+                nb = hi[i] - slack // -c
+                if nb > lo[i]:
+                    trail.append((i, lo[i], lo, lo_occurs))
+                    delta = nb - lo[i]
+                    lo[i] = nb
+                    for s, d in lo_occurs[i]:
+                        act[s] += d * delta
+                        if not queued[s]:
+                            queued[s] = 1
+                            queue.append(s)
     return True
 
 
@@ -477,65 +457,69 @@ def solve(model: IlpModel | CompiledModel) -> Optional[Solution]:
     objective first and then compares them from the last declared variable
     backwards: the returned optimum is unique.
 
-    Each node runs exact interval propagation over all constraints plus a
-    cut `key <= best key - 1` once an incumbent exists, so pruning decisions
-    are exact as well. The root propagates from every row, rows without
-    terms included; any other node starts from its parent's propagated box
-    and queues only the rows woken by the bound its branch moved (see
-    _compile_rows), plus the cut. The cut's minimum activity travels with
-    each stack entry: the root sums it once, a child adds the branch's
-    move, and _propagate adds every later move, so at a leaf (lo == hi) it
-    is the key.
+    Each node runs exact interval propagation (_propagate) over all rows,
+    the cut `key <= best key - 1` included once an incumbent exists, so
+    pruning decisions are exact as well. The search keeps one box (see
+    _Search): a node undoes the trail back to its parent's fixpoint and
+    moves the bound of its branch. The root propagates from every row,
+    rows without terms included; any other node visits only the rows its
+    move woke, plus the cut when it has dropped since the parent was
+    propagated. Every variable before the one a node branched on is fixed
+    in all its descendants, so the scan for the first free variable starts
+    there. At a leaf (lo == hi) the cut's carried activity is the key.
     """
     if isinstance(model, IlpModel):
         model = compile_model(model)
     n = len(model.variables)
-    root_lo = list(model.lower)
-    root_hi = list(model.upper)
 
     # Mixed-radix weights: the tie-break key of an assignment is unique.
     weights = [0] * n
     acc = 1
-    for i in range(n):
+    for i, (lb, ub) in enumerate(zip(model.lower, model.upper)):
         weights[i] = acc
-        acc *= root_hi[i] - root_lo[i] + 1
+        acc *= ub - lb + 1
     big = acc  # exceeds any possible tie-break key difference
 
     obj = model.objective
     comb = [big * obj[i] + weights[i] for i in range(n)]
-    rows, raised, lowered = model.constraints, model.raised, model.lowered
-
-    cut = _Cut(comb, max((h - l for l, h in zip(root_lo, root_hi)), default=0))
+    search = _Search(model, comb)
+    lo, hi, trail, cut, act = search.lo, search.hi, search.trail, search.cut, search.act
     best_key: Optional[int] = None
     best: Optional[list[int]] = None
+    incumbents = 0
 
-    # Each entry owns its lists (children copy one side each), so nodes
-    # narrow them in place; it also holds its seed rows and the cut's
-    # minimum activity on its box.
-    up, down = cut.up, cut.down
-    act = sum(u * l + d * h for u, d, l, h in zip(up, down, root_lo, root_hi))
-    stack = [(root_lo, root_hi, range(len(rows)), act)]
+    # An entry is (trail length at the parent's fixpoint, variable to move,
+    # whether it is the upper bound, new bound, incumbents when the parent
+    # was propagated); the root's variable is -1. A node's scan for a free
+    # variable starts at the variable it moved.
+    stack = [(0, -1, False, 0, 0)]
     while stack:
-        lo, hi, seeds, cut.act = stack.pop()
-        if not _propagate(rows, raised, lowered, lo, hi, seeds, cut):
-            continue
-        act = cut.act
-        for i in range(n):
-            if lo[i] < hi[i]:
-                mid = (lo[i] + hi[i]) // 2
-                upper_lo = list(lo)
-                upper_lo[i] = mid + 1
-                stack.append((upper_lo, hi, raised[i], act + up[i] * (mid + 1 - lo[i])))
-                lower_hi = list(hi)
-                lower_hi[i] = mid
-                stack.append((lo, lower_hi, lowered[i], act + down[i] * (mid - hi[i])))
-                break
+        mark, i, upper, bound, seen = stack.pop()
+        if len(trail) > mark:
+            search.undo(mark)
+        if i < 0:
+            seeds = range(len(search.rows))
+            i = 0
         else:
-            # lo == hi, so the carried activity is the key of this point.
-            if best_key is None or act < best_key:
-                best_key = act
-                best = lo
-                cut.set_incumbent(act)
+            search.move(i, upper, bound)
+            seeds = (cut,) if seen != incumbents else ()
+        if not _propagate(search, seeds):
+            continue
+        if lo[i:] == hi[i:]:
+            # A leaf, so the cut's carried activity is the key of this point.
+            key = act[cut]
+            if best_key is None or key < best_key:
+                best_key = key
+                best = list(lo)
+                search.set_incumbent(key)
+                incumbents += 1
+            continue
+        while lo[i] == hi[i]:
+            i += 1
+        mid = (lo[i] + hi[i]) // 2
+        mark = len(trail)
+        stack.append((mark, i, False, mid + 1, incumbents))
+        stack.append((mark, i, True, mid, incumbents))
     if best is None:
         return None
     assignment = dict(zip(model.variables, best))

@@ -214,11 +214,12 @@ def _trail_walk(net: LabelledNet) -> Optional[tuple]:
     one output place, each by an arc of weight 1 (they may be the same
     place); the initial marking is one token on one place p0; and every
     place is linked to p0 when arc direction is ignored. Trace nets and
-    converted state graphs are such nets. The walk is (p0, steps, arcs):
-    `steps` lists (place, parent, label, sign) in breadth-first order from
-    p0, one per tree arc, so that a trail has place = parent + sign *
-    rise(label); `arcs` lists (input place, output place, label) for every
-    transition in order.
+    converted state graphs are such nets. The walk is (p0, steps, arcs,
+    labels): `steps` lists (place, parent, label, sign) in breadth-first
+    order from p0, one per tree arc, so that a trail has place = parent +
+    sign * rise(label); `arcs` lists (input place, output place, label) for
+    every transition in order, and `labels` the labels of the transitions,
+    each once.
     """
     if hasattr(net, "trail_walk"):
         return net.trail_walk
@@ -242,7 +243,7 @@ def _trail_walk(net: LabelledNet) -> Optional[tuple]:
                     reached.append(nxt)
                     steps.append((nxt, place, label, sign))
         if len(seen) == len(net.net.places):
-            walk = (root, tuple(steps), arcs)
+            walk = (root, tuple(steps), arcs, tuple(dict.fromkeys(label for _, _, label in arcs)))
     object.__setattr__(net, "trail_walk", walk)
     return walk
 
@@ -250,20 +251,24 @@ def _trail_walk(net: LabelledNet) -> Optional[tuple]:
 def _trail_by_walk(net: LabelledNet, walk, pb: PlaceBehavior, bound: int) -> Optional[TokenTrail]:
     """The one point that the initial-sum row and the balance rows leave on
     a connected state machine, if it lies in [0, bound] and meets every
-    inflow and balance row; else None (what ilp.solve returns on the rows)."""
-    root, steps, arcs = walk
+    inflow and balance row; else None (what ilp.solve returns on the rows).
+    Each label's rise is worked out once, and every value is bounded as it
+    is walked, so the trail needs no further check."""
+    root, steps, arcs, labels = walk
     if pb.initial > bound:
         return None
+    consume = pb.consume
+    rise = {label: pb.rise(label) for label in labels}
     x = {root: pb.initial}
     for place, parent, label, sign in steps:
-        value = x[parent] + sign * pb.rise(label)
+        value = x[parent] + sign * rise[label]
         if not 0 <= value <= bound:
             return None
         x[place] = value
     for p, q, label in arcs:
-        if x[p] < pb.consume.get(label, 0) or x[q] - x[p] != pb.rise(label):
+        if x[p] < consume.get(label, 0) or x[q] - x[p] != rise[label]:
             return None
-    return Multiset({p: x[p] for p in net.net.places if x[p]})
+    return Multiset._of({p: x[p] for p in net.net.places if x[p]})
 
 
 def find_token_trail(net: LabelledNet, pb: PlaceBehavior, bound: Optional[int] = None) -> Optional[TokenTrail]:

@@ -6,6 +6,8 @@ implementations they check.
 """
 
 import itertools
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from ttsynth import ilp
 from ttsynth.core import LabelledNet, Multiset, Specification, StateGraph
@@ -115,6 +117,31 @@ def brute_force_ilp(model: ilp.IlpModel):
     if best is None:
         return None
     return best[0][0], dict(zip(ids, best[1]))
+
+
+@dataclass(frozen=True)
+class AssignmentCheck:
+    ok: bool
+    violated: Optional[str] = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def check_assignment(model: ilp.IlpModel, assignment: Mapping[str, int]) -> AssignmentCheck:
+    """Verify bounds and every constraint; name the first violation."""
+    for v in model.variables:
+        if v.id not in assignment:
+            raise ValueError(f"assignment misses variable {v.id!r}")
+        val = assignment[v.id]
+        if not (v.lower <= val <= v.upper):
+            return AssignmentCheck(False, f"bound {v.id} in [{v.lower}, {v.upper}]")
+    for idx, con in enumerate(model.constraints):
+        total = sum(c * assignment[v] for v, c in con.terms.items())
+        ok = (total <= con.rhs) if con.relation == ilp.LE else (total >= con.rhs) if con.relation == ilp.GE else (total == con.rhs)
+        if not ok:
+            return AssignmentCheck(False, f"constraint {idx}: {con.render()}")
+    return AssignmentCheck(True)
 
 
 def interval_fixpoint(model: ilp.IlpModel, lo: list, hi: list):

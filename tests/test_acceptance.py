@@ -29,6 +29,7 @@ from gens import (
 from oracles import (
     brute_force_ilp,
     brute_force_minimal_regions,
+    check_assignment,
     classical_state_regions,
     lts_isomorphic,
     net_inflow,
@@ -292,7 +293,7 @@ def test_criterion_09_solver_vs_oracle():
         if want is None:
             if got is not None:
                 discrepancies += 1
-        elif got is None or got.objective_value != want[0] or not ilp.check_assignment(model, got.assignment):
+        elif got is None or got.objective_value != want[0] or not check_assignment(model, got.assignment):
             discrepancies += 1
     elapsed = time.perf_counter() - start
     ok = discrepancies == 0 and elapsed < 30.0

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -80,6 +83,50 @@ class TestSynth:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pnml", "spec.traces"]
         assert main(["synth", "-o", str(out), "--dot", str(tmp_path), traces]) == 2
         assert out.read_bytes() == b"earlier"
+
+    def test_symlink_target_keeps_the_link(self, tmp_path):
+        # The link stays a link and the file it points to gets the bytes,
+        # also when that file does not exist yet.
+        traces = write(tmp_path, "spec.traces", "a b\n")
+        real, link = tmp_path / "real.pnml", tmp_path / "link.pnml"
+        real.write_bytes(b"earlier")
+        link.symlink_to(real)
+        dot_link = tmp_path / "link.dot"
+        dot_link.symlink_to("new.dot")
+        assert main(["synth", "-o", str(link), "--dot", str(dot_link), traces]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert dot_link.is_symlink() and os.readlink(dot_link) == "new.dot"
+        assert net_io.parse_pnml(real.read_bytes()).net.places
+        assert (tmp_path / "new.dot").read_text(encoding="utf-8").startswith("digraph")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.dot", "link.pnml", "new.dot", "real.pnml", "spec.traces"]
+
+    def test_fifo_target_is_written_directly(self, tmp_path):
+        traces = write(tmp_path, "spec.traces", "a b\n")
+        out, fifo = tmp_path / "out.pnml", tmp_path / "out.dot"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        code = main(["synth", "-o", str(out), "--dot", str(fifo), traces])
+        reader.join(timeout=10)
+        assert code == 0
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert received and received[0].startswith(b"digraph")
+        assert net_io.parse_pnml(out.read_bytes()).net.places
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        traces = write(tmp_path, "spec.traces", "a b\n")
+        out = tmp_path / "out.pnml"
+        out.write_bytes(b"earlier")
+        os.chmod(out, 0o604)  # a mode no common umask gives a new file
+        assert main(["synth", "-o", str(out), traces]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+        assert net_io.parse_pnml(out.read_bytes()).net.places
 
     def test_dot_output(self, tmp_path):
         traces = write(tmp_path, "spec.traces", "a b\n")

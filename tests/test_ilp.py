@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import random_ilp_model
-from oracles import brute_force_ilp, interval_fixpoint, reference_bnb
+from oracles import brute_force_ilp, check_assignment, interval_fixpoint, reference_bnb
 from ttsynth import ilp
 
 
@@ -14,25 +14,45 @@ def model(variables, constraints=(), objective=None):
     return ilp.IlpModel(tuple(variables), tuple(constraints), objective or {})
 
 
-def compiled_rows(m):
-    """(rows, raised, lowered) of the compiled model, as _propagate takes them."""
-    c = ilp.compile_model(m)
-    return c.constraints, c.raised, c.lowered
+def search_on(m, comb=None, lo=None, hi=None):
+    """A search over the compiled rows of m, with a cut over `comb` (by
+    default all zero, a cut that never binds), moved to the sub-box
+    [lo, hi] when given."""
+    search = ilp._Search(ilp.compile_model(m), comb or [0] * len(m.variables))
+    for i in range(len(m.variables)):
+        if lo is not None and lo[i] > search.lo[i]:
+            search.move(i, False, lo[i])
+        if hi is not None and hi[i] < search.hi[i]:
+            search.move(i, True, hi[i])
+    return search
 
 
-def no_cut(m):
-    """A cut that never binds: all-zero coefficients, no incumbent."""
-    return ilp._Cut([0] * len(m.variables), 0)
+def rows_holding(search, i):
+    """Every row with a term in variable i."""
+    return [r for r, _ in search.lo_occurs[i] + search.hi_occurs[i]]
+
+
+def random_move(rng, lo, hi):
+    """(i, upper, bound): a move that narrows a random free variable's
+    domain, setting hi[i] (upper) or lo[i] to bound; None when every
+    variable is fixed."""
+    free = [i for i in range(len(lo)) if lo[i] < hi[i]]
+    if not free:
+        return None
+    i = rng.choice(free)
+    if rng.random() < 0.5:
+        return i, False, rng.randint(lo[i] + 1, hi[i])
+    return i, True, rng.randint(lo[i], hi[i] - 1)
 
 
 class TestCheckAssignment:
     def test_satisfied(self):
         m = model([ilp.Variable("x", 0, 1)], [ilp.LinearConstraint({"x": 1}, ilp.GE, 1)])
-        assert ilp.check_assignment(m, {"x": 1})
+        assert check_assignment(m, {"x": 1})
 
     def test_violated_names_constraint(self):
         m = model([ilp.Variable("x", 0, 1)], [ilp.LinearConstraint({"x": 1}, ilp.GE, 1)])
-        verdict = ilp.check_assignment(m, {"x": 0})
+        verdict = check_assignment(m, {"x": 0})
         assert not verdict
         assert "constraint 0" in verdict.violated
 
@@ -41,17 +61,17 @@ class TestCheckAssignment:
             [ilp.Variable("x", 0, 5), ilp.Variable("y", 0, 5)],
             [ilp.LinearConstraint({"x": 1, "y": 2}, ilp.EQ, 4)],
         )
-        assert ilp.check_assignment(m, {"x": 2, "y": 1})
+        assert check_assignment(m, {"x": 2, "y": 1})
 
     def test_bound_violation(self):
         m = model([ilp.Variable("x", 0, 1)])
-        verdict = ilp.check_assignment(m, {"x": 7})
+        verdict = check_assignment(m, {"x": 7})
         assert not verdict and "bound" in verdict.violated
 
     def test_partial_assignment_rejected(self):
         m = model([ilp.Variable("x", 0, 1)])
         with pytest.raises(ValueError):
-            ilp.check_assignment(m, {})
+            check_assignment(m, {})
 
 
 class TestModelValidation:
@@ -119,7 +139,7 @@ class TestSolve:
         first = ilp.solve(m)
         second = ilp.solve(m)
         assert first == second
-        assert ilp.check_assignment(m, first.assignment)
+        assert check_assignment(m, first.assignment)
 
     def test_no_variables(self):
         assert ilp.solve(model([])).assignment == {}
@@ -139,7 +159,7 @@ class TestSolve:
             assert got is not None
             assert got.objective_value == want[0]
             assert got.assignment == want[1]
-            assert ilp.check_assignment(m, got.assignment)
+            assert check_assignment(m, got.assignment)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=400)
@@ -246,7 +266,6 @@ class TestPropagation:
     def test_full_propagation_matches_oracle(self, seed):
         rng = random.Random(seed)
         m = random_ilp_model(rng)
-        rows, raised, lowered = compiled_rows(m)
         lo = [v.lower for v in m.variables]
         hi = [v.upper for v in m.variables]
         # also from a random sub-box, as inside the search
@@ -254,106 +273,169 @@ class TestPropagation:
             if rng.random() < 0.3:
                 lo[i] = hi[i] = rng.randint(lo[i], hi[i])
         want = interval_fixpoint(m, lo, hi)
-        ok = ilp._propagate(rows, raised, lowered, lo, hi, range(len(rows)), no_cut(m))
+        search = search_on(m, lo=lo, hi=hi)
+        ok = ilp._propagate(search, range(len(search.rows)))
         assert ok == (want is not None)
         if ok:
-            assert (lo, hi) == want
+            assert (search.lo, search.hi) == want
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=200)
     def test_touched_rows_reach_the_full_fixpoint(self, seed):
         # A node's box is its parent's fixpoint with one bound moved, so
         # queueing only that variable's rows must give the same box (or the
-        # same infeasibility) as queueing every row. Walks one random branch.
+        # same infeasibility) as queueing every row. Walks one random branch
+        # with two searches kept on the same box.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
-        rows, raised, lowered = compiled_rows(m)
-        lo = [v.lower for v in m.variables]
-        hi = [v.upper for v in m.variables]
-        every_row = range(len(rows))
-        ok = ilp._propagate(rows, raised, lowered, lo, hi, every_row, no_cut(m))
+        queued, full = search_on(m), search_on(m)
+        lo, hi = full.lo, full.hi
+        every_row = range(len(full.rows))
+        ok = ilp._propagate(full, every_row)
+        assert ilp._propagate(queued, every_row) == ok
         while ok:
-            free = [i for i in range(len(lo)) if lo[i] < hi[i]]
-            if not free:
+            move = random_move(rng, lo, hi)
+            if move is None:
                 return
-            i = rng.choice(free)
-            if rng.random() < 0.5:
-                lo[i] = rng.randint(lo[i] + 1, hi[i])
-            else:
-                hi[i] = rng.randint(lo[i], hi[i] - 1)
-            lo_queued, hi_queued = list(lo), list(hi)
-            ok_queued = ilp._propagate(rows, raised, lowered, lo_queued, hi_queued, raised[i] + lowered[i], no_cut(m))
-            ok = ilp._propagate(rows, raised, lowered, lo, hi, every_row, no_cut(m))
+            full.move(*move)
+            queued.move(*move)
+            ok_queued = ilp._propagate(queued, rows_holding(queued, move[0]))
+            ok = ilp._propagate(full, every_row)
             assert ok_queued == ok
             if ok:
-                assert (lo_queued, hi_queued) == (lo, hi)
+                assert (queued.lo, queued.hi) == (lo, hi)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=200)
     def test_woken_rows_reach_the_full_fixpoint(self, seed):
-        # Seeding only the rows listed for the bound side that moved must
-        # give the full sweep's box (or its infeasibility): a row whose
-        # activity on its own sides is unchanged cannot tighten.
+        # Visiting only the rows the move queued (those whose activity it
+        # raised) must give the full sweep's box (or its infeasibility): a
+        # row whose activity is unchanged cannot tighten.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
-        rows, raised, lowered = compiled_rows(m)
-        lo = [v.lower for v in m.variables]
-        hi = [v.upper for v in m.variables]
-        every_row = range(len(rows))
-        ok = ilp._propagate(rows, raised, lowered, lo, hi, every_row, no_cut(m))
+        woken, full = search_on(m), search_on(m)
+        lo, hi = full.lo, full.hi
+        every_row = range(len(full.rows))
+        ok = ilp._propagate(full, every_row)
+        assert ilp._propagate(woken, every_row) == ok
         while ok:
-            free = [i for i in range(len(lo)) if lo[i] < hi[i]]
-            if not free:
+            move = random_move(rng, lo, hi)
+            if move is None:
                 return
-            i = rng.choice(free)
-            if rng.random() < 0.5:
-                lo[i] = rng.randint(lo[i] + 1, hi[i])
-                woken = raised[i]
-            else:
-                hi[i] = rng.randint(lo[i], hi[i] - 1)
-                woken = lowered[i]
-            lo_woken, hi_woken = list(lo), list(hi)
-            ok_woken = ilp._propagate(rows, raised, lowered, lo_woken, hi_woken, woken, no_cut(m))
-            ok = ilp._propagate(rows, raised, lowered, lo, hi, every_row, no_cut(m))
+            full.move(*move)
+            woken.move(*move)
+            ok_woken = ilp._propagate(woken, ())
+            ok = ilp._propagate(full, every_row)
             assert ok_woken == ok
             if ok:
-                assert (lo_woken, hi_woken) == (lo, hi)
+                assert (woken.lo, woken.hi) == (lo, hi)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=300)
     def test_cut_matches_oracle(self, seed):
-        # The cut pass (no summing, early stop by |c| * reach) and its
-        # carried activity against the cut written as a plain constraint.
-        # As in the search, the rows are at fixpoint when the incumbent
-        # improves, and only the cut is queued; its moves must wake rows.
+        # The cut pass (an ordinary row: no summing, only the terms with
+        # |c| * reach above the slack) and its carried activity against the
+        # cut written as a plain constraint. As in the search, the rows are
+        # at fixpoint when the incumbent improves, and only the cut is
+        # queued; its moves must wake rows.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
-        rows, raised, lowered = compiled_rows(m)
         comb = [rng.choice([0, rng.randint(-20, 20)]) for _ in m.variables]
         terms = {v.id: c for v, c in zip(m.variables, comb)}
         lo = [v.lower for v in m.variables]
         hi = [v.upper for v in m.variables]
-        cut = ilp._Cut(comb, max(h - l for l, h in zip(lo, hi)))
         for i in range(len(lo)):
             if rng.random() < 0.3:
                 lo[i] = hi[i] = rng.randint(lo[i], hi[i])
         box = (list(lo), list(hi))
+        search = search_on(m, comb, lo, hi)
+        lo, hi = search.lo, search.hi
 
         def activity(bounds_of):
             return sum(bounds_of(c * l, c * h) for c, l, h in zip(comb, lo, hi))
 
-        cut.act = activity(min)
-        ok = ilp._propagate(rows, raised, lowered, lo, hi, range(len(rows)), cut)
+        ok = ilp._propagate(search, range(len(search.rows)))
         key = activity(max) + 1
         while ok:
-            assert cut.act == activity(min)
+            assert search.act[search.cut] == activity(min)
             key -= rng.randint(1, 4)
-            cut.set_incumbent(key)
+            search.set_incumbent(key)
             want = interval_fixpoint(m.with_constraints([ilp.LinearConstraint(terms, ilp.LE, key - 1)]), *box)
-            ok = ilp._propagate(rows, raised, lowered, lo, hi, [], cut)
+            ok = ilp._propagate(search, [search.cut])
             assert ok == (want is not None)
             if ok:
                 assert (lo, hi) == want
+
+    def test_empty_box_leaves_no_queue(self):
+        # The first row fails while the others are still queued; the next
+        # node must not inherit them.
+        m = model(
+            [ilp.Variable("x", 0, 1), ilp.Variable("y", 0, 1)],
+            [
+                ilp.LinearConstraint({"x": 1, "y": 1}, ilp.LE, -1),
+                ilp.LinearConstraint({"x": 1}, ilp.GE, 0),
+                ilp.LinearConstraint({"y": 1}, ilp.GE, 0),
+            ],
+        )
+        search = search_on(m)
+        assert not ilp._propagate(search, range(len(search.rows)))
+        assert not search.queue and not any(search.queued)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=300)
+    def test_carried_activities_follow_moves_and_undo(self, seed):
+        # Walk one random branch, with a cut that drops now and then: after
+        # every _propagate each carried activity equals a fresh sum over
+        # the box (per declared constraint its minimum for a `<=` side, its
+        # maximum for a `>=` side, both for an equality; the cut's
+        # minimum), also when the box turned out empty. Then undo the walk
+        # step by step: each undo gives back the box and the activities from
+        # before that step's move.
+        rng = random.Random(seed)
+        m = random_ilp_model(rng)
+        comb = [rng.randint(-20, 20) for _ in m.variables]
+        compiled = ilp.compile_model(m)
+        search = ilp._Search(compiled, comb)
+        lo, hi = search.lo, search.hi
+
+        def fresh():
+            def total(terms, bounds_of):
+                return sum(bounds_of(c * lo[compiled.index[v]], c * hi[compiled.index[v]]) for v, c in terms.items())
+
+            want = [None] * len(search.rows)
+            for con, sides in zip(m.constraints, compiled.constraints):
+                for r, sign in sides:
+                    want[r] = total(con.terms, min) if sign > 0 else -total(con.terms, max)
+            want[search.cut] = total({v.id: c for v, c in zip(m.variables, comb)}, min)
+            return want
+
+        def state():
+            return list(lo), list(hi), list(search.act)
+
+        assert search.act == fresh()
+        ok = ilp._propagate(search, range(len(search.rows)))
+        assert search.act == fresh()
+        steps = []
+        while ok:
+            move = random_move(rng, lo, hi)
+            if move is None:
+                break
+            steps.append((len(search.trail), state()))
+            search.move(*move)
+            # Extra seeds change nothing but leave more rows queued when
+            # the box turns out empty.
+            seeds = range(len(search.rows)) if rng.random() < 0.3 else ()
+            if rng.random() < 0.3:
+                search.set_incumbent(rng.randint(search.act[search.cut], search.act[search.cut] + 60))
+                seeds = [*seeds, search.cut]
+            ok = ilp._propagate(search, seeds)
+            assert search.act == fresh()
+            assert not search.queue and not any(search.queued)
+        for mark, before in reversed(steps):
+            search.undo(mark)
+            assert len(search.trail) == mark
+            assert state() == before
+            assert search.act == fresh()
 
 
 class TestLpDump:
