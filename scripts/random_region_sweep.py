@@ -8,7 +8,12 @@ After the random nets come a quarter as many trace logs, drawn from a
 separate stream (so the random nets of a seed stay the same), whose trace
 nets share Parikh classes.
 
+With `--mode discovery` both sides also keep every net's final place
+unmarked; specifications without a unique final place in some net are
+skipped and counted.
+
     python3 scripts/random_region_sweep.py --specs 200 --seed 7
+    python3 scripts/random_region_sweep.py --mode discovery --specs 200 --seed 7
 """
 
 import argparse
@@ -18,7 +23,7 @@ import time
 
 from ttsynth.convert import trace_to_labelled_net
 from ttsynth.core import LabelledNet, Multiset, PetriNet, build_specification
-from ttsynth.regions import RegionProblem, enumerate_minimal_regions, verify_region, Region
+from ttsynth.regions import MODES, Region, RegionProblem, discovery_final_places, enumerate_minimal_regions, verify_region
 
 
 def random_net(rng: random.Random, prefix: str, n_places: int, n_transitions: int, labels: str) -> LabelledNet:
@@ -51,13 +56,16 @@ def random_log(rng: random.Random, max_places: int) -> list[LabelledNet]:
     return nets
 
 
-def sweep_minimal(spec, k):
+def sweep_minimal(spec, k, unmarked=()):
+    """The minimal nonzero regions up to k that leave `unmarked` places at 0."""
     places = spec.all_places()
     feasible = []
     for point in itertools.product(range(k + 1), repeat=len(places)):
         if not any(point):
             continue
         marking = Multiset({p: v for p, v in zip(places, point) if v})
+        if any(p in marking for p in unmarked):
+            continue
         if verify_region(spec, Region(marking, k)):
             feasible.append(marking)
     return {m for m in feasible if not any(o != m and o <= m for o in feasible)}
@@ -90,22 +98,34 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-places", type=int, default=6)
     parser.add_argument("--max-k", type=int, default=2)
+    parser.add_argument("--mode", choices=MODES, default="synthesis")
     args = parser.parse_args()
 
     n_logs = args.specs // 4
     mismatches = 0
+    skipped = 0
     regions_total = 0
     started = time.perf_counter()
     for trial, (nets, k) in enumerate(cases(args, n_logs)):
         spec = build_specification(nets)
-        got = {r.marking for r in enumerate_minimal_regions(RegionProblem(spec, k)).regions}
-        want = sweep_minimal(spec, k)
+        unmarked = ()
+        if args.mode == "discovery":
+            try:
+                unmarked = tuple(discovery_final_places(spec).values())
+            except ValueError:  # some net has no unique final place
+                skipped += 1
+                continue
+        got = {r.marking for r in enumerate_minimal_regions(RegionProblem(spec, k, args.mode)).regions}
+        want = sweep_minimal(spec, k, unmarked)
         regions_total += len(got)
         if got != want:
             mismatches += 1
             print(f"MISMATCH at trial {trial}: ilp={sorted(map(repr, got))} sweep={sorted(map(repr, want))}")
     elapsed = time.perf_counter() - started
-    print(f"{args.specs} specs and {n_logs} trace logs, {regions_total} regions, {mismatches} mismatches, {elapsed:.2f}s")
+    print(
+        f"{args.mode}: {args.specs} specs and {n_logs} trace logs, {skipped} skipped without a unique final place, "
+        f"{regions_total} regions, {mismatches} mismatches, {elapsed:.2f}s"
+    )
     raise SystemExit(1 if mismatches else 0)
 
 

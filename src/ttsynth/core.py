@@ -273,7 +273,11 @@ def build_specification(nets: Sequence[LabelledNet]) -> Specification:
     """Assemble a specification, renaming identifiers that clash across nets.
 
     Every occurrence of a clashing identifier gets a net-index prefix
-    ("n3.p0" for the third net); labels are never renamed.
+    ("n3.p0" for the third net); labels are never renamed. While some
+    prefixed id would equal an identifier of any net, underscores are
+    prepended to the "n" ("_n3.p0"), so renamed ids never collide: with
+    each other, since the index ends at the first ".", nor with any
+    identifier that is kept.
     """
     if not nets:
         raise ValueError("specification needs at least one net")
@@ -282,11 +286,16 @@ def build_specification(nets: Sequence[LabelledNet]) -> Specification:
         for ident in ln.net.places + ln.net.transitions:
             counts[ident] = counts.get(ident, 0) + 1
     clashing = {ident for ident, n in counts.items() if n > 1}
-    renamed = []
-    for i, ln in enumerate(nets, start=1):
-        mapping = {x: f"n{i}.{x}" for x in (ln.net.places + ln.net.transitions) if x in clashing}
-        renamed.append(_rename_net(ln, mapping) if mapping else ln)
-    return Specification(tuple(renamed))
+    stem = "n"
+    while True:
+        mappings = [
+            {x: f"{stem}{i}.{x}" for x in (ln.net.places + ln.net.transitions) if x in clashing}
+            for i, ln in enumerate(nets, start=1)
+        ]
+        if not any(y in counts for mapping in mappings for y in mapping.values()):
+            break
+        stem = "_" + stem
+    return Specification(tuple(_rename_net(ln, m) if m else ln for ln, m in zip(nets, mappings)))
 
 
 @dataclass(frozen=True)

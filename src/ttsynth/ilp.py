@@ -13,7 +13,9 @@ whose minimum activity each of its bounds moves. A search keeps one box,
 every row's minimum activity on it and a trail of bound moves to undo on
 backtracking. A row pass reads its carried activity, so a row that cannot
 tighten costs O(1) instead of a sum over its terms. The incumbent cut is
-one more row, whose right-hand side drops with each better point.
+one more row, whose right-hand side drops with each better point. A solve
+may be given a feasible start, which is checked exactly and puts the cut in
+place at the root; it hands back the improving points it found.
 """
 
 from __future__ import annotations
@@ -115,8 +117,14 @@ class IlpModel:
 
 @dataclass(frozen=True)
 class Solution:
+    """An optimum and its objective value. `incumbents` holds the points,
+    by variable position, that the search found improving on the best one
+    known so far, in the order found (the optimum last, unless it was the
+    start itself); it takes no part in equality or repr."""
+
     assignment: Mapping[str, int]
     objective_value: int
+    incumbents: Tuple[Tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", dict(self.assignment))
@@ -441,7 +449,29 @@ def _propagate(search: _Search, seeds) -> bool:
     return True
 
 
-def solve(model: IlpModel | CompiledModel) -> Optional[Solution]:
+def _start_key(model: CompiledModel, start: Sequence[int], comb: Sequence[int]) -> int:
+    """The search key of `start`, one value per variable by position;
+    ValueError unless it lies in the bounds and satisfies every row.
+
+    An equality's two rows state total <= rhs and -total <= -rhs, so the
+    first of them is checked for total == rhs and the second skipped."""
+    if len(start) != len(model.variables):
+        raise ValueError(f"start needs {len(model.variables)} values, got {len(start)}")
+    for vid, lb, value, ub in zip(model.variables, model.lower, start, model.upper):
+        if type(value) is not int or not lb <= value <= ub:
+            raise ValueError(f"start value {value!r} of {vid!r} is not an integer in [{lb}, {ub}]")
+    for r, (terms, _, rhs, _, partner) in enumerate(model.rows):
+        if partner is not None and partner < r:
+            continue
+        total = 0
+        for i, c in terms:
+            total += c * start[i]
+        if total > rhs or (partner is not None and total < rhs):
+            raise ValueError(f"start violates row {r}")
+    return sum(c * value for c, value in zip(comb, start))
+
+
+def solve(model: IlpModel | CompiledModel, start: Optional[Sequence[int]] = None) -> Optional[Solution]:
     """Minimize the objective over all integer points; None if infeasible.
 
     An IlpModel is compiled first (compile_model); a CompiledModel is
@@ -467,6 +497,14 @@ def solve(model: IlpModel | CompiledModel) -> Optional[Solution]:
     propagated. Every variable before the one a node branched on is fixed
     in all its descendants, so the scan for the first free variable starts
     there. At a leaf (lo == hi) the cut's carried activity is the key.
+
+    `start`, if given, is a feasible point with one value per variable by
+    position. It is checked exactly against every bound and row (a point
+    that breaks one raises ValueError) and becomes the first incumbent, so
+    the cut is in place at the root; the optimum returned is the same, only
+    the search may be smaller. Without a start the search is the one above,
+    node for node. The returned Solution lists the improving points found
+    (Solution.incumbents); the start is not among them.
     """
     if isinstance(model, IlpModel):
         model = compile_model(model)
@@ -485,13 +523,17 @@ def solve(model: IlpModel | CompiledModel) -> Optional[Solution]:
     search = _Search(model, comb)
     lo, hi, trail, cut, act = search.lo, search.hi, search.trail, search.cut, search.act
     best_key: Optional[int] = None
-    best: Optional[list[int]] = None
-    incumbents = 0
+    best: Optional[Tuple[int, ...]] = None
+    found: list[Tuple[int, ...]] = []
+    if start is not None:
+        best_key = _start_key(model, start, comb)
+        best = tuple(start)
+        search.set_incumbent(best_key)
 
     # An entry is (trail length at the parent's fixpoint, variable to move,
-    # whether it is the upper bound, new bound, incumbents when the parent
-    # was propagated); the root's variable is -1. A node's scan for a free
-    # variable starts at the variable it moved.
+    # whether it is the upper bound, new bound, incumbents found when the
+    # parent was propagated); the root's variable is -1. A node's scan for
+    # a free variable starts at the variable it moved.
     stack = [(0, -1, False, 0, 0)]
     while stack:
         mark, i, upper, bound, seen = stack.pop()
@@ -502,7 +544,7 @@ def solve(model: IlpModel | CompiledModel) -> Optional[Solution]:
             i = 0
         else:
             search.move(i, upper, bound)
-            seeds = (cut,) if seen != incumbents else ()
+            seeds = (cut,) if seen != len(found) else ()
         if not _propagate(search, seeds):
             continue
         if lo[i:] == hi[i:]:
@@ -510,17 +552,17 @@ def solve(model: IlpModel | CompiledModel) -> Optional[Solution]:
             key = act[cut]
             if best_key is None or key < best_key:
                 best_key = key
-                best = list(lo)
+                best = tuple(lo)
+                found.append(best)
                 search.set_incumbent(key)
-                incumbents += 1
             continue
         while lo[i] == hi[i]:
             i += 1
         mid = (lo[i] + hi[i]) // 2
         mark = len(trail)
-        stack.append((mark, i, False, mid + 1, incumbents))
-        stack.append((mark, i, True, mid, incumbents))
+        stack.append((mark, i, False, mid + 1, len(found)))
+        stack.append((mark, i, True, mid, len(found)))
     if best is None:
         return None
     assignment = dict(zip(model.variables, best))
-    return Solution(assignment, sum(c * v for c, v in zip(obj, best)))
+    return Solution(assignment, sum(c * v for c, v in zip(obj, best)), tuple(found))

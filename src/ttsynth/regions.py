@@ -256,6 +256,20 @@ def add_blocking(
     return model.with_variables(binaries).with_constraints(constraints)
 
 
+def blocking_flags(point, blocks) -> list[int]:
+    """The values that add_blocking's binaries take at `point`, in
+    declaration order, on a model blocked on the found regions `blocks`.
+
+    Each block lists one found region's positive components (position, s)
+    in marking order, positions indexing `point`, and the blocks come in
+    the order they were added. The binary of a component is 1 exactly when
+    point[position] < s, which satisfies both of its rows for any point in
+    [0, k]. So a block's rows admit the point exactly when one of its
+    binaries is 1: unless the point is >= s on the whole support.
+    """
+    return [1 if point[i] < s else 0 for block in blocks for i, s in block]
+
+
 def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
     """Iteratively solve, record, and block until the model turns infeasible.
 
@@ -264,14 +278,26 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
     blocking rows to it. Returns every minimal nonzero region up to k in
     discovery order; with max_regions set, stops early and flags whether
     anything was left.
+
+    Each round is warm-started from earlier rounds' incumbents. A pool
+    keeps the class values of every incumbent the solver reached, and
+    after each round drops the points the new blocking rows exclude. The
+    newest point left, extended with its blocking binaries (blocking_flags),
+    is feasible for the grown model and becomes the next solve's start. The
+    optimum is unique under the solver's tie-break, so the start changes
+    only how much of the tree the search visits, never the region found.
     """
     classes = parikh_classes(problem.spec)
     heads = set(classes.values())
     model = ilp.compile_model(build_base_model(problem, classes))
+    n_classes = len(model.variables)
     prefix = block_prefix(problem.spec.all_places())
     found: list[Region] = []
+    blocks: list[list[tuple[int, int]]] = []
+    pool: list[tuple[int, ...]] = []
     while True:
-        solution = ilp.solve(model)
+        start = [*pool[-1], *blocking_flags(pool[-1], blocks)] if pool else None
+        solution = ilp.solve(model, start)
         if solution is None:
             return RegionEnumeration(tuple(found), truncated=False)
         values = solution.assignment
@@ -281,6 +307,10 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
         found.append(region)
         class_region = Region(region.marking.restrict(heads), problem.k)
         model = add_blocking(model, class_region, problem.k, len(found), prefix)
+        block = [(model.index[c], s) for c, s in class_region.marking.items()]
+        blocks.append(block)
+        pool += [point[:n_classes] for point in solution.incumbents]
+        pool = [point for point in pool if 1 in blocking_flags(point, [block])]
 
 
 def verify_region(spec: Specification, region: Region) -> ConditionCheck:

@@ -21,6 +21,7 @@ from ttsynth.core import (
     postset,
     reachability_graph,
 )
+from ttsynth.convert import trace_to_labelled_net
 from ttsynth.regions import discovery_final_places
 from ttsynth.semantics import inflow, outflow, rise
 
@@ -285,6 +286,18 @@ class TestSpecification:
         assert first.initial == Multiset({"n1.c0": 1})
         assert first.labels["n1.e_a"] == "a"
         assert first.net.arcs[("n1.c0", "n1.e_a")] == 1
+
+    def test_prefix_avoids_existing_ids(self):
+        # the traces "x y" and "x" share c0 and c1; renaming them n2.c0 would
+        # hit the third net's place, so the prefix becomes "_n"
+        odd = LabelledNet(PetriNet(("n2.c0",), ("t",), Multiset({("n2.c0", "t"): 1})), Multiset({"n2.c0": 1}), {"t": "x"})
+        spec = build_specification([trace_to_labelled_net(["x", "y"]), trace_to_labelled_net(["x"]), odd])
+        assert spec.all_places() == ("_n1.c0", "_n1.c1", "c2", "_n2.c0", "_n2.c1", "n2.c0")
+        assert spec.nets[1].labels == {"_n2.e1": "x"}
+        # an id that only looks like a prefixed one keeps the plain prefix
+        odd = LabelledNet(PetriNet(("n3.c0",), (), Multiset()), Multiset(), {})
+        spec = build_specification([trace_to_labelled_net(["x"]), trace_to_labelled_net(["x"]), odd])
+        assert spec.all_places() == ("n1.c0", "n1.c1", "n2.c0", "n2.c1", "n3.c0")
 
     def test_constructor_rejects_duplicates(self):
         with pytest.raises(ValueError, match="clash"):

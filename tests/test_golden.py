@@ -7,12 +7,15 @@ ids p1, p2, ... follow discovery order) must stay identical, so any change
 to the search that reorders regions shows here. Every input makes the
 solver branch. The tie-break makes each optimum unique, so outputs alone do
 not see how it was found; the node counts (one _propagate call per
-branch-and-bound node) pin the branching order and the propagation
-strength. Enumeration solves the model over Parikh classes, which shrinks
-the interleaving's tree; the raw model, one variable per place, is pinned
-through the reference loop of test_regions. The state graph's places are
-all classes of their own, and its model skips the raw model's rows without
-terms and repeats, so its two counts must agree.
+branch-and-bound node) pin the search. Enumeration solves the model over
+Parikh classes, which shrinks the interleaving's tree, and warm-starts each
+round from earlier rounds' incumbents, which lets most of the chain's
+rounds end at the root (NODES). The reference loops of test_regions solve
+every round cold: over the class model (COLD_NODES), which pins the
+branching order and the propagation strength without warm starts, and over
+the raw model, one variable per place (RAW_NODES). The state graph's places
+are all classes of their own, and its model skips the raw model's rows
+without terms and repeats, so its cold counts must agree.
 
 `check` of the golden net against its input is pinned too: stdout and, for
 the trace inputs, the witness trail behind each verdict. `check` prints
@@ -23,14 +26,14 @@ from pathlib import Path
 
 import pytest
 
-from test_regions import raw_enumeration
+from test_regions import class_model, cold_enumeration, raw_enumeration
 from test_semantics import counting_solves
 from ttsynth import ilp
 from ttsynth import io as net_io
 from ttsynth.cli import _load_nets, _model_with_label_transitions, main
 from ttsynth.convert import trace_to_labelled_net
 from ttsynth.core import build_specification
-from ttsynth.regions import RegionProblem
+from ttsynth.regions import RegionProblem, parikh_classes
 from ttsynth.semantics import is_enabled
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,7 +53,8 @@ INPUTS = {
     "chain_12": "chain_12.traces",
     "statespace_3": "statespace_3.sg",
 }
-NODES = {"interleave_2x2": 97, "chain_12": 352, "statespace_3": 91}
+NODES = {"interleave_2x2": 91, "chain_12": 64, "statespace_3": 91}
+COLD_NODES = {"interleave_2x2": 97, "chain_12": 352, "statespace_3": 91}
 RAW_NODES = {"interleave_2x2": 111, "chain_12": 352, "statespace_3": 91}
 
 
@@ -85,6 +89,15 @@ def test_search_tree_size(name, k, monkeypatch, capsys):
     calls = count_propagate(monkeypatch)
     assert main(["regions", "-k", str(k), str(GOLDEN / INPUTS[name])]) == 0
     assert len(calls) == NODES[name]
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_cold_search_tree_size(name, k, monkeypatch):
+    spec = build_specification(_load_nets(GOLDEN / INPUTS[name]))
+    problem = RegionProblem(spec, k)
+    calls = count_propagate(monkeypatch)
+    cold_enumeration(problem, class_model(problem), parikh_classes(spec))
+    assert len(calls) == COLD_NODES[name]
 
 
 @pytest.mark.parametrize("name,k", CASES)

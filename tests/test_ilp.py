@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -180,6 +181,69 @@ class TestSolve:
         first = [ilp.solve(m) for m in models]
         second = [ilp.solve(m) for m in models]
         assert first == second
+
+
+def search_key(m, point):
+    """The key ilp.solve orders points by: objective first, then the
+    mixed-radix tie-break over the declared ranges (see reference_bnb)."""
+    weights, big = [], 1
+    for v in m.variables:
+        weights.append(big)
+        big *= v.upper - v.lower + 1
+    return sum((big * m.objective.get(v.id, 0) + w) * x for v, w, x in zip(m.variables, weights, point))
+
+
+class TestWarmStart:
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=300)
+    def test_start_gives_the_cold_optimum(self, seed):
+        # Every point of the box as a start: a feasible one gives the cold
+        # optimum, any other raises. Each solve hands back its improving
+        # points, feasible and strictly decreasing in key, the optimum last.
+        rng = random.Random(seed)
+        m = random_ilp_model(rng, max_vars=5)
+        ids = [v.id for v in m.variables]
+        cold = ilp.solve(m)
+        out_of_box = [v.lower for v in m.variables]
+        out_of_box[rng.randrange(len(ids))] = rng.choice([-1, 4])
+        with pytest.raises(ValueError):
+            ilp.solve(m, out_of_box)
+        for point in itertools.product(*(range(v.lower, v.upper + 1) for v in m.variables)):
+            if not check_assignment(m, dict(zip(ids, point))):
+                with pytest.raises(ValueError):
+                    ilp.solve(m, list(point))
+                continue
+            warm = ilp.solve(m, list(point))
+            assert warm == cold
+            keys = [search_key(m, point)]
+            for incumbent in warm.incumbents:
+                assert check_assignment(m, dict(zip(ids, incumbent)))
+                keys.append(search_key(m, incumbent))
+            assert keys == sorted(set(keys), reverse=True)
+            assert keys[-1] == search_key(m, [cold.assignment[v] for v in ids])
+        if cold is not None:
+            keys = [search_key(m, incumbent) for incumbent in cold.incumbents]
+            assert keys == sorted(set(keys), reverse=True)
+            assert list(cold.incumbents[-1]) == [cold.assignment[v] for v in ids]
+
+    def test_start_is_not_an_incumbent(self):
+        m = model([ilp.Variable("x", 0, 3)], [ilp.LinearConstraint({"x": 1}, ilp.GE, 1)], {"x": 1})
+        assert ilp.solve(m).incumbents == ((1,),)
+        assert ilp.solve(m, [1]).incumbents == ()
+        assert ilp.solve(m, [3]).incumbents == ((1,),)
+        assert ilp.solve(m, [3]) == ilp.solve(m)
+        assert repr(ilp.solve(m, [3])) == "Solution(assignment={'x': 1}, objective_value=1)"
+
+    def test_invalid_starts_rejected(self):
+        m = model(
+            [ilp.Variable("x", 0, 2), ilp.Variable("y", 0, 2)],
+            [ilp.LinearConstraint({"x": 1, "y": 1}, ilp.EQ, 2)],
+        )
+        compiled = ilp.compile_model(m)
+        for start in ([1], [1, 1, 0], [1, True], [1.0, 1], [3, -1], [2, 1], [0, 1]):
+            with pytest.raises(ValueError):
+                ilp.solve(compiled, start)
+        assert ilp.solve(compiled, [2, 0]) == ilp.solve(m)
 
 
 def solve_counting(m):

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
 from gens import random_labelled_net, random_specification
-from oracles import brute_force_minimal_regions, first_region_violation, is_region_point, raw_region_model
+from oracles import (
+    brute_force_minimal_regions,
+    check_assignment,
+    first_region_violation,
+    is_region_point,
+    raw_region_model,
+)
 from ttsynth import ilp
 from ttsynth.convert import trace_to_labelled_net
 from ttsynth.core import LabelledNet, Multiset, PetriNet, build_specification
@@ -18,6 +24,7 @@ from ttsynth.regions import (
     RegionProblem,
     add_blocking,
     block_prefix,
+    blocking_flags,
     build_base_model,
     discovery_final_places,
     enumerate_minimal_regions,
@@ -30,23 +37,28 @@ def markings(enumeration):
     return [dict(r.marking.items()) for r in enumeration.regions]
 
 
-def raw_enumeration(problem: RegionProblem) -> RegionEnumeration:
-    """Reference enumeration over the raw model (oracles.raw_region_model),
-    one variable per place and no classes: solve, record, block until
-    infeasible."""
-    places = problem.spec.all_places()
-    model = raw_region_model(problem)
-    prefix = block_prefix(places)
+def cold_enumeration(problem: RegionProblem, model: ilp.IlpModel, classes) -> RegionEnumeration:
+    """Reference enumeration over `model`, whose variables are the classes
+    of `classes` (place -> class): solve without a start, record, block the
+    class values until infeasible."""
+    prefix = block_prefix(problem.spec.all_places())
     found = []
     while True:
         solution = ilp.solve(model)
         if solution is None:
             return RegionEnumeration(tuple(found), truncated=False)
-        region = Region(Multiset({p: solution.assignment[p] for p in places}), problem.k)
+        values = solution.assignment
         if problem.max_regions is not None and len(found) >= problem.max_regions:
             return RegionEnumeration(tuple(found), truncated=True)
-        found.append(region)
-        model = add_blocking(model, region, problem.k, len(found), prefix)
+        found.append(Region(Multiset({p: values[c] for p, c in classes.items()}), problem.k))
+        class_values = Multiset({p: values[p] for p, c in classes.items() if p == c})
+        model = add_blocking(model, Region(class_values, problem.k), problem.k, len(found), prefix)
+
+
+def raw_enumeration(problem: RegionProblem) -> RegionEnumeration:
+    """Reference enumeration over the raw model (oracles.raw_region_model),
+    one variable per place and no classes."""
+    return cold_enumeration(problem, raw_region_model(problem), singletons(problem.spec))
 
 
 def singletons(spec) -> dict[str, str]:
@@ -205,6 +217,22 @@ class TestSeekAndBlocking:
                 assignment[p] < found.marking[p] for p in places if found.marking[p] > 0
             )
             assert satisfiable == strictly_smaller_somewhere, point
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_flags_satisfy_the_blocking_rows(self, k):
+        # a point extended with blocking_flags satisfies the rows that
+        # add_blocking appends exactly when the blocking admits it at all
+        base = ilp.IlpModel((ilp.Variable("a", 0, k), ilp.Variable("b", 0, k)))
+        for found in itertools.product(range(k + 1), repeat=2):
+            if not any(found):
+                continue
+            blocked = add_blocking(base, Region(Multiset(dict(zip("ab", found))), k), k, 1)
+            ids = [v.id for v in blocked.variables]
+            block = [(i, s) for i, s in enumerate(found) if s]
+            for point in itertools.product(range(k + 1), repeat=2):
+                flags = blocking_flags(point, [block])
+                admitted = any(point[i] < s for i, s in block)
+                assert bool(check_assignment(blocked, dict(zip(ids, list(point) + flags)))) == admitted
 
 
 class TestEnumerate:
