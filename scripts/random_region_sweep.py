@@ -4,13 +4,14 @@
 Generates seeded random specifications, enumerates minimal regions through
 the ILP path, recomputes the set by sweeping every marking up to k, and
 reports any mismatch. Useful as a quick confidence run after solver changes.
-After the random nets come a quarter as many trace logs, drawn from a
-separate stream (so the random nets of a seed stay the same), whose trace
-nets share Parikh classes.
+After the random nets come a quarter as many trace logs and a quarter as
+many sets of converted random state graphs, each drawn from a separate
+stream (so the random nets of a seed stay the same). Their places share
+Parikh classes, within a net and across nets.
 
 With `--mode discovery` both sides also keep every net's final place
-unmarked; specifications without a unique final place in some net are
-skipped and counted.
+unmarked. A net without a unique final place (no outgoing arcs) has its
+last place pinned as final, on both sides; such nets are counted.
 
     python3 scripts/random_region_sweep.py --specs 200 --seed 7
     python3 scripts/random_region_sweep.py --mode discovery --specs 200 --seed 7
@@ -21,8 +22,8 @@ import itertools
 import random
 import time
 
-from ttsynth.convert import trace_to_labelled_net
-from ttsynth.core import LabelledNet, Multiset, PetriNet, build_specification
+from ttsynth.convert import state_graph_to_labelled_net, trace_to_labelled_net
+from ttsynth.core import LabelledNet, Multiset, PetriNet, Specification, StateGraph, build_specification
 from ttsynth.regions import MODES, Region, RegionProblem, discovery_final_places, enumerate_minimal_regions, verify_region
 
 
@@ -56,6 +57,37 @@ def random_log(rng: random.Random, max_places: int) -> list[LabelledNet]:
     return nets
 
 
+def random_state_graphs(rng: random.Random, max_places: int) -> list[LabelledNet]:
+    """One to three converted state graphs of up to four states over at
+    most `max_places` states in all; a graph that would exceed it ends the
+    list. Every state is reachable along spanning arcs; extra arcs add
+    branches, cycles and self-loops."""
+    labels = "abc"[: rng.randint(1, 3)]
+    nets = []
+    places = 0
+    for _ in range(rng.randint(1, 3)):
+        states = tuple(f"s{i}" for i in range(rng.randint(1, 4)))
+        if nets and places + len(states) > max_places:
+            break
+        arcs = {(states[rng.randrange(i)], rng.choice(labels), states[i]) for i in range(1, len(states))}
+        for _ in range(rng.randint(0, 3)):
+            arcs.add((rng.choice(states), rng.choice(labels), rng.choice(states)))
+        nets.append(state_graph_to_labelled_net(StateGraph(states, states[0], tuple(sorted(arcs)))))
+        places += len(states)
+    return nets
+
+
+def final_place_overrides(spec: Specification) -> dict[int, str]:
+    """Each net's last place, for the nets without a unique final place."""
+    overrides = {}
+    for idx, ln in enumerate(spec.nets):
+        try:
+            discovery_final_places(Specification((ln,)))
+        except ValueError:
+            overrides[idx] = ln.net.places[-1]
+    return overrides
+
+
 def sweep_minimal(spec, k, unmarked=()):
     """The minimal nonzero regions up to k that leave `unmarked` places at 0."""
     places = spec.all_places()
@@ -72,7 +104,8 @@ def sweep_minimal(spec, k, unmarked=()):
 
 
 def cases(args, n_logs: int):
-    """(nets, k) for `args.specs` random specs, then `n_logs` trace logs."""
+    """(nets, k) for `args.specs` random specs, then `n_logs` trace logs,
+    then `n_logs` sets of state graphs."""
     rng = random.Random(args.seed)
     for _ in range(args.specs):
         n_nets = rng.randint(1, 3)
@@ -90,6 +123,10 @@ def cases(args, n_logs: int):
         k = log_rng.randint(1, args.max_k)
         # the sweep visits (k + 1) ** places markings
         yield random_log(log_rng, 10 if k == 1 else 7), k
+    graph_rng = random.Random(f"graphs-{args.seed}")
+    for _ in range(n_logs):
+        k = graph_rng.randint(1, args.max_k)
+        yield random_state_graphs(graph_rng, 10 if k == 1 else 7), k
 
 
 def main() -> None:
@@ -103,19 +140,19 @@ def main() -> None:
 
     n_logs = args.specs // 4
     mismatches = 0
-    skipped = 0
+    pinned = 0
     regions_total = 0
     started = time.perf_counter()
     for trial, (nets, k) in enumerate(cases(args, n_logs)):
         spec = build_specification(nets)
         unmarked = ()
+        overrides = None
         if args.mode == "discovery":
-            try:
-                unmarked = tuple(discovery_final_places(spec).values())
-            except ValueError:  # some net has no unique final place
-                skipped += 1
-                continue
-        got = {r.marking for r in enumerate_minimal_regions(RegionProblem(spec, k, args.mode)).regions}
+            overrides = final_place_overrides(spec)
+            pinned += len(overrides)
+            unmarked = tuple(discovery_final_places(spec, overrides).values())
+        problem = RegionProblem(spec, k, args.mode, final_places=overrides)
+        got = {r.marking for r in enumerate_minimal_regions(problem).regions}
         want = sweep_minimal(spec, k, unmarked)
         regions_total += len(got)
         if got != want:
@@ -123,8 +160,8 @@ def main() -> None:
             print(f"MISMATCH at trial {trial}: ilp={sorted(map(repr, got))} sweep={sorted(map(repr, want))}")
     elapsed = time.perf_counter() - started
     print(
-        f"{args.mode}: {args.specs} specs and {n_logs} trace logs, {skipped} skipped without a unique final place, "
-        f"{regions_total} regions, {mismatches} mismatches, {elapsed:.2f}s"
+        f"{args.mode}: {args.specs} specs, {n_logs} trace logs and {n_logs} state-graph sets, "
+        f"{pinned} nets pinned to their last place, {regions_total} regions, {mismatches} mismatches, {elapsed:.2f}s"
     )
     raise SystemExit(1 if mismatches else 0)
 

@@ -4,18 +4,36 @@ nets, so one synthesis pipeline serves every input style."""
 from __future__ import annotations
 
 import graphlib
-from typing import Sequence, Tuple
+from collections import Counter
+from typing import Collection, Sequence, Tuple
 
 from .core import LabelledNet, Multiset, PetriNet, StateGraph, state_graph_reachable
-from .semantics import SINK, SOURCE, Run
+from .semantics import SINK, SOURCE, Run, flow_domain
 
 #: A trace is a non-empty sequence of activity labels.
 Trace = Tuple[str, ...]
 
 
+def _tuple_ids(tuples: Sequence[tuple[str, ...]], taken: Collection[str]) -> list[str]:
+    """One id per distinct tuple: "(a,b,...)", or, where that would equal
+    an id in `taken` or another tuple's id, the parts with backslashes and
+    commas escaped, behind underscores, one more while any such id is taken
+    ("_(a\\,b,c)"). So no two ids are equal or taken, and ids that would
+    collide with nothing keep their plain spelling."""
+    plain = [f"({','.join(parts)})" for parts in tuples]
+    counts = Counter(plain)
+    clashing = [counts[i] > 1 or i in taken for i in plain]
+    escaped = ["(" + ",".join(p.replace("\\", "\\\\").replace(",", "\\,") for p in parts) + ")" for parts in tuples]
+    stem = "_"
+    while any(c and stem + e in taken for c, e in zip(clashing, escaped)):
+        stem = "_" + stem
+    return [stem + e if c else i for i, e, c in zip(plain, escaped, clashing)]
+
+
 def state_graph_to_labelled_net(sg: StateGraph) -> LabelledNet:
     """States become places, arcs become transitions labelled by their label,
-    and the initial state's place carries one token."""
+    and the initial state's place carries one token. Transitions are named
+    "(source,label,target)" (see _tuple_ids)."""
     for s in sg.states:
         if not isinstance(s, str):
             raise ValueError("state graph states must be identifiers to convert")
@@ -23,15 +41,9 @@ def state_graph_to_labelled_net(sg: StateGraph) -> LabelledNet:
     unreachable = [s for s in sg.states if s not in reachable]
     if unreachable:
         raise ValueError(f"unreachable state: {unreachable[0]!r}")
-    arcs: dict[tuple[str, str], int] = {}
-    transitions = []
-    labels = {}
-    for src, label, tgt in sg.arcs:
-        e = f"({src},{label},{tgt})"
-        transitions.append(e)
-        labels[e] = label
-        arcs[(src, e)] = arcs.get((src, e), 0) + 1
-        arcs[(e, tgt)] = arcs.get((e, tgt), 0) + 1
+    transitions = _tuple_ids(sg.arcs, set(sg.states))
+    arcs = {a: 1 for (src, _, tgt), e in zip(sg.arcs, transitions) for a in ((src, e), (e, tgt))}
+    labels = {e: label for (_, label, _), e in zip(sg.arcs, transitions)}
     net = PetriNet(tuple(sg.states), tuple(transitions), Multiset(arcs))
     return LabelledNet(net, Multiset({sg.initial: 1}), labels)
 
@@ -49,10 +61,12 @@ def check_run_wellformed(run: Run) -> bool:
     return True
 
 
-def slot_place_id(slot: tuple[str, str]) -> str:
-    """Place identifier for a run slot; the identity map between compact
-    token flows and token trails on the converted net."""
-    return f"({slot[0]},{slot[1]})"
+def slot_place_ids(run: Run) -> dict[tuple[str, str], str]:
+    """Place id of every run slot, "(u,v)" (see _tuple_ids), in flow_domain
+    order: the map between compact token flows and token trails on the
+    converted net."""
+    slots = flow_domain(run)
+    return dict(zip(slots, _tuple_ids(slots, set(run.events))))
 
 
 def run_to_labelled_net(run: Run) -> LabelledNet:
@@ -65,22 +79,17 @@ def run_to_labelled_net(run: Run) -> LabelledNet:
     """
     if not check_run_wellformed(run):
         raise ValueError("not a partial order")
-    slots = (
-        [(SOURCE, v) for v in run.events]
-        + list(run.order)
-        + [(v, SINK) for v in run.events]
-    )
-    places = tuple(slot_place_id(s) for s in slots)
+    place_of = slot_place_ids(run)
     arcs: dict[tuple[str, str], int] = {}
     for v in run.events:
-        arcs[(slot_place_id((SOURCE, v)), v)] = 1
-        arcs[(v, slot_place_id((v, SINK)))] = 1
+        arcs[(place_of[(SOURCE, v)], v)] = 1
+        arcs[(v, place_of[(v, SINK)])] = 1
     for u, v in run.order:
-        pid = slot_place_id((u, v))
+        pid = place_of[(u, v)]
         arcs[(u, pid)] = 1
         arcs[(pid, v)] = 1
-    net = PetriNet(places, tuple(run.events), Multiset(arcs))
-    initial = Multiset({slot_place_id((SOURCE, v)): 1 for v in run.events})
+    net = PetriNet(tuple(place_of.values()), tuple(run.events), Multiset(arcs))
+    initial = Multiset({place_of[(SOURCE, v)]: 1 for v in run.events})
     return LabelledNet(net, initial, dict(run.labels))
 
 

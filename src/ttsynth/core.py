@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 
 class Multiset:
@@ -193,11 +193,12 @@ class LabelledNet:
     Several transitions may share a label (label splitting); the labelling
     must be total.
 
-    semantics.find_token_trail keeps on the net, on first use, the
-    spanning-tree walk that gives its trails when it is a connected state
-    machine (`trail_walk`, None for other nets) and, for other nets, the
-    compiled trail rows (`trail_model`); like PetriNet.pre/post they are
-    derived from the fields, and equality and repr ignore them.
+    Traces and state graphs convert to connected state machines, whose
+    walk state_machine_walk keeps on the net (`trail_walk`, None on other
+    nets) for the region classes and the trail search; on other nets
+    semantics.find_token_trail keeps the compiled trail rows
+    (`trail_model`). Like PetriNet.pre/post they are derived from the
+    fields, and equality and repr ignore them.
     """
 
     net: PetriNet
@@ -223,6 +224,47 @@ class LabelledNet:
         for t in self.net.transitions:
             seen.setdefault(self.labels[t], None)
         return tuple(seen)
+
+
+def state_machine_walk(ln: LabelledNet) -> Optional[tuple]:
+    """The spanning-tree walk of `ln` when it is a connected state machine,
+    else None; worked out on first use and kept on the net as `trail_walk`.
+
+    A connected state machine: every transition has exactly one input and
+    one output place, each by an arc of weight 1 (they may be the same
+    place); the initial marking is one token on one place p0; and every
+    place is linked to p0 when arc direction is ignored. The walk is (p0,
+    steps, arcs, labels): `steps` lists (place, parent, label, sign) in
+    breadth-first order from p0, one per tree arc, so that a trail or a
+    region has place = parent + sign * rise(label); `arcs` lists (input
+    place, output place, label) for every transition in order, and
+    `labels` the labels of the transitions, each once.
+    """
+    if hasattr(ln, "trail_walk"):
+        return ln.trail_walk
+    pre, post = ln.net.pre, ln.net.post
+    walk = None
+    if len(ln.initial) == 1 and ln.initial.total() == 1 and all(
+        list(pre[e].values()) == [1] == list(post[e].values()) for e in ln.net.transitions
+    ):
+        root = next(iter(ln.initial))
+        arcs = tuple((next(iter(pre[e])), next(iter(post[e])), ln.labels[e]) for e in ln.net.transitions)
+        neighbours: dict[str, list] = {p: [] for p in ln.net.places}
+        for p, q, label in arcs:
+            neighbours[p].append((q, label, 1))
+            neighbours[q].append((p, label, -1))
+        reached, steps = [root], []
+        seen = {root}
+        for place in reached:  # grows while it is walked: breadth-first
+            for nxt, label, sign in neighbours[place]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    reached.append(nxt)
+                    steps.append((nxt, place, label, sign))
+        if len(seen) == len(ln.net.places):
+            walk = (root, tuple(steps), arcs, tuple(dict.fromkeys(label for _, _, label in arcs)))
+    object.__setattr__(ln, "trail_walk", walk)
+    return walk
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ same initial token sum. Discovery mode additionally forces the final place
 of every net to stay unmarked.
 
 Places that carry the same value in every region share one variable. In a
-trace net c0 -> c1 -> ... the value at c_i is the initial sum plus the
-rises of the first i labels, and both are shared by all nets, so trace
-places whose prefixes have the same Parikh vector (count of each label)
-form one class (parikh_classes). Every other place is a class of its own.
+connected state machine (core.state_machine_walk; traces and state graphs
+convert to such nets) the value at a place is the initial sum plus the
+label rises, counted with their sign, along the walk from the marked
+place, and both are shared by all nets. So places with the same signed
+label counts form one class (parikh_classes); on a trace these counts are
+the Parikh vector of the prefix. Every other place is a class of its own.
 build_base_model writes the model over these classes in one pass; its
 objective and tie-break are those of one variable per place (see
 build_base_model), so the regions and their order do not depend on the
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 from . import ilp
-from .core import LabelledNet, Multiset, Specification, effect
+from .core import Multiset, Specification, effect, state_machine_walk
 from .semantics import ConditionCheck, PlaceBehavior
 
 BLOCK_PREFIX = "_blk"
@@ -91,53 +93,33 @@ def discovery_final_places(spec: Specification, overrides: Optional[Mapping[int,
     return result
 
 
-def _trace_prefixes(ln: LabelledNet) -> Optional[dict[str, frozenset]]:
-    """Per place, the Parikh vector of the labels leading to it, if `ln` is
-    a trace net; None otherwise.
-
-    A trace net is a simple path through all places and transitions that
-    starts at its only marked place, which holds one token; every
-    transition has one input and one output arc, both of weight 1.
-    """
-    net = ln.net
-    if ln.initial.total() != 1 or len(net.transitions) != len(net.places) - 1:
-        return None
-    consumer: dict[str, tuple[str, str]] = {}
-    for t in net.transitions:
-        if list(net.pre[t].values()) != [1] or list(net.post[t].values()) != [1]:
-            return None
-        (src,), (tgt,) = net.pre[t], net.post[t]
-        if src in consumer:
-            return None
-        consumer[src] = (t, tgt)
-    (place,) = ln.initial.keys()
-    counts: dict[str, int] = {}
-    prefixes = {place: frozenset()}
-    while place in consumer:
-        t, place = consumer[place]
-        if place in prefixes:
-            return None
-        counts[ln.labels[t]] = counts.get(ln.labels[t], 0) + 1
-        prefixes[place] = frozenset(counts.items())
-    return prefixes if len(prefixes) == len(net.places) else None
-
-
 def parikh_classes(spec: Specification) -> dict[str, str]:
     """Map every place, in place order, to the id of its class: the last
     member of the class in place order.
 
-    Places of trace nets whose prefixes have the same Parikh vector form one
-    class, across all trace nets of the specification; every other place is
-    a class of its own. All members of a class carry the same value in
-    every region: a trace net's first place holds its initial sum, which
-    the initial-sum equalities share between the nets, and each step adds
-    its label's rise, which the rise equalities share.
+    Places of connected state machines (core.state_machine_walk) with the
+    same signed label counts along the walk (each step adds its sign at its
+    label; on a trace, the Parikh vector of the prefix) form one class,
+    across all such nets; every other place is a class of its own. All
+    members of a class carry the same value in every region: the walk
+    starts at the net's initial sum, which the initial-sum equalities
+    share between the nets, and each step adds its label's rise times its
+    sign, and the rise equalities share the rises.
     """
+    position = {label: i for i, label in enumerate(spec.alphabet())}
     key_of: dict[str, object] = {}
     for ln in spec.nets:
-        prefixes = _trace_prefixes(ln)
-        for p in ln.net.places:
-            key_of[p] = p if prefixes is None else prefixes[p]
+        walk = state_machine_walk(ln)
+        if walk is None:
+            key_of.update((p, p) for p in ln.net.places)
+            continue
+        root, steps, _, _ = walk
+        counts = {root: (0,) * len(position)}
+        for place, parent, label, sign in steps:
+            vector = list(counts[parent])
+            vector[position[label]] += sign
+            counts[place] = tuple(vector)
+        key_of.update((p, counts[p]) for p in ln.net.places)
     last = {key: p for p, key in key_of.items()}
     return {p: last[key] for p, key in key_of.items()}
 

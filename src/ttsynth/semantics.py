@@ -23,6 +23,7 @@ from .core import (
     fire,
     preset,
     state_graph_reachable,
+    state_machine_walk,
 )
 
 __all__ = [
@@ -205,49 +206,6 @@ def _trail_model(net: LabelledNet) -> ilp.CompiledModel:
     return model
 
 
-def _trail_walk(net: LabelledNet) -> Optional[tuple]:
-    """The spanning-tree walk of `net` when it is a connected state machine,
-    else None; worked out on first use and kept on the net as `trail_walk`
-    (outside equality and repr, like trail_model).
-
-    A connected state machine: every transition has exactly one input and
-    one output place, each by an arc of weight 1 (they may be the same
-    place); the initial marking is one token on one place p0; and every
-    place is linked to p0 when arc direction is ignored. Trace nets and
-    converted state graphs are such nets. The walk is (p0, steps, arcs,
-    labels): `steps` lists (place, parent, label, sign) in breadth-first
-    order from p0, one per tree arc, so that a trail has place = parent +
-    sign * rise(label); `arcs` lists (input place, output place, label) for
-    every transition in order, and `labels` the labels of the transitions,
-    each once.
-    """
-    if hasattr(net, "trail_walk"):
-        return net.trail_walk
-    pre, post = net.net.pre, net.net.post
-    walk = None
-    if len(net.initial) == 1 and net.initial.total() == 1 and all(
-        list(pre[e].values()) == [1] == list(post[e].values()) for e in net.net.transitions
-    ):
-        root = next(iter(net.initial))
-        arcs = tuple((next(iter(pre[e])), next(iter(post[e])), net.labels[e]) for e in net.net.transitions)
-        neighbours: dict[str, list] = {p: [] for p in net.net.places}
-        for p, q, label in arcs:
-            neighbours[p].append((q, label, 1))
-            neighbours[q].append((p, label, -1))
-        reached, steps = [root], []
-        seen = {root}
-        for place in reached:  # grows while it is walked: breadth-first
-            for nxt, label, sign in neighbours[place]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    reached.append(nxt)
-                    steps.append((nxt, place, label, sign))
-        if len(seen) == len(net.net.places):
-            walk = (root, tuple(steps), arcs, tuple(dict.fromkeys(label for _, _, label in arcs)))
-    object.__setattr__(net, "trail_walk", walk)
-    return walk
-
-
 def _trail_by_walk(net: LabelledNet, walk, pb: PlaceBehavior, bound: int) -> Optional[TokenTrail]:
     """The one point that the initial-sum row and the balance rows leave on
     a connected state machine, if it lies in [0, bound] and meets every
@@ -276,7 +234,7 @@ def find_token_trail(net: LabelledNet, pb: PlaceBehavior, bound: Optional[int] =
 
     Returns the trail or None. None only means no trail exists within the
     bound; it is not a proof that no trail exists at all. On a connected
-    state machine (_trail_walk, kept on the net as `trail_walk`) the
+    state machine (core.state_machine_walk, kept on the net) the
     initial sum and the label rises fix the only candidate, so one walk
     computes it and tests every row; no ILP is built. On any other net the
     trail rows are compiled once (_trail_model, kept as `trail_model`) and
@@ -288,7 +246,7 @@ def find_token_trail(net: LabelledNet, pb: PlaceBehavior, bound: Optional[int] =
         bound = default_trail_bound(net, pb)
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    walk = _trail_walk(net)
+    walk = state_machine_walk(net)
     if walk is not None:
         return _trail_by_walk(net, walk, pb, bound)
     model = _trail_model(net)

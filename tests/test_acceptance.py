@@ -37,7 +37,7 @@ from oracles import (
 )
 from ttsynth import ilp
 from ttsynth import io as net_io
-from ttsynth.convert import run_to_labelled_net, slot_place_id, trace_to_labelled_net
+from ttsynth.convert import run_to_labelled_net, slot_place_ids, trace_to_labelled_net
 from ttsynth.core import Multiset, enabled_transitions, fire, reachability_graph
 from ttsynth.regions import Region, RegionProblem, discovery_final_places, enumerate_minimal_regions
 from ttsynth.semantics import (
@@ -260,6 +260,7 @@ def test_criterion_08_flow_trail_correspondence():
         net = run_to_labelled_net(run)
         pb = random_place_behavior(rng, "abc")
         domain = flow_domain(run)
+        place_of = slot_place_ids(run)
         if len(domain) <= 5:
             assignments = itertools.product(range(3), repeat=len(domain))
         else:
@@ -268,14 +269,14 @@ def test_criterion_08_flow_trail_correspondence():
             )
         for values in assignments:
             flow = dict(zip(domain, values))
-            trail = Multiset({slot_place_id(s): v for s, v in flow.items() if v})
+            trail = Multiset({place_of[s]: v for s, v in flow.items() if v})
             if bool(is_valid_compact_token_flow(run, flow, pb)) != bool(
                 is_valid_token_trail(net, trail, pb)
             ):
                 discrepancies += 1
         trail = find_token_trail(net, pb, 2)
         if trail is not None:
-            flow = {slot: trail[slot_place_id(slot)] for slot in domain}
+            flow = {slot: trail[place_of[slot]] for slot in domain}
             if not is_valid_compact_token_flow(run, flow, pb):
                 discrepancies += 1
         runs_checked += 1

@@ -204,6 +204,33 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out.count("enabled") == 3
 
+    @pytest.mark.parametrize(
+        "name, doc",
+        [
+            # transitions (a,b,c,x) twice, once per arc
+            (
+                "clash.sg",
+                {
+                    "initial": "a",
+                    "arcs": [
+                        {"from": "a", "label": "b,c", "to": "x"},
+                        {"from": "a,b", "label": "c", "to": "x"},
+                        {"from": "a", "label": "d", "to": "a,b"},
+                    ],
+                },
+            ),
+            # the slot (▶,v1) next to an event "(▶,v1)"
+            ("clash.run", {"events": {"(▶,v1)": "a", "v1": "b"}, "order": [["v1", "(▶,v1)"]]}),
+        ],
+    )
+    def test_converted_ids_that_would_clash(self, tmp_path, capsys, name, doc):
+        spec = write(tmp_path, name, json.dumps(doc))
+        model = tmp_path / "model.pnml"
+        assert main(["synth", "-k", "1", "-o", str(model), spec]) == 0
+        assert main(["check", "--model", str(model), spec]) == 0
+        out = capsys.readouterr().out
+        assert "enabled" in out and "not" not in out
+
     def test_missing_label_is_an_error(self, tmp_path, capsys):
         traces, model = self.synth_model(tmp_path)
         wider = write(tmp_path, "wider.traces", "a b c\n")

@@ -11,13 +11,13 @@ from oracles import classical_state_regions, lts_isomorphic, relabel_arcs
 from ttsynth.convert import (
     check_run_wellformed,
     run_to_labelled_net,
-    slot_place_id,
+    slot_place_ids,
     state_graph_to_labelled_net,
     trace_to_labelled_net,
 )
 from ttsynth.core import LabelledNet, Multiset, StateGraph, reachability_graph
 from ttsynth.regions import Region, verify_region
-from ttsynth.semantics import SINK, SOURCE, Run
+from ttsynth.semantics import SINK, SOURCE, Run, flow_domain
 
 
 def same_structure_up_to_transition_ids(a: LabelledNet, b: LabelledNet) -> bool:
@@ -89,20 +89,80 @@ class TestStateGraphConversion:
             assert trail_regions == classical_state_regions(sg)
 
 
+#: Identifier fragments that the converters' "(a,b,...)" ids are built from.
+HOSTILE_IDS = st.text(alphabet="a,()\\_▶■", min_size=1, max_size=4)
+
+
+def plain_id(*parts):
+    return f"({','.join(parts)})"
+
+
+class TestConvertedIds:
+    """Converted ids never collide; ids that collide with nothing keep
+    their plain "(a,b,...)" spelling."""
+
+    def test_state_graph_transitions_that_would_clash(self):
+        # (a, "b,c", x) and ("a,b", c, x) both read "(a,b,c,x)"; the
+        # transition of (a, d, x) would equal a state
+        sg = StateGraph(
+            ("a", "a,b", "x", "(a,d,x)"),
+            "a",
+            (("a", "b,c", "x"), ("a,b", "c", "x"), ("a", "d", "x"), ("a", "e", "a,b"), ("x", "f", "(a,d,x)")),
+        )
+        ln = state_graph_to_labelled_net(sg)
+        assert ln.net.transitions == ("_(a,b\\,c,x)", "_(a\\,b,c,x)", "_(a,d,x)", "(a,e,a,b)", "(x,f,(a,d,x))")
+        assert [ln.labels[t] for t in ln.net.transitions] == ["b,c", "c", "d", "e", "f"]
+
+    def test_escaped_ids_avoid_states(self):
+        # the escaped id of (a, b, c) would equal the state "_(a,b,c)"
+        sg = StateGraph(("a", "c", "(a,b,c)", "_(a,b,c)"), "a", (("a", "b", "c"), ("c", "g", "(a,b,c)"), ("c", "h", "_(a,b,c)")))
+        assert state_graph_to_labelled_net(sg).net.transitions[0] == "__(a,b,c)"
+
+    def test_run_slot_that_would_equal_an_event(self):
+        run = Run(("(▶,v1)", "v1"), (("v1", "(▶,v1)"),), {"(▶,v1)": "a", "v1": "b"})
+        ln = run_to_labelled_net(run)
+        assert ln.net.places == ("(▶,(▶,v1))", "_(▶,v1)", "(v1,(▶,v1))", "((▶,v1),■)", "(v1,■)")
+        assert tuple(slot_place_ids(run)) == flow_domain(run)
+        assert ln.initial == Multiset({"(▶,(▶,v1))": 1, "_(▶,v1)": 1})
+
+    def test_run_slots_that_would_equal_each_other(self):
+        # order pairs ("a,b", c) and (a, "b,c") both read "(a,b,c)"
+        run = Run(("a", "a,b", "b,c", "c"), (("a,b", "c"), ("a", "b,c")), dict.fromkeys(("a", "a,b", "b,c", "c"), "l"))
+        place_of = slot_place_ids(run)
+        assert place_of[("a,b", "c")] == "_(a\\,b,c)" and place_of[("a", "b,c")] == "_(a,b\\,c)"
+        assert place_of[("a", SINK)] == "(a,■)"
+
+    @given(st.lists(HOSTILE_IDS, min_size=1, max_size=4, unique=True), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_hostile_state_graphs(self, states, data):
+        arcs = {(states[i - 1], data.draw(HOSTILE_IDS), states[i]) for i in range(1, len(states))}
+        for _ in range(data.draw(st.integers(0, 4))):
+            arcs.add((data.draw(st.sampled_from(states)), data.draw(HOSTILE_IDS), data.draw(st.sampled_from(states))))
+        sg = StateGraph(tuple(states), states[0], tuple(arcs))
+        ln = state_graph_to_labelled_net(sg)  # PetriNet rejects any collision
+        plain = [plain_id(*arc) for arc in sg.arcs]
+        for t, p in zip(ln.net.transitions, plain):
+            assert t == p or p in states or plain.count(p) > 1
+
+    @given(st.lists(HOSTILE_IDS.filter(lambda v: v not in (SOURCE, SINK)), min_size=1, max_size=4, unique=True), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_hostile_runs(self, events, data):
+        pairs = [(u, v) for i, u in enumerate(events) for v in events[i + 1 :]]
+        order = tuple(p for p in pairs if data.draw(st.booleans()))
+        run = Run(tuple(events), order, dict.fromkeys(events, "a"))
+        ln = run_to_labelled_net(run)  # PetriNet rejects any collision
+        plain = [plain_id(*slot) for slot in flow_domain(run)]
+        for place, p in zip(ln.net.places, plain):
+            assert place == p or p in events or plain.count(p) > 1
+
+
 class TestRunConversion:
     def test_two_ordered_events(self):
         run = Run(("v1", "v2"), (("v1", "v2"),), {"v1": "a", "v2": "b"})
         ln = run_to_labelled_net(run)
-        assert ln.net.places == (
-            slot_place_id((SOURCE, "v1")),
-            slot_place_id((SOURCE, "v2")),
-            slot_place_id(("v1", "v2")),
-            slot_place_id(("v1", SINK)),
-            slot_place_id(("v2", SINK)),
-        )
-        assert ln.initial == Multiset(
-            {slot_place_id((SOURCE, "v1")): 1, slot_place_id((SOURCE, "v2")): 1}
-        )
+        assert ln.net.places == ("(▶,v1)", "(▶,v2)", "(v1,v2)", "(v1,■)", "(v2,■)")
+        assert ln.net.places == tuple(slot_place_ids(run).values())
+        assert ln.initial == Multiset({"(▶,v1)": 1, "(▶,v2)": 1})
 
     def test_single_event(self):
         run = Run(("v",), (), {"v": "a"})

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
-from gens import random_labelled_net, random_specification
+from gens import random_labelled_net, random_specification, random_state_graph
 from oracles import (
     brute_force_minimal_regions,
     check_assignment,
@@ -15,8 +15,8 @@ from oracles import (
     raw_region_model,
 )
 from ttsynth import ilp
-from ttsynth.convert import trace_to_labelled_net
-from ttsynth.core import LabelledNet, Multiset, PetriNet, build_specification
+from ttsynth.convert import state_graph_to_labelled_net, trace_to_labelled_net
+from ttsynth.core import LabelledNet, Multiset, PetriNet, StateGraph, build_specification
 from ttsynth.regions import (
     MODES,
     Region,
@@ -78,12 +78,16 @@ def row_keys(constraints) -> list:
 @st.composite
 def trace_logs_with_nets(draw):
     """Random trace nets (clashing ids renamed n1.c0, ...) mixed with up
-    to two random labelled nets, in random order."""
+    to two random labelled nets and up to two converted random state
+    graphs, whose places merge within and across graphs, in random
+    order."""
     traces = draw(st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=4), min_size=1, max_size=5))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     nets = [trace_to_labelled_net(t) for t in traces]
     for i in range(draw(st.integers(0, 2))):
         nets.append(random_labelled_net(rng, f"r{i}", rng.randint(1, 3), rng.randint(0, 3)))
+    for _ in range(draw(st.integers(0, 2))):
+        nets.append(state_graph_to_labelled_net(random_state_graph(rng, max_states=5, max_arcs=7)))
     rng.shuffle(nets)
     return build_specification(nets)
 
@@ -412,6 +416,17 @@ def log_spec(*traces):
     return build_specification([trace_to_labelled_net(t) for t in traces])
 
 
+def state_machine(*arcs):
+    """A state machine with one token on the first arc's source; transition
+    i carries arc i = (source, label, target). Nothing needs to be
+    reachable from the token."""
+    places = tuple(dict.fromkeys(p for src, _, tgt in arcs for p in (src, tgt)))
+    transitions = tuple(f"t{i}" for i in range(len(arcs)))
+    flow = Multiset({a: 1 for t, (src, _, tgt) in zip(transitions, arcs) for a in ((src, t), (t, tgt))})
+    labels = {t: label for t, (_, label, _) in zip(transitions, arcs)}
+    return LabelledNet(PetriNet(places, transitions, flow), Multiset({arcs[0][0]: 1}), labels)
+
+
 class TestParikhClasses:
     def test_trace_log_classes(self):
         spec = log_spec("ab", "ba", "ab")
@@ -435,6 +450,43 @@ class TestParikhClasses:
             spec = build_specification([trace_to_labelled_net("aa"), other])
             classes = parikh_classes(spec)
             assert all(c == p for p, c in classes.items())
+
+    def test_branches_on_one_label_merge(self):
+        # s0 -a-> s1 and s0 -a-> s2: both hold s0 + rise(a)
+        assert parikh_classes(spec_of(state_machine(("s0", "a", "s1"), ("s0", "a", "s2")))) == {
+            "s0": "s0", "s1": "s2", "s2": "s2",
+        }
+
+    def test_back_and_forth_on_one_label_cancels(self):
+        # s0 -a-> s1 <-a- s2: the walk reaches s2 back along a, so s2 holds
+        # s0 + rise(a) - rise(a), s0's value
+        assert parikh_classes(spec_of(state_machine(("s0", "a", "s1"), ("s2", "a", "s1")))) == {
+            "s0": "s2", "s1": "s1", "s2": "s2",
+        }
+
+    def test_cycle(self):
+        # s0 -a-> s1 -b-> s2 -c-> s0 and s2 -c-> s3: s3 follows s2 by c
+        # as s0 does; the walk reaches s2 back along c from s0
+        net = state_machine(("s0", "a", "s1"), ("s1", "b", "s2"), ("s2", "c", "s0"), ("s2", "c", "s3"))
+        assert parikh_classes(spec_of(net)) == {"s0": "s3", "s1": "s1", "s2": "s2", "s3": "s3"}
+        for k in (1, 2):
+            problem = RegionProblem(spec_of(net), k)
+            got = enumerate_minimal_regions(problem)
+            assert got == raw_enumeration(problem)
+            assert all(r.marking["s0"] == r.marking["s3"] for r in got.regions)
+
+    def test_state_machines_share_classes_with_traces(self):
+        # a trace "ab" and the state graph s0 -a-> s1 -b-> s2, s0 -b-> s3:
+        # c0 ~ s0, c1 ~ s1, c2 ~ s2 across the nets; the walk is kept on
+        # each net for find_token_trail
+        sg = state_graph_to_labelled_net(
+            StateGraph(("s0", "s1", "s2", "s3"), "s0", (("s0", "a", "s1"), ("s1", "b", "s2"), ("s0", "b", "s3")))
+        )
+        spec = build_specification([trace_to_labelled_net("ab"), sg])
+        assert parikh_classes(spec) == {
+            "c0": "s0", "c1": "s1", "c2": "s2", "s0": "s0", "s1": "s1", "s2": "s2", "s3": "s3",
+        }
+        assert all(ln.trail_walk is not None for ln in spec.nets)
 
     def test_merged_model_has_one_variable_per_class(self):
         spec = log_spec("ab", "ba", "ab", "ba")

@@ -9,7 +9,7 @@ from fixture_nets import make_e_dup, make_e_seq
 from gens import random_labelled_net, random_place_behavior, random_run, random_state_graph, random_trace
 from oracles import initial_sum, net_inflow, net_rise, trail_model
 from ttsynth import ilp
-from ttsynth.convert import run_to_labelled_net, slot_place_id, state_graph_to_labelled_net, trace_to_labelled_net
+from ttsynth.convert import run_to_labelled_net, slot_place_ids, state_graph_to_labelled_net, trace_to_labelled_net
 from ttsynth.core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, StateGraph
 from ttsynth.semantics import (
     SINK,
@@ -234,7 +234,7 @@ class TestTrailReuse:
         run = Run(("v1", "v2"), (("v1", "v2"),), {"v1": "a", "v2": "b"})
         searched, fresh = run_to_labelled_net(run), run_to_labelled_net(run)
         trail = find_token_trail(searched, behavior({"b": 1}, {"a": 1}), 1)
-        assert trail == Multiset({slot_place_id(("v1", "v2")): 1})
+        assert trail == Multiset({"(v1,v2)": 1})
         assert hasattr(searched, "trail_model") and not hasattr(fresh, "trail_model")
         assert searched == fresh
         assert repr(searched) == repr(fresh)
@@ -460,10 +460,11 @@ class TestFlowTrailCorrespondence:
             net = run_to_labelled_net(run)
             pb = random_place_behavior(rng, "abc")
             domain = flow_domain(run)
+            place_of = slot_place_ids(run)
             for _ in range(15):
                 values = [rng.randint(0, 2) for _ in domain]
                 flow = dict(zip(domain, values))
-                trail = Multiset({slot_place_id(s): v for s, v in flow.items() if v})
+                trail = Multiset({place_of[s]: v for s, v in flow.items() if v})
                 as_flow = is_valid_compact_token_flow(run, flow, pb)
                 as_trail = is_valid_token_trail(net, trail, pb)
                 assert bool(as_flow) == bool(as_trail)
@@ -477,7 +478,7 @@ class TestFlowTrailCorrespondence:
             trail = find_token_trail(net, pb, 3)
             if trail is None:
                 continue
-            flow = {slot: trail[slot_place_id(slot)] for slot in flow_domain(run)}
+            flow = {slot: trail[p] for slot, p in slot_place_ids(run).items()}
             assert is_valid_compact_token_flow(run, flow, pb)
 
 
