@@ -71,13 +71,20 @@ def _write_all(documents: Sequence[tuple[Path, bytes]]) -> None:
     new temporary file next to it, with the mode of the file it replaces,
     and renamed into place at the end. Any other target (a FIFO, a device)
     cannot be replaced by a rename; it is opened and written directly once
-    every document is staged, before the renames.
+    every document is staged, before the renames. Two documents whose
+    targets resolve to one file are an error, raised before anything is
+    staged.
     """
+    paths = [Path(os.path.realpath(target)) for target, _ in documents]
+    first_of: dict[Path, Path] = {}
+    for (target, _), path in zip(documents, paths):
+        if path in first_of:
+            raise ValueError(f"outputs {str(first_of[path])!r} and {str(target)!r} are one file: {str(path)!r}")
+        first_of[path] = target
     staged: list[tuple[Path, Path]] = []
     direct: list[tuple[Path, bytes]] = []
     try:
-        for target, payload in documents:
-            path = Path(os.path.realpath(target))
+        for (target, payload), path in zip(documents, paths):
             try:
                 mode = path.stat().st_mode
             except FileNotFoundError:

@@ -272,7 +272,10 @@ class Specification:
     """An ordered set of labelled nets with globally unique identifiers.
 
     Use build_specification to assemble one from nets whose identifiers may
-    clash; the constructor only validates.
+    clash; the constructor only validates. regions.verify_region keeps an
+    index of the arcs by place and by label on it (`region_index`); like
+    LabelledNet.trail_walk it is derived from the fields, and equality and
+    repr ignore it.
     """
 
     nets: Tuple[LabelledNet, ...]

@@ -9,13 +9,19 @@ solutions.
 solve() is a depth-first branch and bound with exact interval
 propagation at every node. compile_model() turns each constraint into one
 `<=` row per side (an equality into two) and lists, per variable, the rows
-whose minimum activity each of its bounds moves. A search keeps one box,
-every row's minimum activity on it and a trail of bound moves to undo on
-backtracking. A row pass reads its carried activity, so a row that cannot
-tighten costs O(1) instead of a sum over its terms. The incumbent cut is
-one more row, whose right-hand side drops with each better point. A solve
-may be given a feasible start, which is checked exactly and puts the cut in
-place at the root; it hands back the improving points it found.
+whose minimum activity each of its bounds moves. A compiled model also
+carries its root box: the bounds that propagating all its rows reaches,
+with every row's minimum activity there. Appending variables and rows
+propagates only the new rows from that box, so a model grown round by
+round pays for what each round adds. A search starts from the root box,
+keeps one box, every row's minimum activity on it and a trail of bound
+moves to undo on backtracking. A row pass reads its carried activity, so
+a row that cannot tighten costs O(1) instead of a sum over its terms. The
+incumbent cut is one more row, over the variables still free in the root
+box, whose right-hand side drops with each better point. A solve may be
+given a feasible start, which is checked exactly against the root box and
+the rows that some point of it breaks, and puts the cut in place at the
+root; it hands back the improving points it found.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import le, mul
 from typing import Mapping, Optional, Sequence, Tuple
 
 LE = "<="
@@ -108,11 +115,15 @@ class IlpModel:
                 raise ValueError(f"objective references unknown variable {v!r}")
             _check_int(c, f"objective coefficient of {v!r}")
 
+    def extended(self, variables: Sequence[Variable], constraints: Sequence[LinearConstraint]) -> "IlpModel":
+        """`variables` declared after the existing ones, then `constraints`."""
+        return IlpModel(self.variables + tuple(variables), self.constraints + tuple(constraints), self.objective)
+
     def with_variables(self, extra: Sequence[Variable]) -> "IlpModel":
-        return IlpModel(self.variables + tuple(extra), self.constraints, self.objective)
+        return self.extended(extra, ())
 
     def with_constraints(self, extra: Sequence[LinearConstraint]) -> "IlpModel":
-        return IlpModel(self.variables, self.constraints + tuple(extra), self.objective)
+        return self.extended((), extra)
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,10 @@ def _min_activity(terms, lo: Sequence[int], hi: Sequence[int]) -> int:
     return sum([c * lo[i] if c > 0 else c * hi[i] for i, c in terms])
 
 
+def _size(term) -> int:
+    return abs(term[1])
+
+
 def _compile_rows(sides, lo, hi, rows: list, act: list, lo_occurs: list, hi_occurs: list) -> None:
     """Append one row `(terms, sizes, rhs, cmax, partner)` per side
     `(terms, rhs, partner)` to `rows`, numbered on from the rows already
@@ -175,12 +190,19 @@ def _compile_rows(sides, lo, hi, rows: list, act: list, lo_occurs: list, hi_occu
     new_hi: dict[int, list] = {}
     for terms, rhs, partner in sides:
         r = len(rows)
-        terms = sorted(((i, c) for i, c in terms if c), key=lambda t: -abs(t[1]))
+        terms = [t for t in terms if t[1]]
+        terms.sort(key=_size, reverse=True)  # stable: ties keep their order
+        total = 0
         for i, c in terms:
-            (new_lo if c > 0 else new_hi).setdefault(i, []).append((r, c))
-        sizes = tuple(-abs(c) for _, c in terms)
+            if c > 0:
+                new_lo.setdefault(i, []).append((r, c))
+                total += c * lo[i]
+            else:
+                new_hi.setdefault(i, []).append((r, c))
+                total += c * hi[i]
+        sizes = tuple([-abs(c) for _, c in terms])
         rows.append((tuple(terms), sizes, rhs, -sizes[0] if sizes else 0, partner))
-        act.append(_min_activity(terms, lo, hi))
+        act.append(total)
     for lists, new in ((lo_occurs, new_lo), (hi_occurs, new_hi)):
         for i, extra in new.items():
             lists[i] = lists[i] + extra
@@ -189,22 +211,39 @@ def _compile_rows(sides, lo, hi, rows: list, act: list, lo_occurs: list, hi_occu
 @dataclass(frozen=True, eq=False)
 class CompiledModel:
     """An IlpModel compiled for solve(): variables by position, rows with
-    their occurrence lists and activities, bounds and objective as lists.
+    their occurrence lists, bounds and objective as lists, and the box that
+    propagating every row reaches from the declared bounds.
 
     Each declared constraint is compiled into its `<=` sides: a `<=`
     constraint into itself, a `>=` one into its negation and an equality
     into both. `rows` holds these rows `(terms, sizes, rhs, cmax, partner)`
-    of _compile_rows in declaration order, `act[r]` the minimum activity of
-    row r on the declared bounds, and `constraints[r]` the pairs
+    of _compile_rows in declaration order and `constraints[r]` the pairs
     (row, sign) of declared constraint r, so `variables` and
     `constraints` have the lengths of the model's own tuples. `index` maps
-    each id to its position, and `lower`, `upper`, `objective`,
-    `lo_occurs` and `hi_occurs` are indexed like `variables`. Like IlpModel
-    it is never changed after construction: with_rhs() returns a sibling
-    with new right-hand sides and bounds that shares the terms and the
-    occurrence lists, and with_variables(), with_constraints() and
-    with_objective() return an extended model that compiles only what it
-    adds. Ids are read only there and in the solution, never in the search.
+    each id to its position, and `lower`, `upper` (the declared bounds),
+    `objective`, `lo_occurs` and `hi_occurs` are indexed like `variables`.
+    So is `weights`, with one more entry at the end: weights[i] is the
+    product of (upper - lower + 1) over the variables declared before i,
+    the last entry that product over all of them (see solve()).
+
+    The root box [lo, hi] is the greatest fixpoint of the rows below the
+    declared bounds (see _fixpoint), and `act[r]` is row r's minimum
+    activity on it. Every feasible point lies in it, and every search of
+    the model starts from it. `reach` is at least 1 and at least every
+    declared range, so it bounds every range a search meets. When the rows
+    admit no point of the bounds, `failed` is a row that fails on the box
+    (its activity exceeds its rhs), else None. `live` lists the rows a
+    start must be checked against (_live_rows), or None until a start is
+    first given.
+
+    Like IlpModel it is never changed after construction (`live` is only
+    filled in): with_rhs() returns a sibling with new right-hand sides and
+    bounds that shares the terms and the occurrence lists and propagates
+    every row again, and extended() (with_variables(), with_constraints())
+    and with_objective() return an extended model that compiles only what
+    it adds and propagates only the rows it adds, from this model's box:
+    rows never queued are at fixpoint there already. Ids are read only
+    there and in the solution, never in the search.
     """
 
     variables: Tuple[str, ...]
@@ -214,9 +253,15 @@ class CompiledModel:
     objective: list
     constraints: list
     rows: list
-    act: list
     lo_occurs: list
     hi_occurs: list
+    weights: list
+    lo: list
+    hi: list
+    act: list
+    reach: int
+    failed: Optional[int] = None
+    live: Optional[list] = None
 
     def with_rhs(self, rhs: Sequence[int], lower: Sequence[int], upper: Sequence[int]) -> "CompiledModel":
         """The same rows with right-hand side rhs[r] for declared
@@ -232,53 +277,77 @@ class CompiledModel:
             for r, sign in sides:
                 terms, sizes, _, cmax, partner = rows[r]
                 rows[r] = (terms, sizes, sign * b, cmax, partner)
+        lower, upper = list(lower), list(upper)
         act = [_min_activity(terms, lower, upper) for terms, _, _, _, _ in rows]
-        return replace(self, lower=list(lower), upper=list(upper), rows=rows, act=act)
-
-    def with_variables(self, extra: Sequence[Variable]) -> "CompiledModel":
-        """Variables declared after the existing ones, with objective 0."""
-        index = dict(self.index)
-        for v in extra:
-            if v.id in index:
-                raise ValueError("duplicate variable id")
-            index[v.id] = len(index)
-        empty = [[] for _ in extra]
-        return replace(
-            self,
-            variables=self.variables + tuple(v.id for v in extra),
-            index=index,
-            lower=self.lower + [v.lower for v in extra],
-            upper=self.upper + [v.upper for v in extra],
-            objective=self.objective + [0] * len(extra),
-            lo_occurs=self.lo_occurs + empty,
-            hi_occurs=self.hi_occurs + empty,
+        reach = max(max((ub - lb for lb, ub in zip(lower, upper)), default=0), 1)
+        model = replace(
+            self, lower=lower, upper=upper, rows=rows, weights=_weights([1], lower, upper), lo=list(lower),
+            hi=list(upper), act=act, reach=reach, failed=None, live=None,
         )
+        return _settle(model, 0)
 
-    def with_constraints(self, extra: Sequence[LinearConstraint]) -> "CompiledModel":
-        """Rows declared after the existing ones."""
-        constraints, rows, act = list(self.constraints), list(self.rows), list(self.act)
-        lo_occurs, hi_occurs = list(self.lo_occurs), list(self.hi_occurs)
+    def extended(self, variables: Sequence[Variable], constraints: Sequence[LinearConstraint]) -> "CompiledModel":
+        """`variables` declared after the existing ones, with objective 0,
+        then `constraints` appended to the rows."""
+        index = self.index
+        if variables:
+            index = dict(index)
+            for v in variables:
+                if v.id in index:
+                    raise ValueError("duplicate variable id")
+                index[v.id] = len(index)
+        declared_lo = [v.lower for v in variables]
+        declared_hi = [v.upper for v in variables]
+        empty = [[] for _ in variables]
+        lo_occurs, hi_occurs = self.lo_occurs + empty, self.hi_occurs + empty
+        lo, hi = self.lo + declared_lo, self.hi + declared_hi
+        all_constraints, rows, act = list(self.constraints), list(self.rows), list(self.act)
+        first = len(rows)
         sides = []
-        for con in extra:
+        for con in constraints:
             try:
-                terms = [(self.index[v], c) for v, c in con.terms.items()]
+                terms = [(index[v], c) for v, c in con.terms.items()]
             except KeyError as exc:
                 raise ValueError(f"constraint references unknown variable {exc.args[0]!r}") from None
             negated = [(i, -c) for i, c in terms]
-            r = len(rows) + len(sides)
+            r = first + len(sides)
             if con.relation == EQ:
-                constraints.append(((r, 1), (r + 1, -1)))
+                all_constraints.append(((r, 1), (r + 1, -1)))
                 sides += [(terms, con.rhs, r + 1), (negated, -con.rhs, r)]
             elif con.relation == LE:
-                constraints.append(((r, 1),))
+                all_constraints.append(((r, 1),))
                 sides.append((terms, con.rhs, None))
             else:
-                constraints.append(((r, -1),))
+                all_constraints.append(((r, -1),))
                 sides.append((negated, -con.rhs, None))
-        _compile_rows(sides, self.lower, self.upper, rows, act, lo_occurs, hi_occurs)
-        return replace(
-            self, constraints=constraints, rows=rows, act=act, lo_occurs=lo_occurs, hi_occurs=hi_occurs
+        _compile_rows(sides, lo, hi, rows, act, lo_occurs, hi_occurs)
+        model = CompiledModel(
+            variables=self.variables + tuple(v.id for v in variables),
+            index=index,
+            lower=self.lower + declared_lo,
+            upper=self.upper + declared_hi,
+            objective=self.objective + [0] * len(variables),
+            constraints=all_constraints,
+            rows=rows,
+            lo_occurs=lo_occurs,
+            hi_occurs=hi_occurs,
+            weights=_weights(list(self.weights), declared_lo, declared_hi),
+            lo=lo,
+            hi=hi,
+            act=act,
+            reach=max([self.reach, *(ub - lb for lb, ub in zip(declared_lo, declared_hi))]),
+            failed=self.failed,
+            live=self.live,
         )
+        return _settle(model, first)
+
+    def with_variables(self, extra: Sequence[Variable]) -> "CompiledModel":
+        """Variables declared after the existing ones, with objective 0."""
+        return self.extended(extra, ())
+
+    def with_constraints(self, extra: Sequence[LinearConstraint]) -> "CompiledModel":
+        """Rows declared after the existing ones."""
+        return self.extended((), extra)
 
     def with_objective(self, objective: Mapping[str, int]) -> "CompiledModel":
         """The same model minimizing `objective` instead."""
@@ -291,51 +360,117 @@ class CompiledModel:
 
 
 def compile_model(model: IlpModel) -> CompiledModel:
-    """Compile every row of `model` once (see _compile_rows)."""
-    empty = CompiledModel((), {}, [], [], [], [], [], [], [], [])
-    compiled = empty.with_variables(model.variables).with_constraints(model.constraints)
-    return compiled.with_objective(model.objective)
+    """Compile every row of `model` once (see _compile_rows) and propagate
+    them all from the declared bounds."""
+    empty = CompiledModel((), {}, [], [], [], [], [], [], [], [1], [], [], [], 1)
+    return empty.extended(model.variables, model.constraints).with_objective(model.objective)
+
+
+def _weights(weights: list, lower: Sequence[int], upper: Sequence[int]) -> list:
+    """`weights` (see CompiledModel) extended by variables with bounds
+    [lower[i], upper[i]] declared after those it covers."""
+    acc = weights[-1]
+    for lb, ub in zip(lower, upper):
+        acc *= ub - lb + 1
+        weights.append(acc)
+    return weights
+
+
+def _settle(model: CompiledModel, first: int) -> CompiledModel:
+    """Finish `model`, just built by extended() or with_rhs() with a box at
+    fixpoint for the rows before `first`: propagate the rows from `first`
+    on, and make the box and activities reached its own.
+
+    Nothing is propagated once the box is known to be empty (`failed`), so
+    a failed model stays failed and its `failed` row keeps failing: moves
+    only raise activities. A model whose start rows are known (`live`)
+    adds the new rows that are live on the new box; the earlier live rows
+    stay listed, a superset being as exact."""
+    if model.failed is not None or first == len(model.rows):
+        return model
+    search = _Search(model)
+    failed = live = None
+    if _fixpoint(search, range(first, len(search.rows))):
+        if model.live is not None:
+            live = model.live + _live_rows(search.rows, search.lo, search.hi, search.act, first)
+    else:
+        failed = next(r for r, row in enumerate(search.rows) if search.act[r] > row[2])
+    for name, value in (("lo", search.lo), ("hi", search.hi), ("act", search.act), ("failed", failed), ("live", live)):
+        object.__setattr__(model, name, value)
+    return model
+
+
+def _live_rows(rows, lo, hi, act, first: int) -> list:
+    """The rows from `first` on that some point of the box [lo, hi] breaks,
+    by their maximum activity: only these need checking for a point of the
+    box. An equality's two rows are listed as the first of them (a point
+    must meet its total exactly); the second is never listed."""
+    live = []
+    for r in range(first, len(rows)):
+        terms, _, rhs, _, partner = rows[r]
+        if partner is None:
+            top = 0
+            for i, c in terms:
+                top += c * (hi[i] if c > 0 else lo[i])
+            if top > rhs:
+                live.append(r)
+        elif partner > r and (act[r] < rhs or -act[partner] > rhs):
+            live.append(r)
+    return live
 
 
 class _Search:
-    """The state of one search: the model's rows with the incumbent cut
-    appended, one box, every row's minimum activity on it, the queue of
-    rows to visit and the undo trail.
+    """The state of one search: the model's rows, with the incumbent cut
+    appended when one is given, one box, every row's minimum activity on
+    it, the queue of rows to visit and the undo trail.
 
-    `rows`, `lo_occurs` and `hi_occurs` are the model's (see _compile_rows)
-    plus one more row at position `cut`: the incumbent cut
-    `sum(comb[i] * x[i]) <= rhs`. Its rhs is None, which bounds nothing,
-    until set_incumbent() sets it; otherwise it is an ordinary row. `lo`
-    and `hi` bound the variables, and `act[r]` is the least value of row
-    r's sum over that box. So the row of a `<=` constraint carries the
-    constraint's minimum activity, the row of a `>=` constraint (its
-    negation) minus its maximum, and an equality's two rows carry both.
+    The box starts as the model's root box (CompiledModel.lo, hi), with
+    its activities. `rows`, `lo_occurs` and `hi_occurs` are the model's
+    (see _compile_rows), plus, given `comb`, one more row at position
+    `cut`: the incumbent cut `sum(comb[i] * x[i]) <= rhs`. It is compiled
+    over the variables still free in the root box only; the fixed ones'
+    share, the same at every point of the box, is part of its carried
+    activity, which thus is the whole sum's least value on the box. Its
+    rhs is None, which bounds nothing, until set_incumbent() sets it;
+    otherwise it is an ordinary row. `lo` and `hi` bound the variables,
+    and `act[r]` is the least value of row r's sum over that box. So the
+    row of a `<=` constraint carries the constraint's minimum activity, the
+    row of a `>=` constraint (its negation) minus its maximum, and an
+    equality's two rows carry both.
 
-    Every bound move goes through move() or _propagate. A move adds its
+    Every bound move goes through move() or _fixpoint. A move adds its
     change to the activities that read the moved bound, queues those rows
     (`queue`, with `queued[r]` set while row r is in it) and records
     (variable, old bound, bounds, occurrences) on `trail`, the last two
     being lo and lo_occurs for a lower bound and hi and hi_occurs for an
     upper one. undo(mark) takes back the moves after the first `mark`,
-    activities included. `reach` is the widest range hi - lo of the first
-    box, but at least 1, so it bounds every range the search meets.
+    activities included. `reach` is the model's (see CompiledModel).
     """
 
     __slots__ = ("rows", "lo_occurs", "hi_occurs", "cut", "lo", "hi", "act", "queue", "queued", "trail", "reach")
 
-    def __init__(self, model: CompiledModel, comb: Sequence[int]):
-        self.lo = lo = list(model.lower)
-        self.hi = hi = list(model.upper)
+    def __init__(self, model: CompiledModel, comb: Optional[Sequence[int]] = None):
+        self.lo = lo = list(model.lo)
+        self.hi = hi = list(model.hi)
         self.rows = list(model.rows)
         self.act = list(model.act)
         self.lo_occurs = list(model.lo_occurs)
         self.hi_occurs = list(model.hi_occurs)
-        self.cut = len(self.rows)
-        _compile_rows([(enumerate(comb), None, None)], lo, hi, self.rows, self.act, self.lo_occurs, self.hi_occurs)
+        self.cut = None
+        if comb is not None:
+            self.cut = len(self.rows)
+            free, fixed = [], 0
+            for i, c in enumerate(comb):
+                if lo[i] < hi[i]:
+                    free.append((i, c))
+                else:
+                    fixed += c * lo[i]
+            _compile_rows([(free, None, None)], lo, hi, self.rows, self.act, self.lo_occurs, self.hi_occurs)
+            self.act[-1] += fixed
         self.queue = deque()
         self.queued = bytearray(len(self.rows))
         self.trail = []
-        self.reach = max(max((h - l for l, h in zip(lo, hi)), default=0), 1)
+        self.reach = model.reach
 
     def set_incumbent(self, key: int) -> None:
         """Bound the cut to keys below `key`."""
@@ -367,6 +502,14 @@ class _Search:
 
 
 def _propagate(search: _Search, seeds) -> bool:
+    """Propagate one node of a search (see _fixpoint). solve() calls it once
+    per node, the root included, and nothing else does, so its calls count
+    the nodes; propagating a compiled model's root box (_settle) is not a
+    node."""
+    return _fixpoint(search, seeds)
+
+
+def _fixpoint(search: _Search, seeds) -> bool:
     """Tighten integer bounds to a fixpoint; False means provably infeasible.
 
     Each row `(terms, sizes, rhs, cmax, partner)` of `search.rows` (see
@@ -453,22 +596,38 @@ def _start_key(model: CompiledModel, start: Sequence[int], comb: Sequence[int]) 
     """The search key of `start`, one value per variable by position;
     ValueError unless it lies in the bounds and satisfies every row.
 
+    Every feasible point lies in the root box, so a start outside it is
+    rejected, and a point of the box can break only the rows listed in
+    `model.live`. These are worked out on the first start given to a model
+    (_live_rows) and kept on it; extended() adds the live rows it appends,
+    since a row that no point of a box breaks holds on every smaller box.
     An equality's two rows state total <= rhs and -total <= -rhs, so the
     first of them is checked for total == rhs and the second skipped."""
     if len(start) != len(model.variables):
         raise ValueError(f"start needs {len(model.variables)} values, got {len(start)}")
-    for vid, lb, value, ub in zip(model.variables, model.lower, start, model.upper):
-        if type(value) is not int or not lb <= value <= ub:
-            raise ValueError(f"start value {value!r} of {vid!r} is not an integer in [{lb}, {ub}]")
-    for r, (terms, _, rhs, _, partner) in enumerate(model.rows):
-        if partner is not None and partner < r:
-            continue
+    lo, hi = model.lo, model.hi
+    if not ({*map(type, start)} <= {int} and all(map(le, lo, start)) and all(map(le, start, hi))):
+        for i, value in enumerate(start):
+            if type(value) is not int or not lo[i] <= value <= hi[i]:
+                vid, lb, ub = model.variables[i], model.lower[i], model.upper[i]
+                if type(value) is not int or not lb <= value <= ub:
+                    raise ValueError(f"start value {value!r} of {vid!r} is not an integer in [{lb}, {ub}]")
+                raise ValueError(f"start value {value!r} of {vid!r} lies outside [{lo[i]}, {hi[i]}], which holds every feasible point")
+    if model.failed is not None:
+        raise ValueError(f"start violates row {model.failed}, which no point in the bounds meets")
+    live = model.live
+    if live is None:
+        live = _live_rows(model.rows, lo, hi, model.act, 0)
+        object.__setattr__(model, "live", live)
+    rows = model.rows
+    for r in live:
+        terms, _, rhs, _, partner = rows[r]
         total = 0
         for i, c in terms:
             total += c * start[i]
         if total > rhs or (partner is not None and total < rhs):
             raise ValueError(f"start violates row {r}")
-    return sum(c * value for c, value in zip(comb, start))
+    return sum(map(mul, comb, start))
 
 
 def solve(model: IlpModel | CompiledModel, start: Optional[Sequence[int]] = None) -> Optional[Solution]:
@@ -490,17 +649,23 @@ def solve(model: IlpModel | CompiledModel, start: Optional[Sequence[int]] = None
     Each node runs exact interval propagation (_propagate) over all rows,
     the cut `key <= best key - 1` included once an incumbent exists, so
     pruning decisions are exact as well. The search keeps one box (see
-    _Search): a node undoes the trail back to its parent's fixpoint and
-    moves the bound of its branch. The root propagates from every row,
-    rows without terms included; any other node visits only the rows its
-    move woke, plus the cut when it has dropped since the parent was
-    propagated. Every variable before the one a node branched on is fixed
-    in all its descendants, so the scan for the first free variable starts
-    there. At a leaf (lo == hi) the cut's carried activity is the key.
+    _Search), which starts as the model's root box: the fixpoint of every
+    row, rows without terms included, below the declared bounds
+    (CompiledModel). So the root visits only the cut, or, when the rows
+    admit no point, the row that fails on that box; the greatest fixpoint
+    does not depend on the order rows are visited in, so the root's box is
+    the one a sweep over every row would reach. Any other node undoes the
+    trail back to its parent's fixpoint, moves the bound of its branch and
+    visits only the rows the move woke, plus the cut when it has dropped
+    since the parent was propagated. Every variable before the one a node
+    branched on is fixed in all its descendants, so the scan for the first
+    free variable starts there. At a leaf (lo == hi) the cut's carried
+    activity is the key.
 
     `start`, if given, is a feasible point with one value per variable by
-    position. It is checked exactly against every bound and row (a point
-    that breaks one raises ValueError) and becomes the first incumbent, so
+    position. It is checked exactly against the root box and every row
+    that a point of the box can break (_start_key; a point that breaks a
+    bound or a row raises ValueError) and becomes the first incumbent, so
     the cut is in place at the root; the optimum returned is the same, only
     the search may be smaller. Without a start the search is the one above,
     node for node. The returned Solution lists the improving points found
@@ -508,18 +673,13 @@ def solve(model: IlpModel | CompiledModel, start: Optional[Sequence[int]] = None
     """
     if isinstance(model, IlpModel):
         model = compile_model(model)
-    n = len(model.variables)
 
-    # Mixed-radix weights: the tie-break key of an assignment is unique.
-    weights = [0] * n
-    acc = 1
-    for i, (lb, ub) in enumerate(zip(model.lower, model.upper)):
-        weights[i] = acc
-        acc *= ub - lb + 1
-    big = acc  # exceeds any possible tie-break key difference
-
+    # Mixed-radix weights: the tie-break key of an assignment is unique,
+    # and `big` exceeds any possible tie-break key difference.
+    weights = model.weights
+    big = weights[-1]
     obj = model.objective
-    comb = [big * obj[i] + weights[i] for i in range(n)]
+    comb = [big * o + w for o, w in zip(obj, weights)]
     search = _Search(model, comb)
     lo, hi, trail, cut, act = search.lo, search.hi, search.trail, search.cut, search.act
     best_key: Optional[int] = None
@@ -540,7 +700,7 @@ def solve(model: IlpModel | CompiledModel, start: Optional[Sequence[int]] = None
         if len(trail) > mark:
             search.undo(mark)
         if i < 0:
-            seeds = range(len(search.rows))
+            seeds = (cut,) if model.failed is None else (model.failed,)
             i = 0
         else:
             search.move(i, upper, bound)
@@ -565,4 +725,4 @@ def solve(model: IlpModel | CompiledModel, start: Optional[Sequence[int]] = None
     if best is None:
         return None
     assignment = dict(zip(model.variables, best))
-    return Solution(assignment, sum(c * v for c, v in zip(obj, best)), tuple(found))
+    return Solution(assignment, sum(map(mul, obj, best)), tuple(found))

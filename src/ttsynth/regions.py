@@ -217,8 +217,8 @@ def add_blocking(
     start with `prefix` (see block_prefix).
 
     `model` is an ilp.IlpModel or an ilp.CompiledModel; the binaries and
-    rows are declared after the existing ones, and a compiled model
-    compiles only these rows.
+    rows are declared after the existing ones in one step (extended), and
+    a compiled model compiles and propagates only these rows.
     """
     support = [p for p in found.marking.keys()]
     if not support:
@@ -235,7 +235,7 @@ def add_blocking(
         constraints.append(ilp.LinearConstraint({place: 1, flag: k}, ilp.LE, s + k - 1))
         sum_terms[flag] = 1
     constraints.append(ilp.LinearConstraint(sum_terms, ilp.GE, 1))
-    return model.with_variables(binaries).with_constraints(constraints)
+    return model.extended(binaries, constraints)
 
 
 def blocking_flags(point, blocks) -> list[int]:
@@ -262,12 +262,13 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
     anything was left.
 
     Each round is warm-started from earlier rounds' incumbents. A pool
-    keeps the class values of every incumbent the solver reached, and
-    after each round drops the points the new blocking rows exclude. The
-    newest point left, extended with its blocking binaries (blocking_flags),
-    is feasible for the grown model and becomes the next solve's start. The
-    optimum is unique under the solver's tie-break, so the start changes
-    only how much of the tree the search visits, never the region found.
+    keeps the class values of every incumbent the solver reached. The
+    newest point that the blocking rows admit (no found region is <= it
+    on the region's support), extended with its blocking binaries
+    (blocking_flags), is feasible for the grown model and becomes the next
+    solve's start (_warm_start). The optimum is unique under the solver's
+    tie-break, so the start changes only how much of the tree the search
+    visits, never the region found.
     """
     classes = parikh_classes(problem.spec)
     heads = set(classes.values())
@@ -276,9 +277,9 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
     prefix = block_prefix(problem.spec.all_places())
     found: list[Region] = []
     blocks: list[list[tuple[int, int]]] = []
-    pool: list[tuple[int, ...]] = []
+    pool: list[list] = []
     while True:
-        start = [*pool[-1], *blocking_flags(pool[-1], blocks)] if pool else None
+        start = _warm_start(pool, blocks)
         solution = ilp.solve(model, start)
         if solution is None:
             return RegionEnumeration(tuple(found), truncated=False)
@@ -291,8 +292,68 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
         model = add_blocking(model, class_region, problem.k, len(found), prefix)
         block = [(model.index[c], s) for c, s in class_region.marking.items()]
         blocks.append(block)
-        pool += [point[:n_classes] for point in solution.incumbents]
-        pool = [point for point in pool if 1 in blocking_flags(point, [block])]
+        pool += [[point[:n_classes], [], 0] for point in solution.incumbents]
+
+
+def _warm_start(pool: list, blocks: list) -> Optional[list]:
+    """The newest point of `pool` that every block admits, followed by its
+    blocking binaries (blocking_flags), or None; the newer points, which
+    some block excludes, are dropped from the pool.
+
+    A pool entry is [class values, flags, number of blocks the flags
+    cover]: each point is compared once with each block, when it is the
+    newest left, so a round costs what its block adds to the top point.
+    """
+    while pool:
+        entry = pool[-1]
+        point, flags, checked = entry
+        for block in blocks[checked:]:
+            more = blocking_flags(point, [block])
+            if 1 not in more:
+                break
+            flags += more
+        else:
+            entry[2] = len(blocks)
+            return [*point, *flags]
+        pool.pop()
+    return None
+
+
+def _arc_index(spec: Specification) -> tuple:
+    """The arcs of `spec` by place and by label, worked out on first use and
+    kept on the specification as `region_index` (outside equality and
+    repr, like core.state_machine_walk's `trail_walk`).
+
+    It is (labels_of, carriers, marked): `labels_of` maps every place to
+    the positions, in spec.alphabet(), of the labels of the transitions
+    next to it (on an input or an output arc); `carriers[i]` is alphabet
+    label i with its transitions (position, id, pre, post), position and
+    order being those of every net's transitions one net after another;
+    `marked` maps each initially marked place to (net position, tokens).
+    """
+    index = getattr(spec, "region_index", None)
+    if index is None:
+        position: dict[str, int] = {}
+        carriers: list = []
+        labels_of: dict[str, set] = {p: set() for p in spec.all_places()}
+        marked: dict[str, tuple[int, int]] = {}
+        n = 0
+        for idx, ln in enumerate(spec.nets):
+            pre, post = ln.net.pre, ln.net.post
+            for e in ln.net.transitions:
+                label = ln.labels[e]
+                if label not in position:
+                    position[label] = len(carriers)
+                    carriers.append((label, []))
+                i = position[label]
+                carriers[i][1].append((n, e, pre[e], post[e]))
+                n += 1
+                for p in (*pre[e], *post[e]):
+                    labels_of[p].add(i)
+            marked.update((p, (idx, tokens)) for p, tokens in ln.initial.items())
+        index = (labels_of, carriers, marked)
+        object.__setattr__(spec, "region_index", index)
+    return index
 
 
 def verify_region(spec: Specification, region: Region) -> ConditionCheck:
@@ -304,43 +365,58 @@ def verify_region(spec: Specification, region: Region) -> ConditionCheck:
     arc sums: per label it consumes the least inflow over the label's
     transitions and produces that plus the label's rise, and it holds the
     initial sum shared by all nets.
+
+    Only the region's support is walked (_arc_index): a label with no
+    transition next to a marked place has rise 0 and inflow 0 on every
+    carrier, so it can break no rise and the place leaves it unconnected.
+    Each other label's carriers are walked in net order, and the "rise"
+    witness "first/e" is the first transition, in net order, whose rise
+    differs from its label's first carrier.
     """
-    places = set(spec.all_places())
-    unknown = set(region.marking) - places
+    labels_of, carriers, marked = _arc_index(spec)
+    unknown = [p for p in region.marking if p not in labels_of]
     if unknown:
         raise ValueError(f"region marks unknown places: {sorted(unknown)}")
-    for p in region.marking:
-        if region.marking[p] > region.k:
+    values = dict(region.marking.items())
+    for p, value in values.items():
+        if value > region.k:
             return ConditionCheck(False, "bound", p)
 
-    # One walk over the arc view: per label the first carrier's rise (post
+    # Per touched label, in alphabet order: the first carrier's rise (post
     # minus pre) and the least inflow over its carriers.
-    value_of = dict(region.marking.items()).get
-    rise_of_label: dict[str, tuple[str, int]] = {}
-    least_inflow: dict[str, int] = {}
-    for ln in spec.nets:
-        pre, post = ln.net.pre, ln.net.post
-        for e in ln.net.transitions:
+    value_of = values.get
+    consume: dict[str, int] = {}
+    produce: dict[str, int] = {}
+    violation = None
+    for i in sorted({i for p in values for i in labels_of[p]}):
+        label, carried = carriers[i]
+        first = None
+        for n, e, pre, post in carried:
             inflow = 0
-            for p, w in pre[e].items():
+            for p, w in pre.items():
                 inflow += w * value_of(p, 0)
             value = -inflow
-            for p, w in post[e].items():
+            for p, w in post.items():
                 value += w * value_of(p, 0)
-            label = ln.labels[e]
-            if label not in rise_of_label:
-                rise_of_label[label] = (e, value)
-                least_inflow[label] = inflow
-            else:
-                first, expected = rise_of_label[label]
-                if value != expected:
-                    return ConditionCheck(False, "rise", f"{first}/{e}")
-                if inflow < least_inflow[label]:
-                    least_inflow[label] = inflow
+            if first is None:
+                first, rise, least = e, value, inflow
+            elif value != rise:
+                if violation is None or n < violation[0]:
+                    violation = (n, f"{first}/{e}")
+                break
+            elif inflow < least:
+                least = inflow
+        consume[label] = least
+        produce[label] = least + rise
+    if violation is not None:
+        return ConditionCheck(False, "rise", violation[1])
 
-    sums = [sum(n * region.marking[p] for p, n in ln.initial.items()) for ln in spec.nets]
+    sums = [0] * len(spec.nets)
+    for p, value in values.items():
+        if p in marked:
+            idx, tokens = marked[p]
+            sums[idx] += tokens * value
     for idx, s in enumerate(sums[1:], start=2):
         if s != sums[0]:
             return ConditionCheck(False, "initial-sum", f"net 1 vs net {idx}")
-    produce = {label: least + rise_of_label[label][1] for label, least in least_inflow.items()}
-    return ConditionCheck(True, place=PlaceBehavior(least_inflow, produce, sums[0]))
+    return ConditionCheck(True, place=PlaceBehavior(consume, produce, sums[0]))

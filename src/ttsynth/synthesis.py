@@ -79,8 +79,14 @@ def dedupe_places(places: Sequence[PlaceDefinition]) -> list[PlaceDefinition]:
 
 
 def assemble_net(alphabet: Sequence[str], places: Sequence[PlaceDefinition]) -> MarkedPetriNet:
-    """One transition per label, one place per definition, ids p1, p2, ..."""
-    place_ids = [f"p{i}" for i in range(1, len(places) + 1)]
+    """One transition per label, one place per definition, ids p1, p2, ...;
+    while one of these would equal a label, underscores are prepended to
+    the "p" ("_p1"), so places and transitions never share an id."""
+    labels = set(alphabet)
+    stem = "p"
+    while any(f"{stem}{i}" in labels for i in range(1, len(places) + 1)):
+        stem = "_" + stem
+    place_ids = [f"{stem}{i}" for i in range(1, len(places) + 1)]
     arcs: dict[tuple[str, str], int] = {}
     marking: dict[str, int] = {}
     for pid, place in zip(place_ids, places):

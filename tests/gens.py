@@ -62,6 +62,22 @@ def random_state_graph(rng: random.Random, max_states: int = 6, max_arcs: int = 
     return StateGraph(states, states[0], tuple(sorted(arcs)))
 
 
+def random_two_way_arcs(rng: random.Random, max_states: int = 5, max_extra: int = 2) -> list:
+    """Arcs (source, label, target) of a connected state machine whose
+    spanning arcs point either way and mostly carry the label "a", so a
+    walk from the first arc's source often takes one label backwards after
+    it took it forwards. The first arc leaves s0."""
+    n = rng.randint(2, max_states)
+    arcs = []
+    for i in range(1, n):
+        parent = f"s{rng.randrange(i)}" if arcs else "s0"
+        label = rng.choice("aab")
+        arcs.append((parent, label, f"s{i}") if not arcs or rng.random() < 0.5 else (f"s{i}", label, parent))
+    for _ in range(rng.randint(0, max_extra)):
+        arcs.append((f"s{rng.randrange(n)}", rng.choice("aab"), f"s{rng.randrange(n)}"))
+    return arcs
+
+
 def random_deterministic_state_graph(rng: random.Random, max_states: int = 6, n_labels: int = 3) -> StateGraph:
     n = rng.randint(1, max_states)
     states = tuple(f"s{i}" for i in range(n))

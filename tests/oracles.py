@@ -72,6 +72,64 @@ def first_region_violation(spec: Specification, marking: dict, k: int):
     return None, None
 
 
+def parikh_classes(spec: Specification) -> dict:
+    """Map every place, in place order, to the last place in place order
+    with the same key. A place of a net with one token and transitions of
+    one input and one output arc of weight 1 each, whose places a walk
+    from the marked place reaches, is keyed on its signed label counts:
+    the walk goes breadth first, taking each transition in net order
+    forwards (+1 at its label) and then backwards (-1), and counts that
+    come to 0 are dropped. Every other place is a key of its own."""
+    key_of: dict = {}
+    for ln in spec.nets:
+        ends = {t: ([], []) for t in ln.net.transitions}
+        for (src, tgt), w in ln.net.arcs.items():
+            if tgt in ends:
+                ends[tgt][0].append((src, w))
+            else:
+                ends[src][1].append((tgt, w))
+        counts: dict = {}
+        machine = sum(n for _, n in ln.initial.items()) == 1 and all(
+            [w for _, w in pre] == [1] == [w for _, w in post] for pre, post in ends.values()
+        )
+        if machine:
+            root = next(iter(ln.initial))
+            counts[root] = {}
+            todo = [root]
+            while todo:
+                here = todo.pop(0)
+                for t in ln.net.transitions:
+                    (p, _), (q, _) = ends[t][0][0], ends[t][1][0]
+                    for a, b, sign in ((p, q, 1), (q, p, -1)):
+                        if a == here and b not in counts:
+                            vector = dict(counts[here])
+                            vector[ln.labels[t]] = vector.get(ln.labels[t], 0) + sign
+                            counts[b] = {label: n for label, n in vector.items() if n}
+                            todo.append(b)
+        for p in ln.net.places:
+            key_of[p] = frozenset(counts[p].items()) if len(counts) == len(ln.net.places) else ("own", p)
+    last = {key: p for p, key in key_of.items()}
+    return {p: last[key] for p, key in key_of.items()}
+
+
+def induced_place(spec: Specification, marking: dict) -> tuple:
+    """(consume, produce, initial) of the place a region induces, as lists
+    of (label, weight) in order of the labels' first transitions, zeros
+    left out: per label the least inflow over its transitions, and that
+    plus the rise of its first transition; net 1's initial sum."""
+    least: dict[str, int] = {}
+    rise: dict[str, int] = {}
+    for ln in spec.nets:
+        for e in ln.net.transitions:
+            label = ln.labels[e]
+            inflow = net_inflow(ln, marking, e)
+            least[label] = min(least.get(label, inflow), inflow)
+            rise.setdefault(label, net_rise(ln, marking, e))
+    consume = [(label, n) for label, n in least.items() if n]
+    produce = [(label, n + rise[label]) for label, n in least.items() if n + rise[label]]
+    return consume, produce, initial_sum(spec.nets[0], marking)
+
+
 def brute_force_minimal_regions(spec: Specification, k: int, finals=None) -> set[Multiset]:
     """Componentwise-minimal nonzero points satisfying the region conditions."""
     places = spec.all_places()

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import stat
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixture_nets import make_e_seq
 from oracles import lts_isomorphic, relabel_arcs
 from ttsynth import io as net_io
 from ttsynth.cli import main
-from ttsynth.core import Multiset, reachability_graph
+from ttsynth.core import LabelledNet, Multiset, PetriNet, reachability_graph
 
 
 def write(tmp_path, name, content):
@@ -127,6 +133,31 @@ class TestSynth:
         assert main(["synth", "-o", str(out), traces]) == 0
         assert stat.S_IMODE(out.stat().st_mode) == 0o604
         assert net_io.parse_pnml(out.read_bytes()).net.places
+
+    def test_outputs_naming_one_file_rejected(self, tmp_path, capsys):
+        # Both documents would land in one file, the last one winning.
+        traces = write(tmp_path, "spec.traces", "a b\n")
+        out = tmp_path / "out.pnml"
+        assert main(["synth", "-o", str(out), "--dot", str(out), traces]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.traces"]
+        out.write_bytes(b"earlier")
+        same = tmp_path / "." / "out.pnml"
+        assert main(["synth", "-o", str(out), "--dot", str(same), traces]) == 2
+        assert out.read_bytes() == b"earlier"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.pnml", "spec.traces"]
+
+    def test_output_linked_to_another_output_rejected(self, tmp_path, capsys):
+        traces = write(tmp_path, "spec.traces", "a b\n")
+        out, link = tmp_path / "out.pnml", tmp_path / "out.dot"
+        link.symlink_to(out)  # dangling: out.pnml does not exist yet
+        assert main(["synth", "-o", str(out), "--dot", str(link), traces]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.dot", "spec.traces"]
+        out.write_bytes(b"earlier")
+        assert main(["synth", "-o", str(link), "--dot", str(out), traces]) == 2
+        assert out.read_bytes() == b"earlier" and link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.dot", "out.pnml", "spec.traces"]
 
     def test_dot_output(self, tmp_path):
         traces = write(tmp_path, "spec.traces", "a b\n")
@@ -324,3 +355,76 @@ class TestConvert:
         assert main(["convert", run, "-o", str(out)]) == 0
         ln = net_io.parse_pnml(out.read_bytes())
         assert len(ln.net.places) == 5
+
+
+#: Ids that look like the tool's own names (converted tuples, run slots,
+#: blocking binaries, renamed and synthesized ids) or need escaping in XML,
+#: DOT or JSON. None holds whitespace, which separates trace labels.
+HOSTILE_IDS = st.one_of(
+    st.sampled_from(
+        ["(a,b)", "a,b", "(▶,v1)", "(v1,■)", "_blk1_c0", "__blk", "n3.p0", "n1.c0", "_n2.c1", "p1", "c0", "e1",
+         "ü", "λ→μ", "<a&b>", '"q"', "'", "\\", "{x}", "a;b", "-->"]
+    ),
+    st.text(alphabet="(),.▶■_blkn3p0ü<>&\"'\\", min_size=1, max_size=5),
+)
+
+
+@st.composite
+def hostile_input(draw, fmt: str) -> str:
+    """The text of a small input file in format `fmt` whose ids and labels
+    are HOSTILE_IDS."""
+    ids = lambda n: draw(st.lists(HOSTILE_IDS, min_size=1, max_size=n, unique=True))
+    if fmt == "traces":
+        return "\n".join(" ".join(draw(st.lists(HOSTILE_IDS, min_size=1, max_size=4))) for _ in range(draw(st.integers(1, 3))))
+    if fmt == "sg":
+        states = ids(4)
+        arcs = [(states[i - 1], draw(HOSTILE_IDS), states[i]) for i in range(1, len(states))]
+        for _ in range(draw(st.integers(0, 3))):
+            arcs.append((draw(st.sampled_from(states)), draw(HOSTILE_IDS), draw(st.sampled_from(states))))
+        doc = {"initial": states[0], "arcs": [{"from": s, "label": a, "to": t} for s, a, t in dict.fromkeys(arcs)]}
+        return json.dumps(doc, ensure_ascii=False)
+    if fmt == "run":
+        events = [v for v in ids(4) if v not in ("▶", "■")] or ["v"]
+        order = [(u, v) for i, u in enumerate(events) for v in events[i + 1 :] if draw(st.booleans())]
+        return json.dumps({"events": {v: draw(HOSTILE_IDS) for v in events}, "order": order}, ensure_ascii=False)
+    # A state machine (one token, one input and one output arc per
+    # transition) with hostile place, transition and label ids.
+    places = ids(4)
+    transitions = [t for t in ids(4) if t not in places]
+    arcs = {}
+    for t in transitions:
+        arcs[(draw(st.sampled_from(places)), t)] = 1
+        arcs[(t, draw(st.sampled_from(places)))] = 1
+    labels = {t: draw(HOSTILE_IDS) for t in transitions}
+    net = LabelledNet(PetriNet(tuple(places), tuple(transitions), Multiset(arcs)), Multiset({places[0]: 1}), labels)
+    return net_io.write_pnml(net).decode("utf-8")
+
+
+class TestHostileIds:
+    """Any id legal in an input format survives the whole tool: convert,
+    synth (PNML and DOT out) and check, with exit 0 and every place
+    enabled on the input and on its converted PNML."""
+
+    @pytest.mark.parametrize("fmt", ["traces", "sg", "run", "pnml"])
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=15)
+    def test_round_trip(self, fmt, data):
+        text = data.draw(hostile_input(fmt))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            source = tmp / f"in.{fmt}"
+            source.write_text(text, encoding="utf-8")
+            assert main(["convert", str(source), "-o", str(tmp / "conv.pnml")]) == 0
+            converted = sorted(str(p) for p in tmp.glob("conv*.pnml"))
+            model = tmp / "model.pnml"
+            assert main(["synth", "-k", "1", "-o", str(model), "--dot", str(tmp / "model.dot"), *converted]) == 0
+            for spec in (str(source), *converted):
+                stdout = _check_stdout(model, spec)
+                assert stdout and all(line.endswith(": enabled") for line in stdout)
+
+
+def _check_stdout(model, spec) -> list:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check", "--model", str(model), spec]) == 0
+    return out.getvalue().splitlines()

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq, spec_of
@@ -91,6 +91,24 @@ class TestStateGraphConversion:
 
 #: Identifier fragments that the converters' "(a,b,...)" ids are built from.
 HOSTILE_IDS = st.text(alphabet="a,()\\_▶■", min_size=1, max_size=4)
+#: Atoms without commas; ids joined from them split one word in many ways.
+ATOMS = st.sampled_from(["a", "b", "(a", "b)", "▶"])
+
+
+@st.composite
+def split_tuples(draw, parts: int):
+    """Two different tuples of `parts` ids that read alike once joined by
+    commas, such as ("a,b", "c") and ("a", "b,c"): the same word of atoms
+    cut at two different sets of places."""
+    atoms = draw(st.lists(ATOMS, min_size=parts + 1, max_size=parts + 3))
+    cuts = list(itertools.combinations(range(1, len(atoms)), parts - 1))
+    first, second = draw(st.lists(st.sampled_from(cuts), min_size=2, max_size=2, unique=True))
+
+    def split(at):
+        bounds = (0, *at, len(atoms))
+        return tuple(",".join(atoms[i:j]) for i, j in zip(bounds, bounds[1:]))
+
+    return split(first), split(second)
 
 
 def plain_id(*parts):
@@ -152,6 +170,37 @@ class TestConvertedIds:
         run = Run(tuple(events), order, dict.fromkeys(events, "a"))
         ln = run_to_labelled_net(run)  # PetriNet rejects any collision
         plain = [plain_id(*slot) for slot in flow_domain(run)]
+        for place, p in zip(ln.net.places, plain):
+            assert place == p or p in events or plain.count(p) > 1
+
+    @given(split_tuples(3), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_split_state_graphs(self, arcs, data):
+        # Two arcs (source, label, target) whose transitions would both be
+        # named alike, in a graph whose chain of arcs reaches every state.
+        states = list(dict.fromkeys(p for src, _, tgt in arcs for p in (src, tgt)))
+        states += [p for p in data.draw(st.lists(HOSTILE_IDS, max_size=2, unique=True)) if p not in states]
+        chain = [(states[i - 1], data.draw(HOSTILE_IDS), states[i]) for i in range(1, len(states))]
+        sg = StateGraph(tuple(states), states[0], tuple(dict.fromkeys([*arcs, *chain])))
+        ln = state_graph_to_labelled_net(sg)  # PetriNet rejects any collision
+        plain = [plain_id(*arc) for arc in sg.arcs]
+        assert plain.count(plain_id(*arcs[0])) >= 2
+        for t, p in zip(ln.net.transitions, plain):
+            assert t == p or p in states or plain.count(p) > 1
+
+    @given(split_tuples(2), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_split_runs(self, pairs, data):
+        # Two order pairs whose slots would both be named alike.
+        events = list(dict.fromkeys(v for pair in pairs for v in pair))
+        events += [v for v in data.draw(st.lists(HOSTILE_IDS, max_size=2, unique=True)) if v not in events and v not in (SOURCE, SINK)]
+        order = [*pairs, *(p for p in itertools.combinations(events, 2) if p not in pairs and data.draw(st.booleans()))]
+        assume(SOURCE not in events and SINK not in events)
+        run = Run(tuple(events), tuple(dict.fromkeys(order)), dict.fromkeys(events, "a"))
+        assume(check_run_wellformed(run))
+        ln = run_to_labelled_net(run)  # PetriNet rejects any collision
+        plain = [plain_id(*slot) for slot in flow_domain(run)]
+        assert plain.count(plain_id(*pairs[0])) >= 2
         for place, p in zip(ln.net.places, plain):
             assert place == p or p in events or plain.count(p) > 1
 

@@ -13,13 +13,18 @@ round from earlier rounds' incumbents, which lets most of the chain's
 rounds end at the root (NODES). The reference loops of test_regions solve
 every round cold: over the class model (COLD_NODES), which pins the
 branching order and the propagation strength without warm starts, and over
-the raw model, one variable per place (RAW_NODES). The state graph's places
-are all classes of their own, and its model skips the raw model's rows
-without terms and repeats, so its cold counts must agree.
+the raw model, one variable per place (RAW_NODES). The places of the state
+graph and of the run are all classes of their own, and their models skip
+the raw model's rows without terms and repeats, so their cold counts must
+agree.
 
 `check` of the golden net against its input is pinned too: stdout and, for
-the trace inputs, the witness trail behind each verdict. `check` prints
-only enabled or not, so the witnesses show the trail search's tie-break.
+the trace and run inputs, the witness trail behind each verdict. `check`
+prints only enabled or not, so the witnesses show the trail search's
+tie-break. Trace nets and converted state graphs are state machines, whose
+trails come from one walk; the run's net is not, so its trails come from
+the compiled trail rows that each search re-solves with new right-hand
+sides (ilp.CompiledModel.with_rhs).
 """
 
 from pathlib import Path
@@ -31,7 +36,6 @@ from test_semantics import counting_solves
 from ttsynth import ilp
 from ttsynth import io as net_io
 from ttsynth.cli import _load_nets, _model_with_label_transitions, main
-from ttsynth.convert import trace_to_labelled_net
 from ttsynth.core import build_specification
 from ttsynth.regions import RegionProblem, parikh_classes
 from ttsynth.semantics import is_enabled
@@ -45,17 +49,22 @@ CASES = [
     ("chain_12", 2),
     # reachability graph of three independent two-state cycles
     ("statespace_3", 1),
+    # a run of two concurrent 4-event chains: not a state machine, so its
+    # trails come from the compiled trail rows (ilp.CompiledModel.with_rhs)
+    ("concurrent_2x4", 1),
 ]
-TRACE_CASES = CASES[:2]
+STATE_MACHINE_CASES = CASES[:3]
+WITNESS_CASES = [CASES[0], CASES[1], CASES[3]]
 
 INPUTS = {
     "interleave_2x2": "interleave_2x2.traces",
     "chain_12": "chain_12.traces",
     "statespace_3": "statespace_3.sg",
+    "concurrent_2x4": "concurrent_2x4.run",
 }
-NODES = {"interleave_2x2": 91, "chain_12": 64, "statespace_3": 91}
-COLD_NODES = {"interleave_2x2": 97, "chain_12": 352, "statespace_3": 91}
-RAW_NODES = {"interleave_2x2": 111, "chain_12": 352, "statespace_3": 91}
+NODES = {"interleave_2x2": 91, "chain_12": 64, "statespace_3": 91, "concurrent_2x4": 65}
+COLD_NODES = {"interleave_2x2": 97, "chain_12": 352, "statespace_3": 91, "concurrent_2x4": 485}
+RAW_NODES = {"interleave_2x2": 111, "chain_12": 352, "statespace_3": 91, "concurrent_2x4": 485}
 
 
 def count_propagate(monkeypatch) -> list:
@@ -109,13 +118,12 @@ def test_raw_search_tree_size(name, k, monkeypatch):
 
 
 def witness_report(name: str, k: int) -> str:
-    """Per trace and place of the golden net, the witness trail that
+    """Per input net and place of the golden net, the witness trail that
     is_enabled finds, in the trail's own order ("not shown" if none)."""
     model = _model_with_label_transitions(net_io.parse_pnml((GOLDEN / f"{name}.k{k}.pnml").read_bytes()))
     lines = []
-    traces = net_io.parse_traces((GOLDEN / f"{name}.traces").read_bytes())
-    for i, trace in enumerate(traces, start=1):
-        verdicts = is_enabled(model, trace_to_labelled_net(trace))
+    for i, spec_net in enumerate(_load_nets(GOLDEN / INPUTS[name]), start=1):
+        verdicts = is_enabled(model, spec_net)
         for place in model.net.places:
             trail = verdicts.witnesses.get(place)
             text = "not shown" if trail is None else " ".join(f"{p}={v}" for p, v in trail.items()) or "empty"
@@ -131,7 +139,7 @@ def test_check_stdout(name, k, capsys):
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 
-@pytest.mark.parametrize("name,k", CASES)
+@pytest.mark.parametrize("name,k", STATE_MACHINE_CASES)
 def test_check_takes_the_walk(name, k, monkeypatch, capsys):
     # Trace nets and converted state graphs are connected state machines,
     # so every trail of `check` comes from the walk, none from the solver.
@@ -141,7 +149,7 @@ def test_check_takes_the_walk(name, k, monkeypatch, capsys):
     assert solves == []
 
 
-@pytest.mark.parametrize("name,k", TRACE_CASES)
+@pytest.mark.parametrize("name,k", WITNESS_CASES)
 def test_witness_trails(name, k):
     expected = (GOLDEN / f"{name}.k{k}.witnesses.txt").read_text(encoding="utf-8")
     assert witness_report(name, k) == expected

@@ -283,7 +283,9 @@ class TestCompiledModel:
     @settings(deadline=None, max_examples=200)
     def test_sibling_searches_like_a_fresh_model(self, seed):
         # New right-hand sides and bounds on shared rows: the same search as
-        # an IlpModel built with them; the original is left as it was.
+        # an IlpModel built with them, from the root box that propagating
+        # every row reaches from the new bounds; the original is left as it
+        # was.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
         compiled = ilp.compile_model(m)
@@ -296,8 +298,88 @@ class TestCompiledModel:
             [ilp.LinearConstraint(con.terms, con.relation, b) for con, b in zip(m.constraints, rhs)],
             m.objective,
         )
+        want = interval_fixpoint(fresh, lower, upper)
+        assert (sibling.lo, sibling.hi) == want if sibling.failed is None else want is None
         assert solve_counting(sibling) == solve_counting(fresh)
         assert solve_counting(compiled) == solve_counting(m)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=300)
+    def test_carried_box_is_the_fixpoint(self, seed):
+        # Grow a compiled model by random steps of variables and rows, now
+        # and then giving it a start so that it lists its live rows: after
+        # each step its root box is the interval fixpoint of the rows
+        # declared so far (or, when that box is empty, a row fails on it),
+        # each activity is a fresh sum over the box, and every row left out
+        # of the live rows holds at every point of the box.
+        rng = random.Random(seed)
+        m = random_ilp_model(rng)
+        needs = [max((int(v[1:]) + 1 for v in con.terms), default=0) for con in m.constraints]
+        everything = (len(m.variables), len(m.constraints))
+        a = b = 0
+        compiled = ilp.compile_model(model([]))
+        while True:
+            declared = model(m.variables[:a], m.constraints[:b])
+            want = interval_fixpoint(declared, [v.lower for v in declared.variables], [v.upper for v in declared.variables])
+            lo, hi = compiled.lo, compiled.hi
+            if compiled.failed is not None:
+                assert want is None
+                assert compiled.act[compiled.failed] > compiled.rows[compiled.failed][2]
+            else:
+                assert (lo, hi) == want
+                for con, sides in zip(declared.constraints, compiled.constraints):
+                    least = sum(min(c * lo[int(v[1:])], c * hi[int(v[1:])]) for v, c in con.terms.items())
+                    most = sum(max(c * lo[int(v[1:])], c * hi[int(v[1:])]) for v, c in con.terms.items())
+                    for r, sign in sides:
+                        assert compiled.act[r] == (least if sign > 0 else -most)
+                    if compiled.live is not None and not {r for r, _ in sides} & set(compiled.live):
+                        holds = {ilp.LE: most <= con.rhs, ilp.GE: least >= con.rhs, ilp.EQ: least == most == con.rhs}
+                        assert holds[con.relation]
+                if compiled.live is None and rng.random() < 0.5 and (found := ilp.solve(compiled)) is not None:
+                    ilp.solve(compiled, list(found.assignment.values()))
+                    assert compiled.live is not None
+            if (a, b) == everything:
+                break
+            new_a, new_b = rng.randint(a, len(m.variables)), b
+            while new_b < len(m.constraints) and needs[new_b] <= new_a and rng.random() < 0.7:
+                new_b += 1
+            if (new_a, new_b) == (a, b):
+                new_a, new_b = everything
+            extra_vars, extra_rows = m.variables[a:new_a], m.constraints[b:new_b]
+            if rng.random() < 0.5:
+                compiled = compiled.extended(extra_vars, extra_rows)
+            else:
+                compiled = compiled.with_variables(extra_vars).with_constraints(extra_rows)
+            a, b = new_a, new_b
+
+    def test_root_infeasible_model_takes_one_node(self):
+        # The rows admit no point: the root visits the failing row only,
+        # and no start is accepted.
+        m = model(
+            [ilp.Variable("x", 0, 3), ilp.Variable("y", 0, 3)],
+            [ilp.LinearConstraint({"x": 1, "y": 1}, ilp.GE, 5), ilp.LinearConstraint({"x": 1}, ilp.LE, 1)],
+        )
+        compiled = ilp.compile_model(m)
+        assert compiled.failed is not None
+        assert solve_counting(compiled) == (None, 1)
+        with pytest.raises(ValueError):
+            ilp.solve(compiled, [1, 3])
+        grown = compiled.with_variables([ilp.Variable("z", 0, 1)]).with_constraints([ilp.LinearConstraint({"z": 1}, ilp.LE, 1)])
+        assert grown.failed == compiled.failed and solve_counting(grown) == (None, 1)
+
+    def test_start_outside_the_root_box_rejected(self):
+        # y is 2 at every feasible point; a start with y = 1 lies in the
+        # declared bounds but outside the root box.
+        m = model(
+            [ilp.Variable("x", 0, 2), ilp.Variable("y", 0, 2)],
+            [ilp.LinearConstraint({"y": 1}, ilp.GE, 2)],
+        )
+        compiled = ilp.compile_model(m)
+        assert (compiled.lo, compiled.hi) == ([0, 2], [2, 2])
+        with pytest.raises(ValueError, match="outside"):
+            ilp.solve(compiled, [0, 1])
+        assert ilp.solve(compiled, [1, 2]) == ilp.solve(m)
+        assert compiled.live == []  # y >= 2 holds on the whole box
 
     def test_rows_without_terms_are_judged_on_every_solve(self):
         m = model(

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
-from gens import random_labelled_net, random_specification, random_state_graph
+import oracles
+from gens import random_labelled_net, random_specification, random_state_graph, random_two_way_arcs
 from oracles import (
     brute_force_minimal_regions,
     check_assignment,
     first_region_violation,
+    induced_place,
     is_region_point,
     raw_region_model,
 )
@@ -365,6 +367,30 @@ class TestVerifyRegion:
                     assert (verdict.place is not None) == verdict.ok
 
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=300)
+    def test_support_walk_matches_dense_oracle(self, seed):
+        # Random regions on a few places of larger specifications, most of
+        # them invalid: the verdict, its witness and the induced place, in
+        # its dict order, are those of a walk over every transition.
+        rng = random.Random(seed)
+        spec = random_specification(rng, max_places=9, max_transitions=8)
+        places = spec.all_places()
+        k = rng.randint(1, 2)
+        support = {p: rng.randint(1, 3) for p in rng.sample(places, rng.randint(0, min(3, len(places))))}
+        verdict = verify_region(spec, Region(Multiset(support), k))
+        condition, witness = first_region_violation(spec, support, k)
+        assert (verdict.ok, verdict.condition, verdict.witness) == (condition is None, condition, witness)
+        if verdict.ok:
+            place = verdict.place
+            assert (list(place.consume.items()), list(place.produce.items()), place.initial) == induced_place(spec, support)
+        assert "region_index" not in repr(spec) and spec == build_specification(list(spec.nets))
+
+    def test_unknown_places_rejected(self):
+        with pytest.raises(ValueError, match="unknown places"):
+            verify_region(spec_of(make_e_seq()), Region(Multiset({"c0": 1, "zz": 1}), 1))
+
+
 class TestDiscoveryFinalPlaces:
     def test_e_seq_final(self):
         assert discovery_final_places(spec_of(make_e_seq())) == {0: "c2"}
@@ -474,6 +500,21 @@ class TestParikhClasses:
             got = enumerate_minimal_regions(problem)
             assert got == raw_enumeration(problem)
             assert all(r.marking["s0"] == r.marking["s3"] for r in got.regions)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=300)
+    def test_same_classes_as_oracle(self, seed):
+        # One or two state machines whose walks take a label backwards
+        # after forwards, next to a trace on their labels and maybe a net
+        # of another kind: the signed counts must cancel exactly there.
+        rng = random.Random(seed)
+        nets = [state_machine(*random_two_way_arcs(rng)) for _ in range(rng.randint(1, 2))]
+        nets.append(trace_to_labelled_net(rng.choice(["a", "ab", "aba", "b"])))
+        if rng.random() < 0.3:
+            nets.append(random_labelled_net(rng, "r", rng.randint(1, 3), rng.randint(0, 3), labels="ab"))
+        rng.shuffle(nets)
+        spec = build_specification(nets)
+        assert parikh_classes(spec) == oracles.parikh_classes(spec)
 
     def test_state_machines_share_classes_with_traces(self):
         # a trace "ab" and the state graph s0 -a-> s1 -b-> s2, s0 -b-> s3:
