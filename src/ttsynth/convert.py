@@ -95,15 +95,26 @@ def run_to_labelled_net(run: Run) -> LabelledNet:
 
 def trace_to_labelled_net(trace: Sequence[str]) -> LabelledNet:
     """Sequential chain c0 -> e1 -> c1 -> ... -> en -> cn with one initial
-    token on c0; cn is the unique final place."""
+    token on c0; cn is the unique final place.
+
+    The chain is valid by construction, so it is built as it is
+    (LabelledNet._of), with the walk that core.state_machine_walk would
+    find: every transition is a tree step, ci from ci-1 at label i."""
     labels = tuple(trace)
     if not labels:
         raise ValueError("trace must not be empty")
     places = tuple(f"c{i}" for i in range(len(labels) + 1))
     transitions = tuple(f"e{i}" for i in range(1, len(labels) + 1))
     arcs: dict[tuple[str, str], int] = {}
+    pre: dict[str, dict[str, int]] = {}
+    post: dict[str, dict[str, int]] = {}
     for i, e in enumerate(transitions):
         arcs[(places[i], e)] = 1
         arcs[(e, places[i + 1])] = 1
-    net = PetriNet(places, transitions, Multiset(arcs))
-    return LabelledNet(net, Multiset({places[0]: 1}), dict(zip(transitions, labels)))
+        pre[e] = {places[i]: 1}
+        post[e] = {places[i + 1]: 1}
+    steps = tuple((q, p, label, 1) for p, q, label in zip(places, places[1:], labels))
+    return LabelledNet._of(
+        places, transitions, Multiset._of(arcs), pre, post,
+        Multiset._of({places[0]: 1}), dict(zip(transitions, labels)), (places[0], steps, ()),
+    )

@@ -215,6 +215,18 @@ class LabelledNet:
         if extra:
             raise ValueError(f"labels for unknown transitions: {sorted(extra)}")
 
+    @classmethod
+    def _of(cls, places, transitions, arcs, pre, post, initial, labels, walk) -> "LabelledNet":
+        """A labelled net over these parts, taken as they are: they must
+        already pass every check of PetriNet and LabelledNet, `pre` and
+        `post` must be the arc view PetriNet builds, and `walk` what
+        state_machine_walk finds on the net."""
+        net = object.__new__(PetriNet)
+        vars(net).update(places=places, transitions=transitions, arcs=arcs, pre=pre, post=post)
+        ln = object.__new__(cls)
+        vars(ln).update(net=net, initial=initial, labels=labels, trail_walk=walk)
+        return ln
+
     def marked(self) -> MarkedPetriNet:
         return MarkedPetriNet(self.net, self.initial)
 
@@ -234,11 +246,11 @@ def state_machine_walk(ln: LabelledNet) -> Optional[tuple]:
     one output place, each by an arc of weight 1 (they may be the same
     place); the initial marking is one token on one place p0; and every
     place is linked to p0 when arc direction is ignored. The walk is (p0,
-    steps, arcs, labels): `steps` lists (place, parent, label, sign) in
+    steps, chords): `steps` lists (place, parent, label, sign) in
     breadth-first order from p0, one per tree arc, so that a trail or a
-    region has place = parent + sign * rise(label); `arcs` lists (input
-    place, output place, label) for every transition in order, and
-    `labels` the labels of the transitions, each once.
+    region has place = parent + sign * rise(label); `chords` lists (input
+    place, output place, label) for every other transition, self-loops
+    included, in order.
     """
     if hasattr(ln, "trail_walk"):
         return ln.trail_walk
@@ -248,21 +260,22 @@ def state_machine_walk(ln: LabelledNet) -> Optional[tuple]:
         list(pre[e].values()) == [1] == list(post[e].values()) for e in ln.net.transitions
     ):
         root = next(iter(ln.initial))
-        arcs = tuple((next(iter(pre[e])), next(iter(post[e])), ln.labels[e]) for e in ln.net.transitions)
+        arcs = [(next(iter(pre[e])), next(iter(post[e])), ln.labels[e]) for e in ln.net.transitions]
         neighbours: dict[str, list] = {p: [] for p in ln.net.places}
-        for p, q, label in arcs:
-            neighbours[p].append((q, label, 1))
-            neighbours[q].append((p, label, -1))
-        reached, steps = [root], []
+        for i, (p, q, label) in enumerate(arcs):
+            neighbours[p].append((q, label, 1, i))
+            neighbours[q].append((p, label, -1, i))
+        reached, steps, tree = [root], [], set()
         seen = {root}
         for place in reached:  # grows while it is walked: breadth-first
-            for nxt, label, sign in neighbours[place]:
+            for nxt, label, sign, i in neighbours[place]:
                 if nxt not in seen:
                     seen.add(nxt)
                     reached.append(nxt)
                     steps.append((nxt, place, label, sign))
+                    tree.add(i)
         if len(seen) == len(ln.net.places):
-            walk = (root, tuple(steps), arcs, tuple(dict.fromkeys(label for _, _, label in arcs)))
+            walk = (root, tuple(steps), tuple(arc for i, arc in enumerate(arcs) if i not in tree))
     object.__setattr__(ln, "trail_walk", walk)
     return walk
 
@@ -302,16 +315,38 @@ class Specification:
         return tuple(seen)
 
 
-def _rename_net(ln: LabelledNet, mapping: Mapping[str, str]) -> LabelledNet:
-    ren = lambda x: mapping.get(x, x)
-    net = PetriNet(
-        places=tuple(ren(p) for p in ln.net.places),
-        transitions=tuple(ren(t) for t in ln.net.transitions),
-        arcs=Multiset({(ren(s), ren(t)): w for (s, t), w in ln.net.arcs.items()}),
+def _rename_net(ln: LabelledNet, mapping: Mapping[str, str], fresh: bool = False) -> LabelledNet:
+    """`ln` with every identifier in `mapping` renamed.
+
+    With `fresh`, the caller vouches that the renamed identifiers are
+    distinct and equal no identifier that is kept, so the renamed net is
+    valid as well: its arc view (`pre`, `post`) and its walk
+    (state_machine_walk) are renamed as they are, and nothing is checked.
+    Otherwise the renamed net is built again through every check.
+    """
+    ren = {x: mapping.get(x, x) for x in ln.net.places + ln.net.transitions}
+    walk = state_machine_walk(ln) if fresh else None
+    if walk is not None:
+        root, steps, chords = walk
+        walk = (
+            ren[root],
+            tuple([(ren[p], ren[q], label, sign) for p, q, label, sign in steps]),
+            tuple([(ren[p], ren[q], label) for p, q, label in chords]),
+        )
+    renamed = LabelledNet._of(
+        tuple([ren[p] for p in ln.net.places]),
+        tuple([ren[t] for t in ln.net.transitions]),
+        Multiset._of({(ren[s], ren[t]): w for (s, t), w in ln.net.arcs.items()}),
+        {ren[t]: {ren[p]: w for p, w in ws.items()} for t, ws in ln.net.pre.items()},
+        {ren[t]: {ren[p]: w for p, w in ws.items()} for t, ws in ln.net.post.items()},
+        Multiset._of({ren[p]: n for p, n in ln.initial.items()}),
+        {ren[t]: label for t, label in ln.labels.items()},
+        walk,
     )
-    initial = Multiset({ren(p): n for p, n in ln.initial.items()})
-    labels = {ren(t): lab for t, lab in ln.labels.items()}
-    return LabelledNet(net, initial, labels)
+    if fresh:
+        return renamed
+    net = renamed.net
+    return LabelledNet(PetriNet(net.places, net.transitions, net.arcs), renamed.initial, renamed.labels)
 
 
 def build_specification(nets: Sequence[LabelledNet]) -> Specification:
@@ -340,7 +375,7 @@ def build_specification(nets: Sequence[LabelledNet]) -> Specification:
         if not any(y in counts for mapping in mappings for y in mapping.values()):
             break
         stem = "_" + stem
-    return Specification(tuple(_rename_net(ln, m) if m else ln for ln, m in zip(nets, mappings)))
+    return Specification(tuple(_rename_net(ln, m, fresh=True) if m else ln for ln, m in zip(nets, mappings)))
 
 
 @dataclass(frozen=True)

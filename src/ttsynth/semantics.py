@@ -65,7 +65,10 @@ CompactTokenFlow = Mapping[Tuple[str, str], int]
 @dataclass(frozen=True)
 class PlaceBehavior:
     """How one place interacts with each label: consumed and produced arc
-    weights per label plus its initial token count. Absent labels mean 0."""
+    weights per label plus its initial token count. Absent labels mean 0.
+
+    find_token_trail keeps each label's rise and consume on it
+    (`trail_parts`, see _trail_parts), outside equality and repr."""
 
     consume: Mapping[str, int]
     produce: Mapping[str, int]
@@ -175,12 +178,26 @@ def is_valid_token_trail(net: LabelledNet, x: TokenTrail, pb: PlaceBehavior) -> 
     return ConditionCheck(True)
 
 
+def _trail_parts(pb: PlaceBehavior) -> tuple:
+    """(moves, produced, most consumed) of `pb`: `moves` maps each label it
+    touches to (rise, consume), so a label absent has rise 0 and needs no
+    inflow; then the sum of its produce weights and its greatest consume
+    weight. Worked out on first use and kept on the behaviour as
+    `trail_parts`; like LabelledNet.trail_walk it is derived from the
+    fields, and equality and repr ignore it."""
+    parts = getattr(pb, "trail_parts", None)
+    if parts is None:
+        moves = {label: (pb.rise(label), pb.consume.get(label, 0)) for label in pb.labels()}
+        parts = (moves, sum(pb.produce.values()), max(pb.consume.values(), default=0))
+        object.__setattr__(pb, "trail_parts", parts)
+    return parts
+
+
 def default_trail_bound(net: LabelledNet, pb: PlaceBehavior) -> int:
     """Bound covering every trail whose tokens originate from the initial sum
     or from transition productions without recirculation."""
-    produced = sum(pb.produce.values())
-    max_consume = max(pb.consume.values(), default=0)
-    return pb.initial + produced * len(net.net.transitions) + max_consume
+    _, produced, most_consumed = _trail_parts(pb)
+    return pb.initial + produced * len(net.net.transitions) + most_consumed
 
 
 def _trail_model(net: LabelledNet) -> ilp.CompiledModel:
@@ -210,21 +227,29 @@ def _trail_by_walk(net: LabelledNet, walk, pb: PlaceBehavior, bound: int) -> Opt
     """The one point that the initial-sum row and the balance rows leave on
     a connected state machine, if it lies in [0, bound] and meets every
     inflow and balance row; else None (what ilp.solve returns on the rows).
-    Each label's rise is worked out once, and every value is bounded as it
-    is walked, so the trail needs no further check."""
-    root, steps, arcs, labels = walk
+
+    Every value is bounded, and the inflow row of its tree arc tested, as
+    it is walked; a label that pb does not touch copies the value. A tree
+    arc balances by construction, so balance is tested on the chords only,
+    which also get their inflow test. Keys are in place order."""
+    root, steps, chords = walk
     if pb.initial > bound:
         return None
-    consume = pb.consume
-    rise = {label: pb.rise(label) for label in labels}
+    move = _trail_parts(pb)[0].get
     x = {root: pb.initial}
     for place, parent, label, sign in steps:
-        value = x[parent] + sign * rise[label]
-        if not 0 <= value <= bound:
+        step = move(label)
+        if step is None:
+            x[place] = x[parent]
+            continue
+        before = x[parent]
+        value = before + sign * step[0]
+        if not 0 <= value <= bound or (before if sign > 0 else value) < step[1]:
             return None
         x[place] = value
-    for p, q, label in arcs:
-        if x[p] < consume.get(label, 0) or x[q] - x[p] != rise[label]:
+    for p, q, label in chords:
+        rise, consume = move(label, (0, 0))
+        if x[p] < consume or x[q] - x[p] != rise:
             return None
     return Multiset._of({p: x[p] for p in net.net.places if x[p]})
 

@@ -301,6 +301,25 @@ class TestCheck:
         assert main(["check", "--model", model, traces]) == 2
         assert "duplicate transition label" in capsys.readouterr().err
 
+    def test_label_equal_to_a_model_place_rejected(self, tmp_path, capsys):
+        # Renaming the model's transitions to their labels is not fresh:
+        # the label "a" is also a place id, so the renamed net is invalid.
+        doc = b"""<?xml version="1.0"?>
+<pnml xmlns="http://www.pnml.org/version-2009/grammar/pnml">
+  <net id="n" type="http://www.pnml.org/version-2009/grammar/ptnet">
+    <place id="a"><initialMarking><text>1</text></initialMarking></place>
+    <transition id="t1"><name><text>a</text></name></transition>
+    <arc id="a1" source="a" target="t1"/>
+  </net>
+</pnml>
+"""
+        model = write(tmp_path, "model.pnml", doc)
+        traces = write(tmp_path, "spec.traces", "a\n")
+        assert main(["check", "--model", model, traces]) == 2
+        captured = capsys.readouterr()
+        assert "error: places and transitions overlap: ['a']" in captured.err
+        assert captured.out == ""
+
 
 class TestConvert:
     def test_state_graph(self, tmp_path):

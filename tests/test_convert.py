@@ -15,7 +15,7 @@ from ttsynth.convert import (
     state_graph_to_labelled_net,
     trace_to_labelled_net,
 )
-from ttsynth.core import LabelledNet, Multiset, StateGraph, reachability_graph
+from ttsynth.core import LabelledNet, Multiset, PetriNet, StateGraph, reachability_graph, state_machine_walk
 from ttsynth.regions import Region, verify_region
 from ttsynth.semantics import SINK, SOURCE, Run, flow_domain
 
@@ -262,6 +262,29 @@ class TestTraceConversion:
         sinks = [p for p in ln.net.places if not any(s == p for s, _ in ln.net.arcs)]
         assert sinks == [f"c{len(labels)}"]
         assert [ln.labels[t] for t in ln.net.transitions] == labels
+
+    @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=12))
+    @settings(deadline=None)
+    def test_built_as_the_checked_chain(self, labels):
+        # The chain is built without the constructors' checks and carries
+        # its walk; both must be what the checked constructors and
+        # state_machine_walk give on the same chain, built here afresh.
+        ln = trace_to_labelled_net(tuple(labels))
+        n = len(labels)
+        arcs = {}
+        for i in range(1, n + 1):
+            arcs[(f"c{i - 1}", f"e{i}")] = 1
+            arcs[(f"e{i}", f"c{i}")] = 1
+        checked = LabelledNet(
+            PetriNet(tuple(f"c{i}" for i in range(n + 1)), tuple(f"e{i}" for i in range(1, n + 1)), Multiset(arcs)),
+            Multiset({"c0": 1}),
+            {f"e{i}": label for i, label in enumerate(labels, start=1)},
+        )
+        assert ln == checked and repr(ln) == repr(checked)
+        assert list(ln.net.pre.items()) == list(checked.net.pre.items())
+        assert list(ln.net.post.items()) == list(checked.net.post.items())
+        assert ln.trail_walk == state_machine_walk(checked)
+        assert ln.trail_walk[2] == ()  # every transition is a tree step
 
 
 class TestRunWellformed:

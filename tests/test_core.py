@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a
-from gens import random_labelled_net
+from gens import random_labelled_net, random_state_graph, random_trace
 from oracles import net_inflow, net_rise
 from ttsynth.core import (
     LabelledNet,
@@ -20,8 +20,9 @@ from ttsynth.core import (
     preset,
     postset,
     reachability_graph,
+    state_machine_walk,
 )
-from ttsynth.convert import trace_to_labelled_net
+from ttsynth.convert import state_graph_to_labelled_net, trace_to_labelled_net
 from ttsynth.regions import discovery_final_places
 from ttsynth.semantics import inflow, outflow, rise
 
@@ -212,7 +213,7 @@ class TestFiring:
     def test_firing_conserves_shifted_token_count(self, seed):
         import random
 
-        from gens import random_labelled_net
+        from gens import random_labelled_net, random_state_graph, random_trace
 
         rng = random.Random(seed)
         ln = random_labelled_net(rng, "x", rng.randint(1, 4), rng.randint(1, 3))
@@ -229,7 +230,7 @@ class TestFiring:
     def test_enabled_iff_fire_succeeds(self, seed):
         import random
 
-        from gens import random_labelled_net
+        from gens import random_labelled_net, random_state_graph, random_trace
 
         rng = random.Random(seed)
         ln = random_labelled_net(rng, "x", rng.randint(1, 4), rng.randint(1, 3))
@@ -302,6 +303,39 @@ class TestSpecification:
     def test_constructor_rejects_duplicates(self):
         with pytest.raises(ValueError, match="clash"):
             Specification((make_e_seq(), make_e_seq()))
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=150)
+    def test_renamed_nets_are_the_checked_nets(self, seed):
+        # build_specification renames the arc view and a walk already
+        # worked out as they are; every renamed net must equal the net
+        # built afresh, through the checks, from its fields. Traces,
+        # converted state graphs (some walked before the rename, some
+        # not) and random nets, with clashing ids.
+        rng = random.Random(seed)
+        nets = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if kind < 0.4:
+                nets.append(trace_to_labelled_net(random_trace(rng, max_len=5)))
+            elif kind < 0.8:
+                ln = state_graph_to_labelled_net(random_state_graph(rng, max_states=4))
+                if rng.random() < 0.5:
+                    state_machine_walk(ln)
+                nets.append(ln)
+            else:
+                nets.append(random_labelled_net(rng, "", rng.randint(1, 3), rng.randint(0, 3)))
+        for ln, renamed in zip(nets, build_specification(nets).nets):
+            checked = LabelledNet(
+                PetriNet(renamed.net.places, renamed.net.transitions, renamed.net.arcs),
+                renamed.initial,
+                renamed.labels,
+            )
+            assert renamed == checked and repr(renamed) == repr(checked)
+            assert list(renamed.net.pre.items()) == list(checked.net.pre.items())
+            assert list(renamed.net.post.items()) == list(checked.net.post.items())
+            assert state_machine_walk(renamed) == state_machine_walk(checked)
+            assert len(renamed.net.places) == len(ln.net.places)
 
     def test_alphabet_in_document_order(self):
         spec = build_specification([make_e_dup(), make_e_seq()])

@@ -52,19 +52,23 @@ CASES = [
     # a run of two concurrent 4-event chains: not a state machine, so its
     # trails come from the compiled trail rows (ilp.CompiledModel.with_rhs)
     ("concurrent_2x4", 1),
+    # three traces that repeat labels and loop back to them (a b a c, a c,
+    # a b a b a c): equally labelled steps share classes and rise rows
+    ("loops", 2),
 ]
-STATE_MACHINE_CASES = CASES[:3]
-WITNESS_CASES = [CASES[0], CASES[1], CASES[3]]
+STATE_MACHINE_CASES = CASES[:3] + CASES[4:]
+WITNESS_CASES = [CASES[0], CASES[1], CASES[3], CASES[4]]
 
 INPUTS = {
     "interleave_2x2": "interleave_2x2.traces",
     "chain_12": "chain_12.traces",
     "statespace_3": "statespace_3.sg",
     "concurrent_2x4": "concurrent_2x4.run",
+    "loops": "loops.traces",
 }
-NODES = {"interleave_2x2": 91, "chain_12": 64, "statespace_3": 91, "concurrent_2x4": 65}
-COLD_NODES = {"interleave_2x2": 97, "chain_12": 352, "statespace_3": 91, "concurrent_2x4": 485}
-RAW_NODES = {"interleave_2x2": 111, "chain_12": 352, "statespace_3": 91, "concurrent_2x4": 485}
+NODES = {"interleave_2x2": 91, "chain_12": 64, "statespace_3": 91, "concurrent_2x4": 65, "loops": 224}
+COLD_NODES = {"interleave_2x2": 97, "chain_12": 352, "statespace_3": 91, "concurrent_2x4": 485, "loops": 224}
+RAW_NODES = {"interleave_2x2": 111, "chain_12": 352, "statespace_3": 91, "concurrent_2x4": 485, "loops": 156}
 
 
 def count_propagate(monkeypatch) -> list:

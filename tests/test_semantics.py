@@ -6,15 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq
-from gens import random_labelled_net, random_place_behavior, random_run, random_state_graph, random_trace
+from gens import (
+    random_labelled_net,
+    random_place_behavior,
+    random_run,
+    random_state_graph,
+    random_trace,
+    random_two_way_arcs,
+)
 from oracles import initial_sum, net_inflow, net_rise, trail_model
+from test_regions import state_machine
 from ttsynth import ilp
 from ttsynth.convert import run_to_labelled_net, slot_place_ids, state_graph_to_labelled_net, trace_to_labelled_net
-from ttsynth.core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, StateGraph
+from ttsynth.core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, StateGraph, state_machine_walk
 from ttsynth.semantics import (
     SINK,
     SOURCE,
     PlaceBehavior,
+    _trail_by_walk,
     Run,
     check_state_graph_enabled,
     default_trail_bound,
@@ -331,6 +340,43 @@ class TestTrailWalk:
         pb = behavior({"d": 1}, {"a": 1})
         assert find_token_trail(net, pb, 1) == Multiset({"s1": 1, "s2": 1, "s3": 1}) == reference_trail(net, pb, 1)
         assert ("s3", "s0", "d", -1) in net.trail_walk[1]
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=300)
+    def test_walk_with_chords_equals_solver(self, seed):
+        # A state machine whose tree arcs point either way, plus a
+        # self-loop and a transition parallel to the first arc under
+        # another label: chords that the walk must test for balance and
+        # inflow. The trail must equal the solver's, keys in place order.
+        rng = random.Random(seed)
+        first, *rest = random_two_way_arcs(rng)
+        src, _, tgt = first
+        loop = rng.choice([src, tgt])
+        rest += [(loop, rng.choice("ab"), loop), (src, "c", tgt)]
+        rng.shuffle(rest)
+        net = state_machine(first, *rest)
+        walk = state_machine_walk(net)
+        assert walk is not None and len(walk[2]) >= 2
+        for _ in range(8):
+            pb = random_place_behavior(rng, "abc")
+            rises = {"a": rng.choice((0, 0, 1, -1)), "b": rng.choice((0, 0, 1, -1))}
+            rises["c"] = rises[first[1]]  # c runs parallel to the first arc
+            loose = behavior({l: -r for l, r in rises.items() if r < 0}, {l: r for l, r in rises.items() if r > 0})
+            point = reference_trail(net, PlaceBehavior(loose.consume, loose.produce, rng.randint(0, 2)), 4)
+            if point is not None and rng.random() < 0.7:  # a trail read off as a behaviour
+                point = {p: point[p] for p in net.net.places}
+                pb = behavior_at(net, point, rng)
+                if rng.random() < 0.5:  # one token more than a label's least inflow: only inflow rows break
+                    label = rng.choice([step[2] for step in walk[1] if step[3] < 0] or list(net.labels.values()))
+                    least = min(net_inflow(net, point, e) for e in net.net.transitions if net.labels[e] == label)
+                    pb = PlaceBehavior(
+                        {**pb.consume, label: least + 1}, {**pb.produce, label: least + 1 + pb.rise(label)}, pb.initial
+                    )
+            bound = rng.randint(0, 3)
+            got = _trail_by_walk(net, walk, pb, bound)
+            want = reference_trail(net, pb, bound)
+            assert got == want
+            assert got is None or list(got) == list(want)
 
     @pytest.mark.parametrize("name", NOT_STATE_MACHINES)
     def test_other_nets_take_the_solver(self, name, monkeypatch):
