@@ -3,11 +3,12 @@
 
     git worktree add --detach ../parent HEAD~1
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload interleave --pairs 10 --seconds 40 --out BENCH_16.json
+        --workload interleave --pairs 10 --out BENCH_16.json
 
 Each checkout must hold `benchmark/run.py` and the sources it benchmarks.
 Pair i runs `benchmark/run.py --workload W --seed SEED+i --seconds S
---trace 0` once in each checkout, the parent first in even pairs and the
+--trace 0` once in each checkout, S being the change's `run_seconds` in
+`BENCHMARK.json` unless given, the parent first in even pairs and the
 change first in odd ones, so the pair count must be even. Per workload and
 end-to-end metric the file holds both medians and quartiles, the change's
 relative difference, the pairs the change won (strictly better), and
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=None, help="run length (default: run_seconds)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
@@ -100,9 +101,11 @@ def main(argv=None) -> int:
             return 2
     try:
         spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    except (OSError, ValueError, KeyError):
-        better = {}
+    except (OSError, ValueError):
+        spec = {}
+    better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+    if args.seconds is None:
+        args.seconds = float(spec.get("run_seconds", 40))
 
     report: dict = {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}, "environment": {}}
     try:

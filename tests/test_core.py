@@ -213,7 +213,7 @@ class TestFiring:
     def test_firing_conserves_shifted_token_count(self, seed):
         import random
 
-        from gens import random_labelled_net, random_state_graph, random_trace
+        from gens import random_labelled_net
 
         rng = random.Random(seed)
         ln = random_labelled_net(rng, "x", rng.randint(1, 4), rng.randint(1, 3))
@@ -230,7 +230,7 @@ class TestFiring:
     def test_enabled_iff_fire_succeeds(self, seed):
         import random
 
-        from gens import random_labelled_net, random_state_graph, random_trace
+        from gens import random_labelled_net
 
         rng = random.Random(seed)
         ln = random_labelled_net(rng, "x", rng.randint(1, 4), rng.randint(1, 3))

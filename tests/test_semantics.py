@@ -361,8 +361,8 @@ class TestTrailWalk:
             pb = random_place_behavior(rng, "abc")
             rises = {"a": rng.choice((0, 0, 1, -1)), "b": rng.choice((0, 0, 1, -1))}
             rises["c"] = rises[first[1]]  # c runs parallel to the first arc
-            loose = behavior({l: -r for l, r in rises.items() if r < 0}, {l: r for l, r in rises.items() if r > 0})
-            point = reference_trail(net, PlaceBehavior(loose.consume, loose.produce, rng.randint(0, 2)), 4)
+            consume, produce = {l: -r for l, r in rises.items() if r < 0}, {l: r for l, r in rises.items() if r > 0}
+            point = reference_trail(net, behavior(consume, produce, rng.randint(0, 2)), 4)
             if point is not None and rng.random() < 0.7:  # a trail read off as a behaviour
                 point = {p: point[p] for p in net.net.places}
                 pb = behavior_at(net, point, rng)
