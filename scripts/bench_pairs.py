@@ -8,8 +8,9 @@
 Each checkout must hold `benchmark/run.py` and the sources it benchmarks.
 Pair i runs `benchmark/run.py --workload W --seed SEED+i --seconds S
 --trace 0` once in each checkout, S being the change's `run_seconds` in
-`BENCHMARK.json` unless given, the parent first in even pairs and the
-change first in odd ones, so the pair count must be even. Per workload and
+`BENCHMARK.json`, the parent first in even pairs and the change first in
+odd ones, so the pair count must be even. Whether a metric is better lower
+or higher is read from the same file's `end_to_end` list. Per workload and
 end-to-end metric the file holds both medians and quartiles, the change's
 relative difference, the pairs the change won (strictly better), and
 whether a gain holds: better in at least 9 of 10 pairs and, in the median,
@@ -17,7 +18,8 @@ by more than the parent's interquartile range. It also holds every run's
 values, the environment that run.py reports, and both commits.
 
 Exit codes: 0 written, 1 a run failed (nothing is written), 2 usage error,
-such as a missing checkout or an odd pair count.
+such as a missing checkout, an odd pair count or a change without a
+readable `BENCHMARK.json` holding `run_seconds` and `end_to_end`.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ class RunFailed(Exception):
     pass
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One benchmark run in `checkout`: its end-to-end metrics and environment."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, names) -> tuple[dict, dict]:
+    """One benchmark run in `checkout`: the metrics `names` and its environment."""
     argv = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -46,7 +48,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     try:
         result = json.loads(lines[-1])
         env = json.loads(next(line for line in lines if line.startswith("environment "))[len("environment "):])
-        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        metrics = {name: result["metrics"][name]["value"] for name in names}
     except (IndexError, StopIteration, ValueError, KeyError, TypeError):
         result = None
     if proc.returncode != 0 or result is None:
@@ -63,8 +65,8 @@ def summary(values: list) -> dict:
 def compare(runs: list, better: dict) -> dict:
     """Per metric: both sides' medians and quartiles, and how the change fared."""
     out = {}
-    for name in runs[0]["parent"]:
-        sign = 1 if better.get(name, "lower") == "lower" else -1
+    for name in better:
+        sign = 1 if better[name] == "lower" else -1
         parent = [r["parent"][name] for r in runs]
         change = [r["change"][name] for r in runs]
         p, c = summary(parent), summary(change)
@@ -87,7 +89,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None, help="run length (default: run_seconds)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
@@ -101,13 +102,13 @@ def main(argv=None) -> int:
             return 2
     try:
         spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        spec = {}
-    better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
-    if args.seconds is None:
-        args.seconds = float(spec.get("run_seconds", 40))
+        seconds = float(spec["run_seconds"])
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: change checkout has no usable BENCHMARK.json: {exc!r}", file=sys.stderr)
+        return 2
 
-    report: dict = {"pairs": args.pairs, "seconds": args.seconds, "workloads": {}, "environment": {}}
+    report: dict = {"pairs": args.pairs, "seconds": seconds, "workloads": {}, "environment": {}}
     try:
         for workload in args.workload:
             runs = []
@@ -116,7 +117,7 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run[side], env = run_once(checkouts[side], workload, seed, args.seconds)
+                    run[side], env = run_once(checkouts[side], workload, seed, seconds, better)
                     report["environment"].setdefault(side, env)
                 print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: "
                       + ", ".join(f"{s} check_s {run[s].get('check_s', float('nan')):.4f}" for s in SIDES), file=sys.stderr)

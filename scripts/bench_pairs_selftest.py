@@ -4,9 +4,11 @@
     python3 scripts/bench_pairs_selftest.py
 
 Each fake checkout's `benchmark/run.py` prints a fixed result and logs its
-call. Checks that two pairs alternate the order and sum up medians and
-pairs won, and that an odd pair count, a missing checkout and a failed run
-each write nothing. Exits 0 when all hold.
+call, and its `BENCHMARK.json` sets a run length of 2 s. Checks that two
+pairs alternate the order, run for that length and sum up medians and
+pairs won, each metric counted in its own direction, and that an odd pair
+count, a missing checkout, a change without `BENCHMARK.json` and a failed
+run each write nothing. Exits 0 when all hold.
 """
 
 from __future__ import annotations
@@ -23,18 +25,24 @@ import json, sys
 from pathlib import Path
 here = Path(__file__).resolve().parent.parent
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
+seconds = sys.argv[sys.argv.index("--seconds") + 1]
 value = float((here / "VALUE").read_text())
 with open(here.parent / "calls.log", "a") as log:
-    log.write(here.name + "\\n")
+    log.write(here.name + " " + seconds + "\\n")
 if value < 0:
     print("run crashed", file=sys.stderr)
     sys.exit(1)
 print("environment " + json.dumps({"git_commit": here.name + "-commit"}))
 print(json.dumps({"failed": 0, "metrics": {
     "check_s": {"value": value + seed / 1000, "unit": "s"},
-    "success_rate": {"value": 1.0, "unit": "ratio"},
+    "success_rate": {"value": min(1.0, value), "unit": "ratio"},
 }}))
 """
+
+SPEC = {
+    "run_seconds": 2,
+    "end_to_end": [{"name": "check_s", "better": "lower"}, {"name": "success_rate", "better": "higher"}],
+}
 
 failures: list = []
 
@@ -50,6 +58,7 @@ def checkout(root: Path, name: str, value: float) -> Path:
     (path / "benchmark").mkdir(parents=True)
     (path / "benchmark" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
     (path / "VALUE").write_text(str(value), encoding="utf-8")
+    (path / "BENCHMARK.json").write_text(json.dumps(SPEC), encoding="utf-8")
     return path
 
 
@@ -59,9 +68,9 @@ def run(root: Path, parent: Path, change: Path, pairs: int) -> tuple[int, Path, 
     log = root / "calls.log"
     log.unlink(missing_ok=True)
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--pairs", str(pairs),
-            "--seconds", "1", "--out", str(out)]
+            "--out", str(out)]
     code = bench_pairs.main(argv)
-    calls = log.read_text().split() if log.exists() else []
+    calls = log.read_text().splitlines() if log.exists() else []
     return code, out, calls
 
 
@@ -72,14 +81,17 @@ def main() -> int:
 
         code, out, calls = run(root, parent, change, 2)
         expect(code == 0 and out.exists(), "two pairs write the file")
-        expect(calls == ["parent", "change", "change", "parent"], "pairs alternate which side runs first")
+        expect(
+            calls == ["parent 2.0", "change 2.0", "change 2.0", "parent 2.0"],
+            "pairs alternate which side runs first, for the run_seconds of BENCHMARK.json",
+        )
         report = json.loads(out.read_text()) if out.exists() else {}
         check = report.get("workloads", {}).get("w", {}).get("metrics", {}).get("check_s", {})
         medians = [check.get(side, {}).get("median", 0) for side in ("parent", "change")]
         expect(abs(medians[0] - 1.0015) < 1e-9 and abs(medians[1] - 0.5015) < 1e-9, "medians of both sides")
         expect(check.get("pairs_won") == 2 and check.get("gain_holds") is True, "a change better in every pair wins them")
         rate = report.get("workloads", {}).get("w", {}).get("metrics", {}).get("success_rate", {})
-        expect(rate.get("pairs_won") == 0 and rate.get("gain_holds") is False, "a tie wins no pair")
+        expect(rate.get("better") == "higher" and rate.get("pairs_won") == 0, "a higher-is-better metric, lower in every pair, wins no pair")
         expect(report.get("commits") == {"parent": "parent-commit", "change": "change-commit"}, "both commits recorded")
 
         code, out, calls = run(root, parent, change, 3)
@@ -88,9 +100,20 @@ def main() -> int:
         code, out, calls = run(root, root / "missing", change, 2)
         expect(code == 2 and not out.exists() and calls == [], "a missing checkout is refused before any run")
 
+        (change / "BENCHMARK.json").unlink()
+        code, out, calls = run(root, parent, change, 2)
+        expect(code == 2 and not out.exists() and calls == [], "a change without BENCHMARK.json is refused before any run")
+        (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC["end_to_end"]}), encoding="utf-8")
+        code, out, calls = run(root, parent, change, 2)
+        expect(code == 2 and not out.exists() and calls == [], "a BENCHMARK.json without run_seconds is refused")
+        (change / "BENCHMARK.json").write_text(json.dumps(SPEC), encoding="utf-8")
+
         (change / "VALUE").write_text("-1", encoding="utf-8")
         code, out, calls = run(root, parent, change, 2)
-        expect(code == 1 and not out.exists() and calls == ["parent", "change"], "a failed run stops and writes nothing")
+        expect(
+            code == 1 and not out.exists() and calls == ["parent 2.0", "change 2.0"],
+            "a failed run stops and writes nothing",
+        )
     print(f"{len(failures)} failed")
     return 1 if failures else 0
 

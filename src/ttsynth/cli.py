@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import io as net_io
 from .convert import run_to_labelled_net, state_graph_to_labelled_net, trace_to_labelled_net
-from .core import LabelledNet, MarkedPetriNet, _rename_net, build_specification
+from .core import LabelledNet, MarkedPetriNet, PetriNet, _rename_net, build_specification
 from .regions import RegionProblem, enumerate_minimal_regions
 from .semantics import is_enabled
 from .synthesis import synthesize
@@ -60,7 +60,10 @@ def _model_with_label_transitions(ln: LabelledNet) -> MarkedPetriNet:
         if label in mapping.values():
             raise ValueError(f"duplicate transition label in model: {label!r}")
         mapping[t] = label
-    return _rename_net(ln, mapping).marked()
+    # A label may equal a place id, so the renamed net goes through the checks.
+    renamed = _rename_net(ln, mapping)
+    net = renamed.net
+    return MarkedPetriNet(PetriNet(net.places, net.transitions, net.arcs), renamed.initial)
 
 
 def _write_all(documents: Sequence[tuple[Path, bytes]]) -> None:

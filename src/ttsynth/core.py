@@ -315,17 +315,17 @@ class Specification:
         return tuple(seen)
 
 
-def _rename_net(ln: LabelledNet, mapping: Mapping[str, str], fresh: bool = False) -> LabelledNet:
-    """`ln` with every identifier in `mapping` renamed.
+def _rename_net(ln: LabelledNet, mapping: Mapping[str, str]) -> LabelledNet:
+    """`ln` with every identifier in `mapping` renamed, taken as valid.
 
-    With `fresh`, the caller vouches that the renamed identifiers are
-    distinct and equal no identifier that is kept, so the renamed net is
-    valid as well: its arc view (`pre`, `post`) and its walk
-    (state_machine_walk) are renamed as they are, and nothing is checked.
-    Otherwise the renamed net is built again through every check.
+    The caller vouches that the renamed identifiers are distinct and equal
+    no identifier that is kept, so the renamed net is valid as well: its
+    arc view (`pre`, `post`) and its walk (state_machine_walk) are renamed
+    as they are, and nothing is checked. A caller that cannot vouch builds
+    the net again from the renamed fields.
     """
     ren = {x: mapping.get(x, x) for x in ln.net.places + ln.net.transitions}
-    walk = state_machine_walk(ln) if fresh else None
+    walk = state_machine_walk(ln)
     if walk is not None:
         root, steps, chords = walk
         walk = (
@@ -333,7 +333,7 @@ def _rename_net(ln: LabelledNet, mapping: Mapping[str, str], fresh: bool = False
             tuple([(ren[p], ren[q], label, sign) for p, q, label, sign in steps]),
             tuple([(ren[p], ren[q], label) for p, q, label in chords]),
         )
-    renamed = LabelledNet._of(
+    return LabelledNet._of(
         tuple([ren[p] for p in ln.net.places]),
         tuple([ren[t] for t in ln.net.transitions]),
         Multiset._of({(ren[s], ren[t]): w for (s, t), w in ln.net.arcs.items()}),
@@ -343,10 +343,6 @@ def _rename_net(ln: LabelledNet, mapping: Mapping[str, str], fresh: bool = False
         {ren[t]: label for t, label in ln.labels.items()},
         walk,
     )
-    if fresh:
-        return renamed
-    net = renamed.net
-    return LabelledNet(PetriNet(net.places, net.transitions, net.arcs), renamed.initial, renamed.labels)
 
 
 def build_specification(nets: Sequence[LabelledNet]) -> Specification:
@@ -375,7 +371,7 @@ def build_specification(nets: Sequence[LabelledNet]) -> Specification:
         if not any(y in counts for mapping in mappings for y in mapping.values()):
             break
         stem = "_" + stem
-    return Specification(tuple(_rename_net(ln, m, fresh=True) if m else ln for ln, m in zip(nets, mappings)))
+    return Specification(tuple(_rename_net(ln, m) if m else ln for ln, m in zip(nets, mappings)))
 
 
 @dataclass(frozen=True)

@@ -105,14 +105,8 @@ def parikh_classes(spec: Specification) -> dict[str, str]:
     starts at the net's initial sum, which the initial-sum equalities
     share between the nets, and each step adds its label's rise times its
     sign, and the rise equalities share the rises.
-
-    Each vector of counts is numbered once, and so is each (parent class,
-    label, sign) step; a step met again costs one lookup.
     """
     position = {label: i for i, label in enumerate(spec.alphabet())}
-    vectors = [(0,) * len(position)]
-    number = {vectors[0]: 0}
-    step_to: dict[tuple, int] = {}
     key_of: dict[str, object] = {}
     for ln in spec.nets:
         walk = state_machine_walk(ln)
@@ -120,18 +114,11 @@ def parikh_classes(spec: Specification) -> dict[str, str]:
             key_of.update((p, p) for p in ln.net.places)
             continue
         root, steps, _ = walk
-        counts = {root: 0}
+        counts = {root: (0,) * len(position)}
         for place, parent, label, sign in steps:
-            step = (counts[parent], label, sign)
-            if step not in step_to:
-                vector = list(vectors[step[0]])
-                vector[position[label]] += sign
-                vector = tuple(vector)
-                if vector not in number:
-                    number[vector] = len(vectors)
-                    vectors.append(vector)
-                step_to[step] = number[vector]
-            counts[place] = step_to[step]
+            vector = list(counts[parent])
+            vector[position[label]] += sign
+            counts[place] = tuple(vector)
         key_of.update((p, counts[p]) for p in ln.net.places)
     last = {key: p for p, key in key_of.items()}
     return {p: last[key] for p, key in key_of.items()}
@@ -146,9 +133,7 @@ def build_base_model(problem: RegionProblem, classes: Mapping[str, str]) -> ilp.
     rise equalities between the first transition of each label and every
     other one carrying it; initial-sum equalities between net 1 and every
     later net; in discovery mode a zero equality per final place. A row
-    left without terms (0 == 0) or repeating an earlier row is skipped,
-    and so is, before its row is built, a transition whose label and
-    per-class input and output arcs repeat an earlier transition's.
+    left without terms (0 == 0) or repeating an earlier row is skipped.
     Last comes the seek row sum(size * class) >= 1, whose terms are also
     the minimized objective: a nonzero region with as few tokens as
     possible. It is kept even without terms, so a specification without
@@ -181,19 +166,9 @@ def build_base_model(problem: RegionProblem, classes: Mapping[str, str]) -> ilp.
             constraints.append(row)
 
     first_of_label: dict[str, dict[str, int]] = {}
-    arcs_seen: set[tuple] = set()
     for ln in spec.nets:
-        pre, post = ln.net.pre, ln.net.post
         for e in ln.net.transitions:
             label = ln.labels[e]
-            arcs = (
-                label,
-                tuple((classes[p], w) for p, w in pre[e].items()),
-                tuple((classes[p], w) for p, w in post[e].items()),
-            )
-            if arcs in arcs_seen:  # its row, if any, is already there
-                continue
-            arcs_seen.add(arcs)
             rise = effect(ln.net, e)
             if label not in first_of_label:
                 first_of_label[label] = rise
