@@ -9,6 +9,7 @@ error, 3 the region cap truncated the result (which is still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import stat
 import sys
@@ -17,8 +18,8 @@ from typing import Optional, Sequence
 
 from . import io as net_io
 from .convert import run_to_labelled_net, state_graph_to_labelled_net, trace_to_labelled_net
-from .core import LabelledNet, MarkedPetriNet, PetriNet, _rename_net, build_specification
-from .regions import RegionProblem, enumerate_minimal_regions
+from .core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, build_specification
+from .regions import MODES, RegionProblem, enumerate_minimal_regions
 from .semantics import is_enabled
 from .synthesis import synthesize
 
@@ -54,16 +55,16 @@ def _build_problem(args) -> RegionProblem:
 
 def _model_with_label_transitions(ln: LabelledNet) -> MarkedPetriNet:
     """Reads a PNML model so its transitions are identified by their label."""
-    mapping = {}
+    labels = ln.labels
+    seen = set()
     for t in ln.net.transitions:
-        label = ln.labels[t]
-        if label in mapping.values():
-            raise ValueError(f"duplicate transition label in model: {label!r}")
-        mapping[t] = label
-    # A label may equal a place id, so the renamed net goes through the checks.
-    renamed = _rename_net(ln, mapping)
-    net = renamed.net
-    return MarkedPetriNet(PetriNet(net.places, net.transitions, net.arcs), renamed.initial)
+        if labels[t] in seen:
+            raise ValueError(f"duplicate transition label in model: {labels[t]!r}")
+        seen.add(labels[t])
+    # One rename of every transition; a label may equal a place id, so the
+    # renamed net goes through PetriNet's checks.
+    arcs = Multiset({(labels.get(s, s), labels.get(t, t)): w for (s, t), w in ln.net.arcs.items()})
+    return MarkedPetriNet(PetriNet(ln.net.places, tuple(labels[t] for t in ln.net.transitions), arcs), ln.initial)
 
 
 def _write_all(documents: Sequence[tuple[Path, bytes]]) -> None:
@@ -175,6 +176,7 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttsynth",
@@ -185,7 +187,7 @@ def _parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="enumerate minimal regions and write the synthesized net")
     synth.add_argument("inputs", nargs="+", metavar="INPUT")
     synth.add_argument("-k", type=int, default=1, help="region bound (default 1)")
-    synth.add_argument("--mode", choices=["synthesis", "discovery"], default="synthesis")
+    synth.add_argument("--mode", choices=MODES, default="synthesis")
     synth.add_argument("--max-regions", type=int, default=None, dest="max_regions")
     synth.add_argument("-o", "--out", required=True, help="output PNML file")
     synth.add_argument("--dot", default=None, help="also write a DOT rendering")
@@ -194,7 +196,7 @@ def _parser() -> argparse.ArgumentParser:
     regions = sub.add_parser("regions", help="print the minimal-region table")
     regions.add_argument("inputs", nargs="+", metavar="INPUT")
     regions.add_argument("-k", type=int, default=1)
-    regions.add_argument("--mode", choices=["synthesis", "discovery"], default="synthesis")
+    regions.add_argument("--mode", choices=MODES, default="synthesis")
     regions.add_argument("--format", choices=["table", "json"], default="table")
     regions.set_defaults(func=_cmd_regions, max_regions=None)
 
@@ -213,9 +215,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, matching our error code
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK

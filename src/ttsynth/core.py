@@ -123,8 +123,6 @@ class Multiset:
 #: A marking assigns tokens to places; token trails are markings as well.
 Marking = Multiset
 
-EMPTY = Multiset()
-
 
 @dataclass(frozen=True)
 class PetriNet:
@@ -163,9 +161,6 @@ class PetriNet:
                 raise ValueError(f"arc ({src!r}, {tgt!r}) does not connect a place and a transition")
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "post", post)
-
-    def weight(self, src: str, tgt: str) -> int:
-        return self.arcs[(src, tgt)]
 
 
 @dataclass(frozen=True)
@@ -229,13 +224,6 @@ class LabelledNet:
 
     def marked(self) -> MarkedPetriNet:
         return MarkedPetriNet(self.net, self.initial)
-
-    def alphabet(self) -> Tuple[str, ...]:
-        """Labels in order of first occurrence."""
-        seen: dict[str, None] = {}
-        for t in self.net.transitions:
-            seen.setdefault(self.labels[t], None)
-        return tuple(seen)
 
 
 def state_machine_walk(ln: LabelledNet) -> Optional[tuple]:
@@ -321,8 +309,7 @@ def _rename_net(ln: LabelledNet, mapping: Mapping[str, str]) -> LabelledNet:
     The caller vouches that the renamed identifiers are distinct and equal
     no identifier that is kept, so the renamed net is valid as well: its
     arc view (`pre`, `post`) and its walk (state_machine_walk) are renamed
-    as they are, and nothing is checked. A caller that cannot vouch builds
-    the net again from the renamed fields.
+    as they are, and nothing is checked.
     """
     ren = {x: mapping.get(x, x) for x in ln.net.places + ln.net.transitions}
     walk = state_machine_walk(ln)

@@ -30,7 +30,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import le, mul
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Hashable, Mapping, Optional, Sequence, Tuple
 
 LE = "<="
 EQ = "=="
@@ -47,9 +47,9 @@ def _check_int(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class Variable:
-    """Integer variable with inclusive finite bounds."""
+    """Integer variable with inclusive finite bounds and a hashable id."""
 
-    id: str
+    id: Hashable
     lower: int
     upper: int
 
@@ -64,7 +64,7 @@ class Variable:
 class LinearConstraint:
     """`sum(terms[v] * v) relation rhs` over model variables."""
 
-    terms: Mapping[str, int]
+    terms: Mapping[Hashable, int]
     relation: str
     rhs: int
 
@@ -96,7 +96,7 @@ class IlpModel:
 
     variables: Tuple[Variable, ...]
     constraints: Tuple[LinearConstraint, ...] = ()
-    objective: Mapping[str, int] = field(default_factory=dict)
+    objective: Mapping[Hashable, int] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -119,12 +119,6 @@ class IlpModel:
         """`variables` declared after the existing ones, then `constraints`."""
         return IlpModel(self.variables + tuple(variables), self.constraints + tuple(constraints), self.objective)
 
-    def with_variables(self, extra: Sequence[Variable]) -> "IlpModel":
-        return self.extended(extra, ())
-
-    def with_constraints(self, extra: Sequence[LinearConstraint]) -> "IlpModel":
-        return self.extended((), extra)
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -133,7 +127,7 @@ class Solution:
     known so far, in the order found (the optimum last, unless it was the
     start itself); it takes no part in equality or repr."""
 
-    assignment: Mapping[str, int]
+    assignment: Mapping[Hashable, int]
     objective_value: int
     incumbents: Tuple[Tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
@@ -239,15 +233,15 @@ class CompiledModel:
     Like IlpModel it is never changed after construction (`live` is only
     filled in): with_rhs() returns a sibling with new right-hand sides and
     bounds that shares the terms and the occurrence lists and propagates
-    every row again, and extended() (with_variables(), with_constraints())
-    and with_objective() return an extended model that compiles only what
-    it adds and propagates only the rows it adds, from this model's box:
-    rows never queued are at fixpoint there already. Ids are read only
-    there and in the solution, never in the search.
+    every row again, and extended() and with_objective() return an
+    extended model that compiles only what it adds and propagates only the
+    rows it adds, from this model's box: rows never queued are at fixpoint
+    there already. Ids are read only there and in the solution, never in
+    the search.
     """
 
-    variables: Tuple[str, ...]
-    index: Mapping[str, int]
+    variables: Tuple[Hashable, ...]
+    index: Mapping[Hashable, int]
     lower: list
     upper: list
     objective: list
@@ -341,15 +335,7 @@ class CompiledModel:
         )
         return _settle(model, first)
 
-    def with_variables(self, extra: Sequence[Variable]) -> "CompiledModel":
-        """Variables declared after the existing ones, with objective 0."""
-        return self.extended(extra, ())
-
-    def with_constraints(self, extra: Sequence[LinearConstraint]) -> "CompiledModel":
-        """Rows declared after the existing ones."""
-        return self.extended((), extra)
-
-    def with_objective(self, objective: Mapping[str, int]) -> "CompiledModel":
+    def with_objective(self, objective: Mapping[Hashable, int]) -> "CompiledModel":
         """The same model minimizing `objective` instead."""
         obj = [0] * len(self.variables)
         for v, c in objective.items():

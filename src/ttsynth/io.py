@@ -91,12 +91,18 @@ def parse_pnml(data: bytes) -> LabelledNet:
     marking: dict[str, int] = {}
     arcs: list[tuple[str, str, int, str]] = []
 
-    def walk(elem: ET.Element, context: str) -> None:
-        _check_children(elem, {"page", "place", "transition", "arc"}, context)
-        for node in elem:
+    # Pages nest to any depth, so they are walked with a stack of child
+    # iterators instead of by recursion; a page is walked where it stands.
+    contents = {"page", "place", "transition", "arc"}
+    _check_children(net_elem, contents, f"net {net_elem.get('id')!r}")
+    stack = [iter(net_elem)]
+    while stack:
+        for node in stack[-1]:
             tag = _local(node.tag)
             if tag == "page":
-                walk(node, f"page {node.get('id')!r}")
+                _check_children(node, contents, f"page {node.get('id')!r}")
+                stack.append(iter(node))
+                break
             elif tag == "place":
                 pid = node.get("id")
                 if not pid:
@@ -129,8 +135,8 @@ def parse_pnml(data: bytes) -> LabelledNet:
                 if weight < 1:
                     raise ParseError(f"arc {aid!r}: weight must be >= 1")
                 arcs.append((src, tgt, weight, aid))
-
-    walk(net_elem, f"net {net_elem.get('id')!r}")
+        else:
+            stack.pop()
 
     known = set(places) | set(transitions)
     arc_weights: dict[tuple[str, str], int] = {}
@@ -211,7 +217,7 @@ def parse_state_graph(data: bytes) -> StateGraph:
     states are inferred and must all be reachable from the initial one."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed state graph: {exc}") from None
     if not isinstance(doc, dict) or "initial" not in doc:
         raise ParseError("state graph needs an 'initial' field")
@@ -247,7 +253,7 @@ def parse_run(data: bytes) -> Run:
     """JSON document {"events": {id: label, ...}, "order": [[a, b], ...]}."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"malformed run: {exc}") from None
     if not isinstance(doc, dict) or "events" not in doc:
         raise ParseError("run needs an 'events' field")

@@ -28,8 +28,6 @@ from . import ilp
 from .core import Multiset, Specification, effect, state_machine_walk
 from .semantics import ConditionCheck, PlaceBehavior
 
-BLOCK_PREFIX = "_blk"
-
 MODES = ("synthesis", "discovery")
 
 
@@ -189,21 +187,8 @@ def build_base_model(problem: RegionProblem, classes: Mapping[str, str]) -> ilp.
     return ilp.IlpModel(tuple(variables), tuple(constraints), sizes)
 
 
-def block_prefix(places) -> str:
-    """Prefix for blocking binaries that no place id starts with.
-
-    Starts from BLOCK_PREFIX and prepends underscores while some place
-    starts with it; ids "<prefix><round>_<place>" then never collide with a
-    place or with each other.
-    """
-    prefix = BLOCK_PREFIX
-    while any(p.startswith(prefix) for p in places):
-        prefix = "_" + prefix
-    return prefix
-
-
 def add_blocking(
-    model: ilp.IlpModel | ilp.CompiledModel, found: Region, k: int, round_no: int, prefix: str = BLOCK_PREFIX
+    model: ilp.IlpModel | ilp.CompiledModel, found: Region, k: int, round_no: int
 ) -> ilp.IlpModel | ilp.CompiledModel:
     """Exclude `found` and everything componentwise above it.
 
@@ -212,9 +197,9 @@ def add_blocking(
     indicator must be 1, so any further solution is strictly smaller in at
     least one positive component. On the class model (build_base_model)
     `found` marks class variables only, giving one indicator per class.
-    The binaries are named "<prefix><round_no>_<place>": `round_no` must
-    differ between the rounds blocked on one model, and no place id may
-    start with `prefix` (see block_prefix).
+    The binaries are named (round_no, place): pairs, so they never share
+    an id with a place, whose ids are strings. `round_no` must differ
+    between the rounds blocked on one model.
 
     `model` is an ilp.IlpModel or an ilp.CompiledModel; the binaries and
     rows are declared after the existing ones in one step (extended), and
@@ -226,10 +211,10 @@ def add_blocking(
 
     binaries = []
     constraints = []
-    sum_terms: dict[str, int] = {}
+    sum_terms: dict[tuple, int] = {}
     for place in support:
         s = found.marking[place]
-        flag = f"{prefix}{round_no}_{place}"
+        flag = (round_no, place)
         binaries.append(ilp.Variable(flag, 0, 1))
         constraints.append(ilp.LinearConstraint({place: 1, flag: k}, ilp.GE, s))
         constraints.append(ilp.LinearConstraint({place: 1, flag: k}, ilp.LE, s + k - 1))
@@ -274,7 +259,6 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
     heads = set(classes.values())
     model = ilp.compile_model(build_base_model(problem, classes))
     n_classes = len(model.variables)
-    prefix = block_prefix(problem.spec.all_places())
     found: list[Region] = []
     blocks: list[list[tuple[int, int]]] = []
     pool: list[list] = []
@@ -289,7 +273,7 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
             return RegionEnumeration(tuple(found), truncated=True)
         found.append(region)
         class_region = Region(region.marking.restrict(heads), problem.k)
-        model = add_blocking(model, class_region, problem.k, len(found), prefix)
+        model = add_blocking(model, class_region, problem.k, len(found))
         block = [(model.index[c], s) for c, s in class_region.marking.items()]
         blocks.append(block)
         pool += [[point[:n_classes], [], 0] for point in solution.incumbents]

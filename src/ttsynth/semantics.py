@@ -324,14 +324,6 @@ def _place_behaviors(model: MarkedPetriNet) -> dict[str, PlaceBehavior]:
     return behaviors
 
 
-def place_behavior_of(model: MarkedPetriNet, place: str) -> PlaceBehavior:
-    """Read one model place as consume/produce per transition plus tokens."""
-    behaviors = _place_behaviors(model)
-    if place not in behaviors:
-        raise ValueError(f"unknown place: {place!r}")
-    return behaviors[place]
-
-
 def is_enabled(model: MarkedPetriNet, spec_net: LabelledNet, bound: Optional[int] = None) -> Enabledness:
     """Search a witness trail in spec_net for every place of the model.
 

@@ -34,14 +34,8 @@ class PlaceDefinition(PlaceBehavior):
             self.initial,
         )
 
-    def is_connected(self, label: str) -> bool:
-        return label in self.consume or label in self.produce
-
     def is_zero(self) -> bool:
         return not self.consume and not self.produce and self.initial == 0
-
-    def behavior(self) -> PlaceBehavior:
-        return PlaceBehavior(self.consume, self.produce, self.initial)
 
 
 @dataclass(frozen=True)
@@ -51,9 +45,6 @@ class SynthesisResult:
     label_alphabet: Tuple[str, ...]
     regions: Tuple[Region, ...] = ()
     truncated: bool = False
-
-    def place_ids(self) -> Tuple[str, ...]:
-        return self.net.net.places
 
 
 def place_from_region(spec: Specification, region: Region) -> PlaceDefinition:

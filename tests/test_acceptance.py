@@ -175,7 +175,7 @@ def test_criterion_05_membership_certificates():
         for place in result.places:
             for ln in spec.nets:
                 trail = place.source_region.marking.restrict(ln.net.places)
-                if not is_valid_token_trail(ln, trail, place.behavior()):
+                if not is_valid_token_trail(ln, trail, place):
                     failures += 1
                 checked += 1
     report(5, failures == 0 and checked > 0, f"{checked} place/net certificates all valid")

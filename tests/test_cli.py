@@ -27,6 +27,18 @@ def write(tmp_path, name, content):
     return str(path)
 
 
+def nested_pages(depth: int) -> str:
+    """A PNML net whose one place, transition and arc sit `depth` pages deep."""
+    return (
+        '<pnml xmlns="http://www.pnml.org/version-2009/grammar/pnml"><net id="n">'
+        + "".join(f'<page id="g{i}">' for i in range(depth))
+        + '<place id="p"><initialMarking><text>1</text></initialMarking></place>'
+        + '<transition id="t"><name><text>a</text></name></transition><arc id="a1" source="p" target="t"/>'
+        + "</page>" * depth
+        + "</net></pnml>"
+    )
+
+
 class TestSynth:
     def test_trace_to_chain(self, tmp_path, capsys):
         traces = write(tmp_path, "spec.traces", "a b\n")
@@ -62,6 +74,29 @@ class TestSynth:
         out = tmp_path / "out.pnml"
         assert main(["synth", "-o", str(out), bad]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, doc, code",
+        [
+            ("deep.pnml", nested_pages(3000), 0),
+            ("deep.sg", "[" * 100_000 + "]" * 100_000, 2),
+            ("deep.run", '{"events": ' + "[" * 100_000 + "]" * 100_000 + "}", 2),
+        ],
+        ids=["pnml", "sg", "run"],
+    )
+    def test_nested_deeper_than_the_recursion_limit(self, tmp_path, capsys, name, doc, code):
+        # Pages nest to any depth; JSON this deep is a parse error: exit 2,
+        # one error line, nothing written.
+        deep = write(tmp_path, name, doc)
+        out = tmp_path / "out.pnml"
+        assert main(["synth", "-o", str(out), deep]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: malformed") and err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert main(["check", "--model", deep, deep]) == 0
+            assert capsys.readouterr().out == "net 1: place p: enabled\n"
 
     def test_unknown_extension(self, tmp_path):
         weird = write(tmp_path, "spec.xyz", "a b\n")
@@ -319,6 +354,32 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "error: places and transitions overlap: ['a']" in captured.err
         assert captured.out == ""
+
+
+    def test_transition_ids_permuted_among_labels(self, tmp_path, capsys):
+        # The model's transition ids are its labels in another order (the
+        # one labelled a is named b, and so on): the transitions are renamed
+        # to their labels all at once, so the verdicts are the model's own.
+        traces = write(tmp_path, "spec.traces", "a b c\na c b\n")
+        longer = write(tmp_path, "longer.traces", "a b c b\n")
+        model = tmp_path / "model.pnml"
+        assert main(["synth", "-k", "1", "-o", str(model), traces]) == 0
+        ln = net_io.parse_pnml(model.read_bytes())
+        ids = dict(zip(ln.net.transitions, ln.net.transitions[1:] + ln.net.transitions[:1]))
+        arcs = Multiset({(ids.get(s, s), ids.get(t, t)): w for (s, t), w in ln.net.arcs.items()})
+        permuted = LabelledNet(
+            PetriNet(ln.net.places, tuple(ids[t] for t in ln.net.transitions), arcs),
+            ln.initial,
+            {ids[t]: label for t, label in ln.labels.items()},
+        )
+        assert len(ids) == 3 and all(t != label for t, label in permuted.labels.items())
+        renamed = write(tmp_path, "permuted.pnml", net_io.write_pnml(permuted))
+        capsys.readouterr()
+        assert main(["check", "--model", str(model), traces, longer]) == 1
+        original = capsys.readouterr().out
+        assert "enabled" in original and "not shown" in original
+        assert main(["check", "--model", renamed, traces, longer]) == 1
+        assert capsys.readouterr().out == original
 
 
 class TestConvert:

@@ -154,9 +154,9 @@ class TestArcView:
             assert preset(net, t) == Multiset({s: w for (s, u), w in net.arcs.items() if u == t})
             assert postset(net, t) == Multiset({u: w for (s, u), w in net.arcs.items() if s == t})
             assert effect(net, t) == {
-                p: net.weight(t, p) - net.weight(p, t)
+                p: net.arcs[(t, p)] - net.arcs[(p, t)]
                 for p in net.places
-                if net.weight(t, p) != net.weight(p, t)
+                if net.arcs[(t, p)] != net.arcs[(p, t)]
             }
             assert inflow(ln, trail, t) == net_inflow(ln, marking, t)
             assert rise(ln, trail, t) == net_rise(ln, marking, t)

@@ -270,9 +270,9 @@ class TestCompiledModel:
         prefix = model(m.variables[:a], m.constraints[:b])
         compiled = ilp.compile_model(prefix)
         whole = (
-            compiled.with_variables(m.variables[a:])
-            .with_constraints(m.constraints[b:c])
-            .with_constraints(m.constraints[c:])
+            compiled.extended(m.variables[a:], ())
+            .extended((), m.constraints[b:c])
+            .extended((), m.constraints[c:])
             .with_objective(m.objective)
         )
         assert (len(whole.variables), len(whole.constraints)) == (len(m.variables), len(m.constraints))
@@ -349,7 +349,7 @@ class TestCompiledModel:
             if rng.random() < 0.5:
                 compiled = compiled.extended(extra_vars, extra_rows)
             else:
-                compiled = compiled.with_variables(extra_vars).with_constraints(extra_rows)
+                compiled = compiled.extended(extra_vars, ()).extended((), extra_rows)
             a, b = new_a, new_b
 
     def test_root_infeasible_model_takes_one_node(self):
@@ -364,7 +364,7 @@ class TestCompiledModel:
         assert solve_counting(compiled) == (None, 1)
         with pytest.raises(ValueError):
             ilp.solve(compiled, [1, 3])
-        grown = compiled.with_variables([ilp.Variable("z", 0, 1)]).with_constraints([ilp.LinearConstraint({"z": 1}, ilp.LE, 1)])
+        grown = compiled.extended([ilp.Variable("z", 0, 1)], ()).extended((), [ilp.LinearConstraint({"z": 1}, ilp.LE, 1)])
         assert grown.failed == compiled.failed and solve_counting(grown) == (None, 1)
 
     def test_start_outside_the_root_box_rejected(self):
@@ -390,14 +390,14 @@ class TestCompiledModel:
         assert ilp.solve(compiled).assignment == {"x": 1}
         assert ilp.solve(compiled.with_rhs([1, 1], [0], [1])) is None
         assert ilp.solve(compiled.with_rhs([0, 0], [0], [1])).assignment == {"x": 0}
-        assert ilp.solve(compiled.with_constraints([ilp.LinearConstraint({}, ilp.LE, -1)])) is None
+        assert ilp.solve(compiled.extended((), [ilp.LinearConstraint({}, ilp.LE, -1)])) is None
 
     def test_invalid_extensions_rejected(self):
         compiled = ilp.compile_model(model([ilp.Variable("x", 0, 1)]))
         with pytest.raises(ValueError):
-            compiled.with_variables([ilp.Variable("x", 0, 1)])
+            compiled.extended([ilp.Variable("x", 0, 1)], ())
         with pytest.raises(ValueError):
-            compiled.with_constraints([ilp.LinearConstraint({"y": 1}, ilp.LE, 0)])
+            compiled.extended((), [ilp.LinearConstraint({"y": 1}, ilp.LE, 0)])
         with pytest.raises(ValueError):
             compiled.with_objective({"y": 1})
         with pytest.raises(ValueError):
@@ -506,7 +506,7 @@ class TestPropagation:
             assert search.act[search.cut] == activity(min)
             key -= rng.randint(1, 4)
             search.set_incumbent(key)
-            want = interval_fixpoint(m.with_constraints([ilp.LinearConstraint(terms, ilp.LE, key - 1)]), *box)
+            want = interval_fixpoint(m.extended((), [ilp.LinearConstraint(terms, ilp.LE, key - 1)]), *box)
             ok = ilp._propagate(search, [search.cut])
             assert ok == (want is not None)
             if ok:

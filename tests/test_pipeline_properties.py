@@ -80,8 +80,8 @@ class TestEnumerationDeterminism:
         assert set(blocked.objective) == {"c0", "c1", "c2"}
         seek = blocked.constraints[len(model.constraints) - 1]
         assert set(seek.terms) == {"c0", "c1", "c2"}
-        flags = {v.id for v in blocked.variables if v.id.startswith("_blk")}
-        assert flags == {"_blk1_c0", "_blk2_c1"}
+        flags = {v.id for v in blocked.variables if isinstance(v.id, tuple)}
+        assert flags == {(1, "c0"), (2, "c1")}
 
 
 class TestIdentifierClashes:

@@ -25,7 +25,6 @@ from ttsynth.regions import (
     RegionEnumeration,
     RegionProblem,
     add_blocking,
-    block_prefix,
     blocking_flags,
     build_base_model,
     discovery_final_places,
@@ -43,7 +42,6 @@ def cold_enumeration(problem: RegionProblem, model: ilp.IlpModel, classes) -> Re
     """Reference enumeration over `model`, whose variables are the classes
     of `classes` (place -> class): solve without a start, record, block the
     class values until infeasible."""
-    prefix = block_prefix(problem.spec.all_places())
     found = []
     while True:
         solution = ilp.solve(model)
@@ -54,7 +52,7 @@ def cold_enumeration(problem: RegionProblem, model: ilp.IlpModel, classes) -> Re
             return RegionEnumeration(tuple(found), truncated=True)
         found.append(Region(Multiset({p: values[c] for p, c in classes.items()}), problem.k))
         class_values = Multiset({p: values[p] for p, c in classes.items() if p == c})
-        model = add_blocking(model, Region(class_values, problem.k), problem.k, len(found), prefix)
+        model = add_blocking(model, Region(class_values, problem.k), problem.k, len(found))
 
 
 def raw_enumeration(problem: RegionProblem) -> RegionEnumeration:
@@ -179,7 +177,7 @@ class TestSeekAndBlocking:
         spec = spec_of(make_e_seq())
         model = class_model(RegionProblem(spec, 1))
         blocked = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1, 1)
-        flag = [v.id for v in blocked.variables if v.id.startswith("_blk")][0]
+        flag = [v.id for v in blocked.variables if isinstance(v.id, tuple)][0]
         lo_hi = [(c.relation, c.rhs) for c in blocked.constraints if flag in c.terms and "c0" in c.terms]
         for p0 in (0, 1):
             for x in (0, 1):
@@ -201,7 +199,7 @@ class TestSeekAndBlocking:
         base = class_model(RegionProblem(spec, 2))
         found = Region(Multiset({"c0": 2, "c1": 1}), 2)
         blocked = add_blocking(base, found, 2, 1)
-        flags = [v.id for v in blocked.variables if v.id.startswith("_blk")]
+        flags = [v.id for v in blocked.variables if isinstance(v.id, tuple)]
         block_rows = blocked.constraints[len(base.constraints):]
         places = ("c0", "c1", "c2")
         for point in itertools.product(range(3), repeat=3):
@@ -431,11 +429,6 @@ class TestBinaryNames:
         plain = enumerate_minimal_regions(RegionProblem(spec_of(make_e_seq()), 2))
         rename = {"c0": "c0", "c1": "c1", "_blk2_c0": "c2"}
         assert [{rename[p]: n for p, n in m.items()} for m in markings(renamed)] == markings(plain)
-
-    def test_prefix_avoids_every_place(self):
-        assert block_prefix(("c0", "c1")) == "_blk"
-        assert block_prefix(("c0", "_blk2_c0")) == "__blk"
-        assert block_prefix(("_blk", "__blk1_x", "_")) == "___blk"
 
 
 def log_spec(*traces):

@@ -23,6 +23,7 @@ from ttsynth.semantics import (
     SINK,
     SOURCE,
     PlaceBehavior,
+    _place_behaviors,
     _trail_by_walk,
     Run,
     check_state_graph_enabled,
@@ -36,7 +37,6 @@ from ttsynth.semantics import (
     is_valid_compact_token_flow,
     is_valid_token_trail,
     outflow,
-    place_behavior_of,
     rise,
 )
 
@@ -438,16 +438,14 @@ class TestIsEnabled:
         assert repr(searched) == repr(fresh)
         assert is_enabled(searched, make_e_seq()).not_shown == ("q",)  # a second spec net
         assert searched.place_behaviors is behaviors
-        assert behaviors["q"] == place_behavior_of(fresh, "q") == behavior({"b": 2}, {"a": 1})
-        with pytest.raises(ValueError, match="unknown place"):
-            place_behavior_of(searched, "zz")
+        assert behaviors["q"] == _place_behaviors(fresh)["q"] == behavior({"b": 2}, {"a": 1})
 
-    def test_place_behavior_of_reads_weights(self):
+    def test_place_behaviors_read_weights(self):
         model = MarkedPetriNet(
             PetriNet(("p",), ("a", "b"), Multiset({("p", "a"): 2, ("b", "p"): 3})),
             Multiset({"p": 1}),
         )
-        pb = place_behavior_of(model, "p")
+        pb = _place_behaviors(model)["p"]
         assert pb.consume == {"a": 2}
         assert pb.produce == {"b": 3}
         assert pb.initial == 1

@@ -18,7 +18,7 @@ class TestPlaceFromRegion:
         place = place_from_region(spec, Region(Multiset({"c0": 1}), 1))
         assert place.consume == {"a": 1}
         assert place.produce == {}
-        assert not place.is_connected("b")
+        assert "b" not in place.consume and "b" not in place.produce
         assert place.initial == 1
 
     def test_zero_region_gives_zero_place(self):
@@ -163,7 +163,7 @@ class TestSynthesize:
                 region = place.source_region
                 for ln in spec.nets:
                     trail = region.marking.restrict(ln.net.places)
-                    assert is_valid_token_trail(ln, trail, place.behavior())
+                    assert is_valid_token_trail(ln, trail, place)
 
     def test_initial_sum_consistent_across_nets(self):
         rng = random.Random(18)
