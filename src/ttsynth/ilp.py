@@ -11,17 +11,15 @@ propagation at every node. compile_model() turns each constraint into one
 `<=` row per side (an equality into two) and lists, per variable, the rows
 whose minimum activity each of its bounds moves. A compiled model also
 carries its root box: the bounds that propagating all its rows reaches,
-with every row's minimum activity there. Appending variables and rows
-propagates only the new rows from that box, so a model grown round by
-round pays for what each round adds. A search starts from the root box,
-keeps one box, every row's minimum activity on it and a trail of bound
-moves to undo on backtracking. A row pass reads its carried activity, so
-a row that cannot tighten costs O(1) instead of a sum over its terms. The
-incumbent cut is one more row, over the variables still free in the root
-box, whose right-hand side drops with each better point. A solve may be
-given a feasible start, which is checked exactly against the root box and
-the rows that some point of it breaks, and puts the cut in place at the
-root; it hands back the improving points it found.
+with every row's minimum activity there. A search starts from the root
+box, keeps one box, every row's minimum activity on it and a trail of
+bound moves to undo on backtracking. A row pass reads its carried
+activity, so a row that cannot tighten costs O(1) instead of a sum over
+its terms. The incumbent cut is one more row, over the variables still
+free in the root box, whose right-hand side drops with each better point.
+minimal_points() walks the same tree without objective or cut and lists
+the feasible points that lie above no other; each point it finds adds rows
+to the running search that exclude every point above it.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
-from operator import le, mul
+from operator import mul
 from typing import Hashable, Mapping, Optional, Sequence, Tuple
 
 LE = "<="
@@ -115,21 +113,13 @@ class IlpModel:
                 raise ValueError(f"objective references unknown variable {v!r}")
             _check_int(c, f"objective coefficient of {v!r}")
 
-    def extended(self, variables: Sequence[Variable], constraints: Sequence[LinearConstraint]) -> "IlpModel":
-        """`variables` declared after the existing ones, then `constraints`."""
-        return IlpModel(self.variables + tuple(variables), self.constraints + tuple(constraints), self.objective)
-
 
 @dataclass(frozen=True)
 class Solution:
-    """An optimum and its objective value. `incumbents` holds the points,
-    by variable position, that the search found improving on the best one
-    known so far, in the order found (the optimum last, unless it was the
-    start itself); it takes no part in equality or repr."""
+    """An optimum and its objective value."""
 
     assignment: Mapping[Hashable, int]
     objective_value: int
-    incumbents: Tuple[Tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", dict(self.assignment))
@@ -147,8 +137,6 @@ def format_lp(model: IlpModel) -> str:
     for v in model.variables:
         lines.append(f"  {v.lower} <= {v.id} <= {v.upper}")
     return "\n".join(lines) + "\n"
-
-
 
 
 def _min_activity(terms, lo: Sequence[int], hi: Sequence[int]) -> int:
@@ -214,11 +202,11 @@ class CompiledModel:
     of _compile_rows in declaration order and `constraints[r]` the pairs
     (row, sign) of declared constraint r, so `variables` and
     `constraints` have the lengths of the model's own tuples. `index` maps
-    each id to its position, and `lower`, `upper` (the declared bounds),
-    `objective`, `lo_occurs` and `hi_occurs` are indexed like `variables`.
-    So is `weights`, with one more entry at the end: weights[i] is the
-    product of (upper - lower + 1) over the variables declared before i,
-    the last entry that product over all of them (see solve()).
+    each id to its position, and `objective`, `lo_occurs` and `hi_occurs`
+    are indexed like `variables`. So is `weights`, with one more entry at
+    the end: weights[i] is the product of (upper - lower + 1) over the
+    declared bounds of the variables before i, the last entry that product
+    over all of them (see solve()).
 
     The root box [lo, hi] is the greatest fixpoint of the rows below the
     declared bounds (see _fixpoint), and `act[r]` is row r's minimum
@@ -226,24 +214,16 @@ class CompiledModel:
     the model starts from it. `reach` is at least 1 and at least every
     declared range, so it bounds every range a search meets. When the rows
     admit no point of the bounds, `failed` is a row that fails on the box
-    (its activity exceeds its rhs), else None. `live` lists the rows a
-    start must be checked against (_live_rows), or None until a start is
-    first given.
+    (its activity exceeds its rhs), else None.
 
-    Like IlpModel it is never changed after construction (`live` is only
-    filled in): with_rhs() returns a sibling with new right-hand sides and
-    bounds that shares the terms and the occurrence lists and propagates
-    every row again, and extended() and with_objective() return an
-    extended model that compiles only what it adds and propagates only the
-    rows it adds, from this model's box: rows never queued are at fixpoint
-    there already. Ids are read only there and in the solution, never in
-    the search.
+    Like IlpModel it is never changed after construction: with_rhs()
+    returns a sibling with new right-hand sides and bounds that shares the
+    terms and the occurrence lists and propagates every row again. Ids are
+    read only when compiling and in the solution, never in the search.
     """
 
     variables: Tuple[Hashable, ...]
     index: Mapping[Hashable, int]
-    lower: list
-    upper: list
     objective: list
     constraints: list
     rows: list
@@ -255,7 +235,6 @@ class CompiledModel:
     act: list
     reach: int
     failed: Optional[int] = None
-    live: Optional[list] = None
 
     def with_rhs(self, rhs: Sequence[int], lower: Sequence[int], upper: Sequence[int]) -> "CompiledModel":
         """The same rows with right-hand side rhs[r] for declared
@@ -273,136 +252,79 @@ class CompiledModel:
                 rows[r] = (terms, sizes, sign * b, cmax, partner)
         lower, upper = list(lower), list(upper)
         act = [_min_activity(terms, lower, upper) for terms, _, _, _, _ in rows]
-        reach = max(max((ub - lb for lb, ub in zip(lower, upper)), default=0), 1)
         model = replace(
-            self, lower=lower, upper=upper, rows=rows, weights=_weights([1], lower, upper), lo=list(lower),
-            hi=list(upper), act=act, reach=reach, failed=None, live=None,
+            self, rows=rows, weights=_weights(lower, upper), lo=lower, hi=upper, act=act,
+            reach=_reach(lower, upper), failed=None,
         )
-        return _settle(model, 0)
-
-    def extended(self, variables: Sequence[Variable], constraints: Sequence[LinearConstraint]) -> "CompiledModel":
-        """`variables` declared after the existing ones, with objective 0,
-        then `constraints` appended to the rows."""
-        index = self.index
-        if variables:
-            index = dict(index)
-            for v in variables:
-                if v.id in index:
-                    raise ValueError("duplicate variable id")
-                index[v.id] = len(index)
-        declared_lo = [v.lower for v in variables]
-        declared_hi = [v.upper for v in variables]
-        empty = [[] for _ in variables]
-        lo_occurs, hi_occurs = self.lo_occurs + empty, self.hi_occurs + empty
-        lo, hi = self.lo + declared_lo, self.hi + declared_hi
-        all_constraints, rows, act = list(self.constraints), list(self.rows), list(self.act)
-        first = len(rows)
-        sides = []
-        for con in constraints:
-            try:
-                terms = [(index[v], c) for v, c in con.terms.items()]
-            except KeyError as exc:
-                raise ValueError(f"constraint references unknown variable {exc.args[0]!r}") from None
-            negated = [(i, -c) for i, c in terms]
-            r = first + len(sides)
-            if con.relation == EQ:
-                all_constraints.append(((r, 1), (r + 1, -1)))
-                sides += [(terms, con.rhs, r + 1), (negated, -con.rhs, r)]
-            elif con.relation == LE:
-                all_constraints.append(((r, 1),))
-                sides.append((terms, con.rhs, None))
-            else:
-                all_constraints.append(((r, -1),))
-                sides.append((negated, -con.rhs, None))
-        _compile_rows(sides, lo, hi, rows, act, lo_occurs, hi_occurs)
-        model = CompiledModel(
-            variables=self.variables + tuple(v.id for v in variables),
-            index=index,
-            lower=self.lower + declared_lo,
-            upper=self.upper + declared_hi,
-            objective=self.objective + [0] * len(variables),
-            constraints=all_constraints,
-            rows=rows,
-            lo_occurs=lo_occurs,
-            hi_occurs=hi_occurs,
-            weights=_weights(list(self.weights), declared_lo, declared_hi),
-            lo=lo,
-            hi=hi,
-            act=act,
-            reach=max([self.reach, *(ub - lb for lb, ub in zip(declared_lo, declared_hi))]),
-            failed=self.failed,
-            live=self.live,
-        )
-        return _settle(model, first)
-
-    def with_objective(self, objective: Mapping[Hashable, int]) -> "CompiledModel":
-        """The same model minimizing `objective` instead."""
-        obj = [0] * len(self.variables)
-        for v, c in objective.items():
-            if v not in self.index:
-                raise ValueError(f"objective references unknown variable {v!r}")
-            obj[self.index[v]] = _check_int(c, f"objective coefficient of {v!r}")
-        return replace(self, objective=obj)
+        return _settle(model)
 
 
 def compile_model(model: IlpModel) -> CompiledModel:
     """Compile every row of `model` once (see _compile_rows) and propagate
     them all from the declared bounds."""
-    empty = CompiledModel((), {}, [], [], [], [], [], [], [], [1], [], [], [], 1)
-    return empty.extended(model.variables, model.constraints).with_objective(model.objective)
+    index = {v.id: i for i, v in enumerate(model.variables)}
+    lower = [v.lower for v in model.variables]
+    upper = [v.upper for v in model.variables]
+    constraints, sides = [], []
+    for con in model.constraints:
+        terms = [(index[v], c) for v, c in con.terms.items()]
+        negated = [(i, -c) for i, c in terms]
+        r = len(sides)
+        if con.relation == EQ:
+            constraints.append(((r, 1), (r + 1, -1)))
+            sides += [(terms, con.rhs, r + 1), (negated, -con.rhs, r)]
+        elif con.relation == LE:
+            constraints.append(((r, 1),))
+            sides.append((terms, con.rhs, None))
+        else:
+            constraints.append(((r, -1),))
+            sides.append((negated, -con.rhs, None))
+    rows, act = [], []
+    lo_occurs, hi_occurs = [[] for _ in lower], [[] for _ in lower]
+    _compile_rows(sides, lower, upper, rows, act, lo_occurs, hi_occurs)
+    compiled = CompiledModel(
+        variables=tuple(index),
+        index=index,
+        objective=[model.objective.get(v, 0) for v in index],
+        constraints=constraints,
+        rows=rows,
+        lo_occurs=lo_occurs,
+        hi_occurs=hi_occurs,
+        weights=_weights(lower, upper),
+        lo=lower,
+        hi=upper,
+        act=act,
+        reach=_reach(lower, upper),
+    )
+    return _settle(compiled)
 
 
-def _weights(weights: list, lower: Sequence[int], upper: Sequence[int]) -> list:
-    """`weights` (see CompiledModel) extended by variables with bounds
-    [lower[i], upper[i]] declared after those it covers."""
-    acc = weights[-1]
+def _weights(lower: Sequence[int], upper: Sequence[int]) -> list:
+    """`weights` (see CompiledModel) of variables with bounds
+    [lower[i], upper[i]]."""
+    weights = [1]
     for lb, ub in zip(lower, upper):
-        acc *= ub - lb + 1
-        weights.append(acc)
+        weights.append(weights[-1] * (ub - lb + 1))
     return weights
 
 
-def _settle(model: CompiledModel, first: int) -> CompiledModel:
-    """Finish `model`, just built by extended() or with_rhs() with a box at
-    fixpoint for the rows before `first`: propagate the rows from `first`
-    on, and make the box and activities reached its own.
+def _reach(lower: Sequence[int], upper: Sequence[int]) -> int:
+    """`reach` (see CompiledModel): 1 or the widest range, if larger."""
+    return max([1, *(ub - lb for lb, ub in zip(lower, upper))])
 
-    Nothing is propagated once the box is known to be empty (`failed`), so
-    a failed model stays failed and its `failed` row keeps failing: moves
-    only raise activities. A model whose start rows are known (`live`)
-    adds the new rows that are live on the new box; the earlier live rows
-    stay listed, a superset being as exact."""
-    if model.failed is not None or first == len(model.rows):
-        return model
+
+def _settle(model: CompiledModel) -> CompiledModel:
+    """Finish `model`, just built by compile_model() or with_rhs() with its
+    box at the declared bounds: propagate every row, and make the box, the
+    activities reached and, when the box turns out empty, the first row
+    that fails on it its own."""
     search = _Search(model)
-    failed = live = None
-    if _fixpoint(search, range(first, len(search.rows))):
-        if model.live is not None:
-            live = model.live + _live_rows(search.rows, search.lo, search.hi, search.act, first)
-    else:
+    failed = None
+    if not _fixpoint(search, range(len(search.rows))):
         failed = next(r for r, row in enumerate(search.rows) if search.act[r] > row[2])
-    for name, value in (("lo", search.lo), ("hi", search.hi), ("act", search.act), ("failed", failed), ("live", live)):
+    for name, value in (("lo", search.lo), ("hi", search.hi), ("act", search.act), ("failed", failed)):
         object.__setattr__(model, name, value)
     return model
-
-
-def _live_rows(rows, lo, hi, act, first: int) -> list:
-    """The rows from `first` on that some point of the box [lo, hi] breaks,
-    by their maximum activity: only these need checking for a point of the
-    box. An equality's two rows are listed as the first of them (a point
-    must meet its total exactly); the second is never listed."""
-    live = []
-    for r in range(first, len(rows)):
-        terms, _, rhs, _, partner = rows[r]
-        if partner is None:
-            top = 0
-            for i, c in terms:
-                top += c * (hi[i] if c > 0 else lo[i])
-            if top > rhs:
-                live.append(r)
-        elif partner > r and (act[r] < rhs or -act[partner] > rhs):
-            live.append(r)
-    return live
 
 
 class _Search:
@@ -422,7 +344,8 @@ class _Search:
     and `act[r]` is the least value of row r's sum over that box. So the
     row of a `<=` constraint carries the constraint's minimum activity, the
     row of a `>=` constraint (its negation) minus its maximum, and an
-    equality's two rows carry both.
+    equality's two rows carry both. add() declares more variables and rows
+    while the search runs.
 
     Every bound move goes through move() or _fixpoint. A move adds its
     change to the activities that read the moved bound, queues those rows
@@ -430,10 +353,13 @@ class _Search:
     (variable, old bound, bounds, occurrences) on `trail`, the last two
     being lo and lo_occurs for a lower bound and hi and hi_occurs for an
     upper one. undo(mark) takes back the moves after the first `mark`,
-    activities included. `reach` is the model's (see CompiledModel).
+    activities included. `reach` bounds every range (see CompiledModel).
+    `wake` lists, in order, the rows whose bound dropped (the cut) or that
+    were added after the search began; _branch seeds a node with those
+    listed after its parent was propagated.
     """
 
-    __slots__ = ("rows", "lo_occurs", "hi_occurs", "cut", "lo", "hi", "act", "queue", "queued", "trail", "reach")
+    __slots__ = ("rows", "lo_occurs", "hi_occurs", "cut", "lo", "hi", "act", "queue", "queued", "trail", "reach", "wake")
 
     def __init__(self, model: CompiledModel, comb: Optional[Sequence[int]] = None):
         self.lo = lo = list(model.lo)
@@ -457,11 +383,33 @@ class _Search:
         self.queued = bytearray(len(self.rows))
         self.trail = []
         self.reach = model.reach
+        self.wake = []
 
     def set_incumbent(self, key: int) -> None:
         """Bound the cut to keys below `key`."""
         terms, sizes, _, cmax, partner = self.rows[self.cut]
         self.rows[self.cut] = (terms, sizes, key - 1, cmax, partner)
+        self.wake.append(self.cut)
+
+    def add(self, bounds: Sequence[Tuple[int, int]], sides) -> None:
+        """Declare one variable per (lower, upper) pair of `bounds` after
+        the others, then append `sides` (see _compile_rows) as rows with
+        their activities on the current box, and list them on `wake`.
+
+        Moves undone later also update the new rows' activities, since
+        undo() reads the occurrence lists as they are then. The new
+        variables have no move on the trail yet, so undoing takes them back
+        to the bounds given here, never past them."""
+        for lb, ub in bounds:
+            self.lo.append(lb)
+            self.hi.append(ub)
+            self.lo_occurs.append([])
+            self.hi_occurs.append([])
+            self.reach = max(self.reach, ub - lb)
+        first = len(self.rows)
+        _compile_rows(sides, self.lo, self.hi, self.rows, self.act, self.lo_occurs, self.hi_occurs)
+        self.queued.extend(bytes(len(self.rows) - first))
+        self.wake.extend(range(first, len(self.rows)))
 
     def move(self, i: int, upper: bool, bound: int) -> None:
         """Set hi[i] (when `upper`) or lo[i] to `bound`, which must narrow it."""
@@ -488,10 +436,10 @@ class _Search:
 
 
 def _propagate(search: _Search, seeds) -> bool:
-    """Propagate one node of a search (see _fixpoint). solve() calls it once
+    """Propagate one node of a search (see _fixpoint). _branch calls it once
     per node, the root included, and nothing else does, so its calls count
-    the nodes; propagating a compiled model's root box (_settle) is not a
-    node."""
+    the nodes of solve() and minimal_points(); propagating a compiled
+    model's root box (_settle) is not a node."""
     return _fixpoint(search, seeds)
 
 
@@ -578,84 +526,73 @@ def _fixpoint(search: _Search, seeds) -> bool:
     return True
 
 
-def _start_key(model: CompiledModel, start: Sequence[int], comb: Sequence[int]) -> int:
-    """The search key of `start`, one value per variable by position;
-    ValueError unless it lies in the bounds and satisfies every row.
+def _branch(search: _Search, n: int, seeds, leaf) -> None:
+    """Depth-first over the box of `search`, branching on the first of its
+    first `n` variables that is free, lower half first, and calling
+    `leaf()` at every node whose box fixes all n.
 
-    Every feasible point lies in the root box, so a start outside it is
-    rejected, and a point of the box can break only the rows listed in
-    `model.live`. These are worked out on the first start given to a model
-    (_live_rows) and kept on it; extended() adds the live rows it appends,
-    since a row that no point of a box breaks holds on every smaller box.
-    An equality's two rows state total <= rhs and -total <= -rhs, so the
-    first of them is checked for total == rhs and the second skipped."""
-    if len(start) != len(model.variables):
-        raise ValueError(f"start needs {len(model.variables)} values, got {len(start)}")
-    lo, hi = model.lo, model.hi
-    if not ({*map(type, start)} <= {int} and all(map(le, lo, start)) and all(map(le, start, hi))):
-        for i, value in enumerate(start):
-            if type(value) is not int or not lo[i] <= value <= hi[i]:
-                vid, lb, ub = model.variables[i], model.lower[i], model.upper[i]
-                if type(value) is not int or not lb <= value <= ub:
-                    raise ValueError(f"start value {value!r} of {vid!r} is not an integer in [{lb}, {ub}]")
-                raise ValueError(f"start value {value!r} of {vid!r} lies outside [{lo[i]}, {hi[i]}], which holds every feasible point")
-    if model.failed is not None:
-        raise ValueError(f"start violates row {model.failed}, which no point in the bounds meets")
-    live = model.live
-    if live is None:
-        live = _live_rows(model.rows, lo, hi, model.act, 0)
-        object.__setattr__(model, "live", live)
-    rows = model.rows
-    for r in live:
-        terms, _, rhs, _, partner = rows[r]
-        total = 0
-        for i, c in terms:
-            total += c * start[i]
-        if total > rhs or (partner is not None and total < rhs):
-            raise ValueError(f"start violates row {r}")
-    return sum(map(mul, comb, start))
+    Every node, the root included, is propagated (_propagate): the root
+    visits `seeds`, and any other node undoes the trail back to its
+    parent's fixpoint, moves the bound of its branch and visits the rows
+    the move woke plus those listed on `search.wake` since the parent was
+    propagated. A failed node is pruned. Every variable before the one a
+    node branched on is fixed in all its descendants, so the scan for the
+    first free variable starts there.
+    """
+    lo, hi, trail, wake = search.lo, search.hi, search.trail, search.wake
+    # An entry is (trail length at the parent's fixpoint, variable to move,
+    # whether it is the upper bound, new bound, length of `wake` when the
+    # parent was propagated); the root's variable is -1.
+    stack = [(0, -1, False, 0, 0)]
+    while stack:
+        mark, i, upper, bound, seen = stack.pop()
+        if len(trail) > mark:
+            search.undo(mark)
+        if i < 0:
+            i = 0
+        else:
+            search.move(i, upper, bound)
+            seeds = wake[seen:]
+        if not _propagate(search, seeds):
+            continue
+        if lo[i:n] == hi[i:n]:
+            leaf()
+            continue
+        while lo[i] == hi[i]:
+            i += 1
+        mid = (lo[i] + hi[i]) // 2
+        mark, seen = len(trail), len(wake)
+        stack.append((mark, i, False, mid + 1, seen))
+        stack.append((mark, i, True, mid, seen))
 
 
-def solve(model: IlpModel | CompiledModel, start: Optional[Sequence[int]] = None) -> Optional[Solution]:
+def solve(model: IlpModel | CompiledModel) -> Optional[Solution]:
     """Minimize the objective over all integer points; None if infeasible.
 
     An IlpModel is compiled first (compile_model); a CompiledModel is
     solved as it is, so a model compiled once can be solved again with
-    new right-hand sides or appended rows without compiling its rows again.
+    new right-hand sides without compiling its rows again.
 
-    Depth-first branch and bound over the finite variable domains, branching
-    on the first free variable, lower half first. The search key of an
-    assignment x is `sum(comb[i] * x[i])` with comb[i] = big * objective[i]
-    + weight[i], where weight[i] is the product of (upper - lower + 1) over
-    the variables declared before i and `big` that product over all of them.
-    The tie-break part stays below `big`, so the key orders points by
-    objective first and then compares them from the last declared variable
-    backwards: the returned optimum is unique.
+    Depth-first branch and bound (_branch) over the finite variable
+    domains. The search key of an assignment x is `sum(comb[i] * x[i])`
+    with comb[i] = big * objective[i] + weight[i], where weight[i] is the
+    product of (upper - lower + 1) over the variables declared before i
+    and `big` that product over all of them. The tie-break part stays
+    below `big`, so the key orders points by objective first and then
+    compares them from the last declared variable backwards: the returned
+    optimum is unique.
 
-    Each node runs exact interval propagation (_propagate) over all rows,
-    the cut `key <= best key - 1` included once an incumbent exists, so
-    pruning decisions are exact as well. The search keeps one box (see
-    _Search), which starts as the model's root box: the fixpoint of every
-    row, rows without terms included, below the declared bounds
-    (CompiledModel). So the root visits only the cut, or, when the rows
-    admit no point, the row that fails on that box; the greatest fixpoint
-    does not depend on the order rows are visited in, so the root's box is
-    the one a sweep over every row would reach. Any other node undoes the
-    trail back to its parent's fixpoint, moves the bound of its branch and
-    visits only the rows the move woke, plus the cut when it has dropped
-    since the parent was propagated. Every variable before the one a node
-    branched on is fixed in all its descendants, so the scan for the first
-    free variable starts there. At a leaf (lo == hi) the cut's carried
-    activity is the key.
-
-    `start`, if given, is a feasible point with one value per variable by
-    position. It is checked exactly against the root box and every row
-    that a point of the box can break (_start_key; a point that breaks a
-    bound or a row raises ValueError) and becomes the first incumbent, so
-    the cut is in place at the root; the optimum returned is the same, only
-    the search may be smaller. Without a start the search is the one above,
-    node for node. The returned Solution lists the improving points found
-    (Solution.incumbents); the start is not among them.
+    Each node runs exact interval propagation over all rows, the cut `key
+    <= best key - 1` included once an incumbent exists, so pruning
+    decisions are exact as well. The search keeps one box (see _Search),
+    which starts as the model's root box: the fixpoint of every row, rows
+    without terms included, below the declared bounds (CompiledModel). So
+    the root visits only the cut, or, when the rows admit no point, the
+    row that fails on that box; the greatest fixpoint does not depend on
+    the order rows are visited in, so the root's box is the one a sweep
+    over every row would reach. A node below visits the cut only when it
+    has dropped since the parent was propagated. At a leaf (lo == hi) the
+    cut's carried activity is the key.
     """
     if isinstance(model, IlpModel):
         model = compile_model(model)
@@ -667,48 +604,65 @@ def solve(model: IlpModel | CompiledModel, start: Optional[Sequence[int]] = None
     obj = model.objective
     comb = [big * o + w for o, w in zip(obj, weights)]
     search = _Search(model, comb)
-    lo, hi, trail, cut, act = search.lo, search.hi, search.trail, search.cut, search.act
+    lo, act, cut = search.lo, search.act, search.cut
     best_key: Optional[int] = None
     best: Optional[Tuple[int, ...]] = None
-    found: list[Tuple[int, ...]] = []
-    if start is not None:
-        best_key = _start_key(model, start, comb)
-        best = tuple(start)
-        search.set_incumbent(best_key)
 
-    # An entry is (trail length at the parent's fixpoint, variable to move,
-    # whether it is the upper bound, new bound, incumbents found when the
-    # parent was propagated); the root's variable is -1. A node's scan for
-    # a free variable starts at the variable it moved.
-    stack = [(0, -1, False, 0, 0)]
-    while stack:
-        mark, i, upper, bound, seen = stack.pop()
-        if len(trail) > mark:
-            search.undo(mark)
-        if i < 0:
-            seeds = (cut,) if model.failed is None else (model.failed,)
-            i = 0
-        else:
-            search.move(i, upper, bound)
-            seeds = (cut,) if seen != len(found) else ()
-        if not _propagate(search, seeds):
-            continue
-        if lo[i:] == hi[i:]:
-            # A leaf, so the cut's carried activity is the key of this point.
-            key = act[cut]
-            if best_key is None or key < best_key:
-                best_key = key
-                best = tuple(lo)
-                found.append(best)
-                search.set_incumbent(key)
-            continue
-        while lo[i] == hi[i]:
-            i += 1
-        mid = (lo[i] + hi[i]) // 2
-        mark = len(trail)
-        stack.append((mark, i, False, mid + 1, len(found)))
-        stack.append((mark, i, True, mid, len(found)))
+    def leaf():
+        nonlocal best_key, best
+        key = act[cut]
+        if best_key is None or key < best_key:
+            best_key, best = key, tuple(lo)
+            search.set_incumbent(key)
+
+    _branch(search, len(lo), (cut,) if model.failed is None else (model.failed,), leaf)
     if best is None:
         return None
-    assignment = dict(zip(model.variables, best))
-    return Solution(assignment, sum(map(mul, obj, best)), tuple(found))
+    return Solution(dict(zip(model.variables, best)), sum(map(mul, obj, best)))
+
+
+def minimal_points(model: IlpModel | CompiledModel) -> list:
+    """Every feasible point that no other feasible point lies below
+    componentwise, as a tuple of values by variable position, in
+    lexicographic order (the first variable most significant). The
+    objective plays no part.
+
+    One search (_branch) over the root box, as solve() branches but with
+    no objective and no cut, so leaves come in lexicographic order. Each
+    leaf is recorded, and rows that exclude it and every point above it
+    are added to the running search (_Search.add). They name its support,
+    the variables i where its value s lies above the root box's lo[i]: a
+    point is above it exactly when it is at least s on all of them. A
+    support of one variable gives the row x[i] <= s - 1. A larger one
+    gives, per variable, a new [0, 1] binary b with x[i] + r * b <= s - 1
+    + r, r being the range hi[i] - lo[i] of the root box (b = 1 forces
+    x[i] < s; b = 0 bounds nothing), and then sum(b) >= 1. With x fixed,
+    propagation leaves some b free exactly when some x[i] < s, so a leaf
+    passes the rows exactly when it lies above no point found.
+
+    A point below a leaf is lexicographically smaller, so the search
+    reached it first. So every leaf that passes the rows is minimal: a
+    feasible point below it would have been reached and recorded first
+    (or one below that), and its rows would exclude the leaf.
+    """
+    if isinstance(model, IlpModel):
+        model = compile_model(model)
+    search = _Search(model)
+    lo, n = search.lo, len(model.variables)
+    floor, ranges = model.lo, [h - l for l, h in zip(model.lo, model.hi)]
+    points: list = []
+
+    def leaf():
+        point = tuple(lo[:n])
+        points.append(point)
+        support = [(i, s) for i, s in enumerate(point) if s > floor[i]]
+        if len(support) == 1:
+            search.add((), [([(support[0][0], 1)], support[0][1] - 1, None)])
+            return
+        b = len(lo)
+        sides = [([(i, 1), (b + j, ranges[i])], s - 1 + ranges[i], None) for j, (i, s) in enumerate(support)]
+        sides.append(([(b + j, -1) for j in range(len(support))], -1, None))
+        search.add([(0, 1)] * len(support), sides)
+
+    _branch(search, n, () if model.failed is None else (model.failed,), leaf)
+    return points

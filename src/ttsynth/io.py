@@ -214,7 +214,8 @@ def parse_traces(data: bytes) -> list[tuple[str, ...]]:
 
 def parse_state_graph(data: bytes) -> StateGraph:
     """JSON document {"initial": id, "arcs": [{"from","label","to"}, ...]};
-    states are inferred and must all be reachable from the initial one."""
+    states are inferred and must all be reachable from the initial one.
+    State ids and labels must not be empty."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -222,7 +223,7 @@ def parse_state_graph(data: bytes) -> StateGraph:
     if not isinstance(doc, dict) or "initial" not in doc:
         raise ParseError("state graph needs an 'initial' field")
     initial = doc["initial"]
-    if not isinstance(initial, str):
+    if not isinstance(initial, str) or not initial:
         raise ParseError("'initial' must be a state identifier")
     raw_arcs = doc.get("arcs", [])
     if not isinstance(raw_arcs, list):
@@ -235,6 +236,8 @@ def parse_state_graph(data: bytes) -> StateGraph:
         src, label, tgt = entry["from"], entry["label"], entry["to"]
         if not all(isinstance(x, str) for x in (src, label, tgt)):
             raise ParseError(f"arc {i}: fields must be strings")
+        if not (src and label and tgt):
+            raise ParseError(f"arc {i}: empty state id or label")
         states.setdefault(src, None)
         states.setdefault(tgt, None)
         arcs.append((src, label, tgt))
@@ -250,7 +253,8 @@ def parse_state_graph(data: bytes) -> StateGraph:
 
 
 def parse_run(data: bytes) -> Run:
-    """JSON document {"events": {id: label, ...}, "order": [[a, b], ...]}."""
+    """JSON document {"events": {id: label, ...}, "order": [[a, b], ...]};
+    event ids and labels must not be empty."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -262,6 +266,8 @@ def parse_run(data: bytes) -> Run:
         isinstance(k, str) and isinstance(v, str) for k, v in events.items()
     ):
         raise ParseError("'events' must map event ids to labels")
+    if "" in events or "" in events.values():
+        raise ParseError("empty event id or label")
     raw_order = doc.get("order", [])
     if not isinstance(raw_order, list):
         raise ParseError("'order' must be a list of pairs")

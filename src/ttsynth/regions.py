@@ -1,5 +1,6 @@
 """Region enumeration: encode the region conditions as an ILP and list all
-minimal nonzero regions up to a bound k via blocking constraints.
+minimal nonzero regions up to a bound k, found in one search of its
+minimal points (ilp.minimal_points) and put in discovery order.
 
 A region is one token distribution over all places of the specification such
 that equally labelled transitions have the same rise and all nets carry the
@@ -22,6 +23,7 @@ classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping, Optional, Tuple
 
 from . import ilp
@@ -187,120 +189,57 @@ def build_base_model(problem: RegionProblem, classes: Mapping[str, str]) -> ilp.
     return ilp.IlpModel(tuple(variables), tuple(constraints), sizes)
 
 
-def add_blocking(
-    model: ilp.IlpModel | ilp.CompiledModel, found: Region, k: int, round_no: int
-) -> ilp.IlpModel | ilp.CompiledModel:
-    """Exclude `found` and everything componentwise above it.
-
-    For every positive component s of the found region a binary indicator is
-    forced to 1 exactly when the place variable drops below s; at least one
-    indicator must be 1, so any further solution is strictly smaller in at
-    least one positive component. On the class model (build_base_model)
-    `found` marks class variables only, giving one indicator per class.
-    The binaries are named (round_no, place): pairs, so they never share
-    an id with a place, whose ids are strings. `round_no` must differ
-    between the rounds blocked on one model.
-
-    `model` is an ilp.IlpModel or an ilp.CompiledModel; the binaries and
-    rows are declared after the existing ones in one step (extended), and
-    a compiled model compiles and propagates only these rows.
-    """
-    support = [p for p in found.marking.keys()]
-    if not support:
-        raise ValueError("cannot block the all-zero region")
-
-    binaries = []
-    constraints = []
-    sum_terms: dict[tuple, int] = {}
-    for place in support:
-        s = found.marking[place]
-        flag = (round_no, place)
-        binaries.append(ilp.Variable(flag, 0, 1))
-        constraints.append(ilp.LinearConstraint({place: 1, flag: k}, ilp.GE, s))
-        constraints.append(ilp.LinearConstraint({place: 1, flag: k}, ilp.LE, s + k - 1))
-        sum_terms[flag] = 1
-    constraints.append(ilp.LinearConstraint(sum_terms, ilp.GE, 1))
-    return model.extended(binaries, constraints)
-
-
-def blocking_flags(point, blocks) -> list[int]:
-    """The values that add_blocking's binaries take at `point`, in
-    declaration order, on a model blocked on the found regions `blocks`.
-
-    Each block lists one found region's positive components (position, s)
-    in marking order, positions indexing `point`, and the blocks come in
-    the order they were added. The binary of a component is 1 exactly when
-    point[position] < s, which satisfies both of its rows for any point in
-    [0, k]. So a block's rows admit the point exactly when one of its
-    binaries is 1: unless the point is >= s on the whole support.
-    """
-    return [1 if point[i] < s else 0 for block in blocks for i, s in block]
-
-
 def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
-    """Iteratively solve, record, and block until the model turns infeasible.
+    """Every minimal nonzero region up to k, in discovery order; with
+    max_regions set, the first max_regions of them, flagged when more
+    exist.
 
-    Solves over one variable per Parikh class and maps each class value
-    back to its places. The model is compiled once; each round appends its
-    blocking rows to it. Returns every minimal nonzero region up to k in
-    discovery order; with max_regions set, stops early and flags whether
-    anything was left.
-
-    Each round is warm-started from earlier rounds' incumbents. A pool
-    keeps the class values of every incumbent the solver reached. The
-    newest point that the blocking rows admit (no found region is <= it
-    on the region's support), extended with its blocking binaries
-    (blocking_flags), is feasible for the grown model and becomes the next
-    solve's start (_warm_start). The optimum is unique under the solver's
-    tie-break, so the start changes only how much of the tree the search
-    visits, never the region found.
+    The model over the Parikh classes (build_base_model) is searched once
+    for its minimal points (ilp.minimal_points); the seek row keeps the
+    zero point out, so these are the minimal regions, over the classes.
+    Each class value is mapped back to the class's places. Discovery order
+    is that of solving the model, recording the optimum and excluding it
+    and everything above it, round by round (_discovery_order). The whole
+    set is found either way, so max_regions cuts the output, not the work.
     """
     classes = parikh_classes(problem.spec)
-    heads = set(classes.values())
     model = ilp.compile_model(build_base_model(problem, classes))
-    n_classes = len(model.variables)
-    found: list[Region] = []
-    blocks: list[list[tuple[int, int]]] = []
-    pool: list[list] = []
-    while True:
-        start = _warm_start(pool, blocks)
-        solution = ilp.solve(model, start)
-        if solution is None:
-            return RegionEnumeration(tuple(found), truncated=False)
-        values = solution.assignment
-        region = Region(Multiset({p: values[c] for p, c in classes.items() if values[c]}), problem.k)
-        if problem.max_regions is not None and len(found) >= problem.max_regions:
-            return RegionEnumeration(tuple(found), truncated=True)
-        found.append(region)
-        class_region = Region(region.marking.restrict(heads), problem.k)
-        model = add_blocking(model, class_region, problem.k, len(found))
-        block = [(model.index[c], s) for c, s in class_region.marking.items()]
-        blocks.append(block)
-        pool += [[point[:n_classes], [], 0] for point in solution.incumbents]
+    order = _discovery_order(ilp.minimal_points(model), model.objective)
+    truncated = problem.max_regions is not None and len(order) > problem.max_regions
+    if truncated:
+        order = order[: problem.max_regions]
+    position = {p: model.index[c] for p, c in classes.items()}
+    regions = (Region(Multiset({p: x[i] for p, i in position.items() if x[i]}), problem.k) for x in order)
+    return RegionEnumeration(tuple(regions), truncated)
 
 
-def _warm_start(pool: list, blocks: list) -> Optional[list]:
-    """The newest point of `pool` that every block admits, followed by its
-    blocking binaries (blocking_flags), or None; the newer points, which
-    some block excludes, are dropped from the pool.
+def _discovery_order(points: list, objective: list) -> list:
+    """The minimal points `points` of the class model, each a tuple of
+    class values by position, in the order in which rounds of ilp.solve
+    find them when each round adds the found point's blocking rows to the
+    model: a binary per class of the point's support, declared after the
+    classes and the earlier binaries, that is 1 exactly when the class
+    lies below the point's value.
 
-    A pool entry is [class values, flags, number of blocks the flags
-    cover]: each point is compared once with each block, when it is the
-    newest left, so a round costs what its block adds to the top point.
+    Round n's optimum is the unfound minimal point with the least solver
+    key: a point above a minimal one has a larger objective, so no such
+    point is optimal, and the binaries are functions of the point. The key
+    ranks the objective first, then compares variables from the last
+    declared back: the newest block's binaries from its last support class
+    back, then the older blocks', then the class values from the last
+    back. So the points are sorted by (objective, class values from the
+    last back), and after each pick the rest are stable-sorted by
+    (objective, the pick's binaries from its last support class back),
+    which puts the pick's binaries above all that earlier sorts ranked.
     """
-    while pool:
-        entry = pool[-1]
-        point, flags, checked = entry
-        for block in blocks[checked:]:
-            more = blocking_flags(point, [block])
-            if 1 not in more:
-                break
-            flags += more
-        else:
-            entry[2] = len(blocks)
-            return [*point, *flags]
-        pool.pop()
-    return None
+    ranked = sorted(((sum(map(mul, objective, x)), x) for x in points), key=lambda e: (e[0], e[1][::-1]))
+    order = []
+    while ranked:
+        _, pick = ranked.pop(0)
+        order.append(pick)
+        support = [(i, s) for i, s in reversed(list(enumerate(pick))) if s]
+        ranked.sort(key=lambda e: (e[0], [e[1][i] < s for i, s in support]))
+    return order
 
 
 def _arc_index(spec: Specification) -> tuple:

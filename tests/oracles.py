@@ -177,6 +177,24 @@ def brute_force_ilp(model: ilp.IlpModel):
     return best[0][0], dict(zip(ids, best[1]))
 
 
+def brute_force_minimal_points(model: ilp.IlpModel) -> list:
+    """The feasible points (value tuples in variable order) that lie
+    componentwise above no other feasible point, in lexicographic order;
+    plain enumeration of the variable box."""
+    feasible = []
+    for point in itertools.product(*(range(v.lower, v.upper + 1) for v in model.variables)):
+        values = dict(zip((v.id for v in model.variables), point))
+        if all(
+            {ilp.LE: total <= con.rhs, ilp.GE: total >= con.rhs, ilp.EQ: total == con.rhs}[con.relation]
+            for con in model.constraints
+            for total in [sum(c * values[v] for v, c in con.terms.items())]
+        ):
+            feasible.append(point)
+    return [
+        x for x in feasible if not any(y != x and all(a <= b for a, b in zip(y, x)) for y in feasible)
+    ]
+
+
 @dataclass(frozen=True)
 class AssignmentCheck:
     ok: bool
@@ -325,9 +343,9 @@ def raw_region_model(problem) -> ilp.IlpModel:
     none or several); last the seek row sum(places) >= 1, whose terms are
     also the minimized objective. Rows without terms and repeats are kept.
 
-    Built straight from the arcs; solving it and blocking each region with
-    regions.add_blocking is the reference for the regions, their order and
-    the search tree of the raw model.
+    Built straight from the arcs; solving it round by round
+    (regions_round_by_round) is the reference for the regions, their order
+    and the search tree of the raw model.
     """
     spec = problem.spec
     constraints = []
@@ -369,6 +387,52 @@ def raw_region_model(problem) -> ilp.IlpModel:
     constraints.append(ilp.LinearConstraint(seek, ilp.GE, 1))
     variables = tuple(ilp.Variable(p, 0, problem.k) for p in places)
     return ilp.IlpModel(variables, tuple(constraints), seek)
+
+
+def block_region(model: ilp.IlpModel, found: dict, k: int, round_no: int) -> ilp.IlpModel:
+    """`model` with the point `found` (variable -> positive value, in
+    order) and every point above it excluded.
+
+    Per component (v, s) of `found`, a binary (round_no, v) is declared
+    after the model's variables, with the rows v + k * flag >= s and
+    v + k * flag <= s + k - 1, which on [0, k] make the flag 1 exactly
+    when v < s; then sum(flags) >= 1, so some component lies below s.
+    Pairs never equal a place id, which is a string. `round_no` must differ
+    between the blocks added to one model.
+    """
+    if not found:
+        raise ValueError("cannot block the all-zero region")
+    binaries, constraints = [], []
+    for v, s in found.items():
+        flag = (round_no, v)
+        binaries.append(ilp.Variable(flag, 0, 1))
+        constraints.append(ilp.LinearConstraint({v: 1, flag: k}, ilp.GE, s))
+        constraints.append(ilp.LinearConstraint({v: 1, flag: k}, ilp.LE, s + k - 1))
+    constraints.append(ilp.LinearConstraint({v.id: 1 for v in binaries}, ilp.GE, 1))
+    return ilp.IlpModel(model.variables + tuple(binaries), model.constraints + tuple(constraints), model.objective)
+
+
+def regions_round_by_round(model: ilp.IlpModel, classes: Mapping[str, str], k: int, max_regions=None):
+    """(markings, truncated): the regions of the region model `model`,
+    whose variables are the classes of `classes` (place -> class), in the
+    order that solving it round by round finds them.
+
+    Each round solves the model, maps the optimum's class values to the
+    places, and blocks the class values (block_region) until the model
+    turns infeasible; with max_regions, the round after the last one
+    wanted only tells whether more regions exist.
+    """
+    found = []
+    while True:
+        solution = ilp.solve(model)
+        if solution is None:
+            return found, False
+        values = solution.assignment
+        if max_regions is not None and len(found) >= max_regions:
+            return found, True
+        found.append({p: values[c] for p, c in classes.items() if values[c]})
+        class_values = {c: values[c] for p, c in classes.items() if p == c and values[c]}
+        model = block_region(model, class_values, k, len(found))
 
 
 def classical_state_regions(sg: StateGraph) -> set[frozenset]:

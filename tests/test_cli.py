@@ -425,6 +425,27 @@ class TestConvert:
         assert main(["convert", run, "-o", str(tmp_path / "r.pnml")]) == 2
         assert "not a partial order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, doc",
+        [
+            ("g.sg", {"initial": "s0", "arcs": [{"from": "s0", "label": "", "to": "s1"}]}),
+            ("g.sg", {"initial": "", "arcs": [{"from": "", "label": "a", "to": "s1"}]}),
+            ("g.sg", {"initial": "s0", "arcs": [{"from": "s0", "label": "a", "to": ""}]}),
+            ("r.run", {"events": {"": "a", "v2": "b"}, "order": [["", "v2"]]}),
+            ("r.run", {"events": {"v1": "", "v2": "b"}, "order": [["v1", "v2"]]}),
+        ],
+        ids=["sg-label", "sg-initial", "sg-state", "run-event", "run-label"],
+    )
+    def test_empty_ids_rejected(self, tmp_path, capsys, name, doc):
+        # An empty id or label would reach a PNML that no reader accepts:
+        # exit 2, one error line, nothing written, for convert and synth.
+        spec = write(tmp_path, name, json.dumps(doc))
+        for argv in (["convert", spec, "-o", str(tmp_path / "out.pnml")], ["synth", "-o", str(tmp_path / "out.pnml"), spec]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
     def test_acyclic_run(self, tmp_path):
         run = write(
             tmp_path,

@@ -5,18 +5,19 @@ propagation swept every row at every node, the state graph's by the
 event-driven one that replaced it. The region table and the PNML (place
 ids p1, p2, ... follow discovery order) must stay identical, so any change
 to the search that reorders regions shows here. Every input makes the
-solver branch. The tie-break makes each optimum unique, so outputs alone do
-not see how it was found; the node counts (one _propagate call per
-branch-and-bound node) pin the search. Enumeration solves the model over
-Parikh classes, which shrinks the interleaving's tree, and warm-starts each
-round from earlier rounds' incumbents, which lets most of the chain's
-rounds end at the root (NODES). The reference loops of test_regions solve
-every round cold: over the class model (COLD_NODES), which pins the
-branching order and the propagation strength without warm starts, and over
-the raw model, one variable per place (RAW_NODES). The places of the state
-graph and of the run are all classes of their own, and their models skip
-the raw model's rows without terms and repeats, so their cold counts must
-agree.
+solver branch. The order is that of solving round by round, and outputs
+alone do not see how the regions were found; the node counts (one
+_propagate call per branch-and-bound node) pin the search. Enumeration
+searches the model over Parikh classes once for all its minimal points
+(NODES), which the larger inputs pin too, with the rows and binaries that
+the regions found add to the running search. The reference loops of
+test_regions solve, record and block round by round
+(oracles.regions_round_by_round): over the class model (COLD_NODES), which
+pins the branching order and the propagation strength of ilp.solve, and
+over the raw model, one variable per place (RAW_NODES). The places of the
+state graph and of the run are all classes of their own, and their models
+skip the raw model's rows without terms and repeats, so their cold counts
+must agree.
 
 `check` of the golden net against its input is pinned too: stdout and, for
 the trace and run inputs, the witness trail behind each verdict. `check`
@@ -28,6 +29,7 @@ sides (ilp.CompiledModel.with_rhs).
 """
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -36,8 +38,9 @@ from test_semantics import counting_solves
 from ttsynth import ilp
 from ttsynth import io as net_io
 from ttsynth.cli import _load_nets, _model_with_label_transitions, main
-from ttsynth.core import build_specification
-from ttsynth.regions import RegionProblem, parikh_classes
+from ttsynth.convert import state_graph_to_labelled_net, trace_to_labelled_net
+from ttsynth.core import StateGraph, build_specification
+from ttsynth.regions import RegionProblem, enumerate_minimal_regions, parikh_classes
 from ttsynth.semantics import is_enabled
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,7 +69,7 @@ INPUTS = {
     "concurrent_2x4": "concurrent_2x4.run",
     "loops": "loops.traces",
 }
-NODES = {"interleave_2x2": 91, "chain_12": 64, "statespace_3": 91, "concurrent_2x4": 65, "loops": 224}
+NODES = {"interleave_2x2": 23, "chain_12": 51, "statespace_3": 15, "concurrent_2x4": 43, "loops": 53}
 COLD_NODES = {"interleave_2x2": 97, "chain_12": 352, "statespace_3": 91, "concurrent_2x4": 485, "loops": 224}
 RAW_NODES = {"interleave_2x2": 111, "chain_12": 352, "statespace_3": 91, "concurrent_2x4": 485, "loops": 156}
 
@@ -119,6 +122,41 @@ def test_raw_search_tree_size(name, k, monkeypatch):
     calls = count_propagate(monkeypatch)
     raw_enumeration(RegionProblem(spec, k))
     assert len(calls) == RAW_NODES[name]
+
+
+def cycles_graph(n: int) -> StateGraph:
+    """Reachability graph of n independent two-state cycles. State v is a
+    bit vector; bit i off enables up<i>, on enables down<i>. Arcs are
+    listed by state, then by cycle."""
+    states = [f"s{v}" for v in range(2**n)]
+    arcs = [(states[v], f"{'down' if v >> i & 1 else 'up'}{i}", states[v ^ (1 << i)]) for v in range(2**n) for i in range(n)]
+    return StateGraph(tuple(states), states[0], tuple(arcs))
+
+
+LARGER = {
+    # one trace of 60 distinct labels: every region marks one class, so
+    # each adds one bound row and no binary
+    "chain60": lambda: trace_to_labelled_net([f"t{i:02d}" for i in range(60)]),
+    # 256 states, 2,048 arcs, 16 labels: every region marks 128 classes
+    "statespace8": lambda: state_graph_to_labelled_net(cycles_graph(8)),
+}
+
+
+@pytest.mark.parametrize(
+    "name,k,regions,nodes,rows,binaries",
+    [("chain60", 2, 61, 243, 61, 0), ("statespace8", 1, 16, 35, 2064, 2048), ("statespace8", 2, 16, 195, 2064, 2048)],
+)
+def test_search_tree_on_larger_inputs(name, k, regions, nodes, rows, binaries, monkeypatch):
+    # The one search for all minimal regions, pinned by its nodes and by
+    # the rows and binaries that its regions add to it (ilp._Search.add).
+    spec = build_specification([LARGER[name]()])
+    calls = count_propagate(monkeypatch)
+    with mock.patch.object(ilp._Search, "add", autospec=True, side_effect=ilp._Search.add) as add:
+        found = enumerate_minimal_regions(RegionProblem(spec, k))
+    assert len(found.regions) == regions and not found.truncated
+    assert len(calls) == nodes
+    assert sum(len(c.args[2]) for c in add.call_args_list) == rows
+    assert sum(len(c.args[1]) for c in add.call_args_list) == binaries
 
 
 def witness_report(name: str, k: int) -> str:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import random_ilp_model
-from oracles import brute_force_ilp, check_assignment, interval_fixpoint, reference_bnb
+from oracles import brute_force_ilp, brute_force_minimal_points, check_assignment, interval_fixpoint, reference_bnb
 from ttsynth import ilp
 
 
@@ -183,69 +183,6 @@ class TestSolve:
         assert first == second
 
 
-def search_key(m, point):
-    """The key ilp.solve orders points by: objective first, then the
-    mixed-radix tie-break over the declared ranges (see reference_bnb)."""
-    weights, big = [], 1
-    for v in m.variables:
-        weights.append(big)
-        big *= v.upper - v.lower + 1
-    return sum((big * m.objective.get(v.id, 0) + w) * x for v, w, x in zip(m.variables, weights, point))
-
-
-class TestWarmStart:
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(deadline=None, max_examples=300)
-    def test_start_gives_the_cold_optimum(self, seed):
-        # Every point of the box as a start: a feasible one gives the cold
-        # optimum, any other raises. Each solve hands back its improving
-        # points, feasible and strictly decreasing in key, the optimum last.
-        rng = random.Random(seed)
-        m = random_ilp_model(rng, max_vars=5)
-        ids = [v.id for v in m.variables]
-        cold = ilp.solve(m)
-        out_of_box = [v.lower for v in m.variables]
-        out_of_box[rng.randrange(len(ids))] = rng.choice([-1, 4])
-        with pytest.raises(ValueError):
-            ilp.solve(m, out_of_box)
-        for point in itertools.product(*(range(v.lower, v.upper + 1) for v in m.variables)):
-            if not check_assignment(m, dict(zip(ids, point))):
-                with pytest.raises(ValueError):
-                    ilp.solve(m, list(point))
-                continue
-            warm = ilp.solve(m, list(point))
-            assert warm == cold
-            keys = [search_key(m, point)]
-            for incumbent in warm.incumbents:
-                assert check_assignment(m, dict(zip(ids, incumbent)))
-                keys.append(search_key(m, incumbent))
-            assert keys == sorted(set(keys), reverse=True)
-            assert keys[-1] == search_key(m, [cold.assignment[v] for v in ids])
-        if cold is not None:
-            keys = [search_key(m, incumbent) for incumbent in cold.incumbents]
-            assert keys == sorted(set(keys), reverse=True)
-            assert list(cold.incumbents[-1]) == [cold.assignment[v] for v in ids]
-
-    def test_start_is_not_an_incumbent(self):
-        m = model([ilp.Variable("x", 0, 3)], [ilp.LinearConstraint({"x": 1}, ilp.GE, 1)], {"x": 1})
-        assert ilp.solve(m).incumbents == ((1,),)
-        assert ilp.solve(m, [1]).incumbents == ()
-        assert ilp.solve(m, [3]).incumbents == ((1,),)
-        assert ilp.solve(m, [3]) == ilp.solve(m)
-        assert repr(ilp.solve(m, [3])) == "Solution(assignment={'x': 1}, objective_value=1)"
-
-    def test_invalid_starts_rejected(self):
-        m = model(
-            [ilp.Variable("x", 0, 2), ilp.Variable("y", 0, 2)],
-            [ilp.LinearConstraint({"x": 1, "y": 1}, ilp.EQ, 2)],
-        )
-        compiled = ilp.compile_model(m)
-        for start in ([1], [1, 1, 0], [1, True], [1.0, 1], [3, -1], [2, 1], [0, 1]):
-            with pytest.raises(ValueError):
-                ilp.solve(compiled, start)
-        assert ilp.solve(compiled, [2, 0]) == ilp.solve(m)
-
-
 def solve_counting(m):
     """ilp.solve(m) and the number of _propagate calls (search nodes) it made."""
     with mock.patch.object(ilp, "_propagate", wraps=ilp._propagate) as propagate:
@@ -254,31 +191,6 @@ def solve_counting(m):
 
 
 class TestCompiledModel:
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(deadline=None, max_examples=400)
-    def test_appending_searches_like_the_whole_model(self, seed):
-        # Compile a prefix of the variables and rows, append the rest in two
-        # steps as region enumeration does, and the search must be the one
-        # of the whole IlpModel. The prefix must stay as it was compiled.
-        rng = random.Random(seed)
-        m = random_ilp_model(rng)
-        pos = {v.id: i for i, v in enumerate(m.variables)}
-        b = rng.randint(0, len(m.constraints))
-        needed = max((pos[v] + 1 for con in m.constraints[:b] for v in con.terms), default=0)
-        a = rng.randint(needed, len(m.variables))
-        c = rng.randint(b, len(m.constraints))
-        prefix = model(m.variables[:a], m.constraints[:b])
-        compiled = ilp.compile_model(prefix)
-        whole = (
-            compiled.extended(m.variables[a:], ())
-            .extended((), m.constraints[b:c])
-            .extended((), m.constraints[c:])
-            .with_objective(m.objective)
-        )
-        assert (len(whole.variables), len(whole.constraints)) == (len(m.variables), len(m.constraints))
-        assert solve_counting(whole) == solve_counting(m)
-        assert solve_counting(compiled) == solve_counting(prefix)
-
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=200)
     def test_sibling_searches_like_a_fresh_model(self, seed):
@@ -306,20 +218,18 @@ class TestCompiledModel:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=300)
     def test_carried_box_is_the_fixpoint(self, seed):
-        # Grow a compiled model by random steps of variables and rows, now
-        # and then giving it a start so that it lists its live rows: after
-        # each step its root box is the interval fixpoint of the rows
-        # declared so far (or, when that box is empty, a row fails on it),
-        # each activity is a fresh sum over the box, and every row left out
-        # of the live rows holds at every point of the box.
+        # Compile growing prefixes of a model's variables and rows: each
+        # root box is the interval fixpoint of the rows declared so far (or,
+        # when that box is empty, a row fails on it), and each activity is
+        # a fresh sum over the box.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
         needs = [max((int(v[1:]) + 1 for v in con.terms), default=0) for con in m.constraints]
         everything = (len(m.variables), len(m.constraints))
         a = b = 0
-        compiled = ilp.compile_model(model([]))
         while True:
             declared = model(m.variables[:a], m.constraints[:b])
+            compiled = ilp.compile_model(declared)
             want = interval_fixpoint(declared, [v.lower for v in declared.variables], [v.upper for v in declared.variables])
             lo, hi = compiled.lo, compiled.hi
             if compiled.failed is not None:
@@ -332,12 +242,6 @@ class TestCompiledModel:
                     most = sum(max(c * lo[int(v[1:])], c * hi[int(v[1:])]) for v, c in con.terms.items())
                     for r, sign in sides:
                         assert compiled.act[r] == (least if sign > 0 else -most)
-                    if compiled.live is not None and not {r for r, _ in sides} & set(compiled.live):
-                        holds = {ilp.LE: most <= con.rhs, ilp.GE: least >= con.rhs, ilp.EQ: least == most == con.rhs}
-                        assert holds[con.relation]
-                if compiled.live is None and rng.random() < 0.5 and (found := ilp.solve(compiled)) is not None:
-                    ilp.solve(compiled, list(found.assignment.values()))
-                    assert compiled.live is not None
             if (a, b) == everything:
                 break
             new_a, new_b = rng.randint(a, len(m.variables)), b
@@ -345,16 +249,11 @@ class TestCompiledModel:
                 new_b += 1
             if (new_a, new_b) == (a, b):
                 new_a, new_b = everything
-            extra_vars, extra_rows = m.variables[a:new_a], m.constraints[b:new_b]
-            if rng.random() < 0.5:
-                compiled = compiled.extended(extra_vars, extra_rows)
-            else:
-                compiled = compiled.extended(extra_vars, ()).extended((), extra_rows)
             a, b = new_a, new_b
 
     def test_root_infeasible_model_takes_one_node(self):
         # The rows admit no point: the root visits the failing row only,
-        # and no start is accepted.
+        # and so does the search for minimal points.
         m = model(
             [ilp.Variable("x", 0, 3), ilp.Variable("y", 0, 3)],
             [ilp.LinearConstraint({"x": 1, "y": 1}, ilp.GE, 5), ilp.LinearConstraint({"x": 1}, ilp.LE, 1)],
@@ -362,24 +261,13 @@ class TestCompiledModel:
         compiled = ilp.compile_model(m)
         assert compiled.failed is not None
         assert solve_counting(compiled) == (None, 1)
-        with pytest.raises(ValueError):
-            ilp.solve(compiled, [1, 3])
-        grown = compiled.extended([ilp.Variable("z", 0, 1)], ()).extended((), [ilp.LinearConstraint({"z": 1}, ilp.LE, 1)])
-        assert grown.failed == compiled.failed and solve_counting(grown) == (None, 1)
-
-    def test_start_outside_the_root_box_rejected(self):
-        # y is 2 at every feasible point; a start with y = 1 lies in the
-        # declared bounds but outside the root box.
-        m = model(
-            [ilp.Variable("x", 0, 2), ilp.Variable("y", 0, 2)],
-            [ilp.LinearConstraint({"y": 1}, ilp.GE, 2)],
+        with mock.patch.object(ilp, "_propagate", wraps=ilp._propagate) as propagate:
+            assert ilp.minimal_points(compiled) == []
+        assert propagate.call_count == 1
+        grown = ilp.compile_model(
+            model(m.variables + (ilp.Variable("z", 0, 1),), m.constraints + (ilp.LinearConstraint({"z": 1}, ilp.LE, 1),))
         )
-        compiled = ilp.compile_model(m)
-        assert (compiled.lo, compiled.hi) == ([0, 2], [2, 2])
-        with pytest.raises(ValueError, match="outside"):
-            ilp.solve(compiled, [0, 1])
-        assert ilp.solve(compiled, [1, 2]) == ilp.solve(m)
-        assert compiled.live == []  # y >= 2 holds on the whole box
+        assert grown.failed == compiled.failed and solve_counting(grown) == (None, 1)
 
     def test_rows_without_terms_are_judged_on_every_solve(self):
         m = model(
@@ -390,16 +278,10 @@ class TestCompiledModel:
         assert ilp.solve(compiled).assignment == {"x": 1}
         assert ilp.solve(compiled.with_rhs([1, 1], [0], [1])) is None
         assert ilp.solve(compiled.with_rhs([0, 0], [0], [1])).assignment == {"x": 0}
-        assert ilp.solve(compiled.extended((), [ilp.LinearConstraint({}, ilp.LE, -1)])) is None
+        assert ilp.solve(model(m.variables, m.constraints + (ilp.LinearConstraint({}, ilp.LE, -1),))) is None
 
     def test_invalid_extensions_rejected(self):
         compiled = ilp.compile_model(model([ilp.Variable("x", 0, 1)]))
-        with pytest.raises(ValueError):
-            compiled.extended([ilp.Variable("x", 0, 1)], ())
-        with pytest.raises(ValueError):
-            compiled.extended((), [ilp.LinearConstraint({"y": 1}, ilp.LE, 0)])
-        with pytest.raises(ValueError):
-            compiled.with_objective({"y": 1})
         with pytest.raises(ValueError):
             compiled.with_rhs([], [1], [0])
         with pytest.raises(ValueError):
@@ -506,7 +388,8 @@ class TestPropagation:
             assert search.act[search.cut] == activity(min)
             key -= rng.randint(1, 4)
             search.set_incumbent(key)
-            want = interval_fixpoint(m.extended((), [ilp.LinearConstraint(terms, ilp.LE, key - 1)]), *box)
+            with_cut = model(m.variables, m.constraints + (ilp.LinearConstraint(terms, ilp.LE, key - 1),))
+            want = interval_fixpoint(with_cut, *box)
             ok = ilp._propagate(search, [search.cut])
             assert ok == (want is not None)
             if ok:
@@ -582,6 +465,76 @@ class TestPropagation:
             assert len(search.trail) == mark
             assert state() == before
             assert search.act == fresh()
+
+
+class TestMinimalPoints:
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_brute_force(self, seed):
+        # The feasible points above no other feasible point, in
+        # lexicographic order, whatever the bounds and the objective.
+        m = random_ilp_model(random.Random(seed), max_vars=5)
+        assert ilp.minimal_points(m) == brute_force_minimal_points(m)
+
+    def test_blocks_of_one_and_of_several_variables(self):
+        # x + y >= 2: (0, 2), (1, 1) and (2, 0) are minimal, every other
+        # feasible point lies above one of them. A point with one positive
+        # value adds a bound row on it alone, (1, 1) a row per variable,
+        # each with a binary, and their sum.
+        m = model([ilp.Variable("x", 0, 2), ilp.Variable("y", 0, 2)], [ilp.LinearConstraint({"x": 1, "y": 1}, ilp.GE, 2)])
+        with mock.patch.object(ilp._Search, "add", autospec=True, side_effect=ilp._Search.add) as add:
+            assert ilp.minimal_points(m) == [(0, 2), (1, 1), (2, 0)]
+        assert [(len(c.args[1]), len(c.args[2])) for c in add.call_args_list] == [(0, 1), (2, 3), (0, 1)]
+
+
+class TestRunningSearch:
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=300)
+    def test_added_rows_reach_the_whole_models_fixpoint(self, seed):
+        # Search a prefix of a model's variables and rows, move to a random
+        # sub-box, then add the remaining variables and rows to the running
+        # search, as minimal_points does at a leaf: propagating the added
+        # rows reaches the box that the whole model's rows reach from that
+        # sub-box (or its emptiness), and undoing every move leaves each
+        # activity, the added rows' included, a fresh sum over the box.
+        rng = random.Random(seed)
+        m = random_ilp_model(rng)
+        pos = {v.id: i for i, v in enumerate(m.variables)}
+        b = rng.randint(0, len(m.constraints))
+        needed = max((pos[v] + 1 for con in m.constraints[:b] for v in con.terms), default=0)
+        a = rng.randint(needed, len(m.variables))
+        compiled = ilp.compile_model(model(m.variables[:a], m.constraints[:b]))
+        if compiled.failed is not None:
+            return
+        search = ilp._Search(compiled)
+        lo, hi = search.lo, search.hi
+        for _ in range(rng.randint(0, 3)):
+            move = random_move(rng, lo, hi)
+            if move is None:
+                break
+            search.move(*move)
+            if not ilp._propagate(search, ()):
+                return
+        box = (lo + [v.lower for v in m.variables[a:]], hi + [v.upper for v in m.variables[a:]])
+        sides = []
+        for con in m.constraints[b:]:
+            terms = [(pos[v], c) for v, c in con.terms.items()]
+            negated = [(i, -c) for i, c in terms]
+            r = len(search.rows) + len(sides)
+            if con.relation == ilp.EQ:
+                sides += [(terms, con.rhs, r + 1), (negated, -con.rhs, r)]
+            else:
+                sides.append((terms, con.rhs, None) if con.relation == ilp.LE else (negated, -con.rhs, None))
+        search.add([(v.lower, v.upper) for v in m.variables[a:]], sides)
+        assert search.wake == list(range(len(search.rows) - len(sides), len(search.rows)))
+        want = interval_fixpoint(m, *box)
+        ok = ilp._propagate(search, search.wake)
+        assert ok == (want is not None)
+        if ok:
+            assert (lo, hi) == want
+        search.undo(0)
+        assert (lo, hi) == (compiled.lo + box[0][a:], compiled.hi + box[1][a:])
+        assert search.act == [sum(c * (lo[i] if c > 0 else hi[i]) for i, c in row[0]) for row in search.rows]
 
 
 class TestLpDump:

@@ -71,12 +71,13 @@ class TestEnumerationDeterminism:
             assert first == second
 
     def test_objective_and_seek_exclude_blocking_binaries(self):
-        from ttsynth.regions import Region, add_blocking, build_base_model, parikh_classes
+        from oracles import block_region
+        from ttsynth.regions import build_base_model, parikh_classes
 
         spec = spec_of(make_e_seq())
         model = build_base_model(RegionProblem(spec, 1), parikh_classes(spec))
-        blocked = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1, 1)
-        blocked = add_blocking(blocked, Region(Multiset({"c1": 1}), 1), 1, 2)
+        blocked = block_region(model, {"c0": 1}, 1, 1)
+        blocked = block_region(blocked, {"c1": 1}, 1, 2)
         assert set(blocked.objective) == {"c0", "c1", "c2"}
         seek = blocked.constraints[len(model.constraints) - 1]
         assert set(seek.terms) == {"c0", "c1", "c2"}

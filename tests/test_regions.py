@@ -9,12 +9,14 @@ from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spe
 import oracles
 from gens import random_labelled_net, random_specification, random_state_graph, random_two_way_arcs
 from oracles import (
+    block_region,
     brute_force_minimal_regions,
     check_assignment,
     first_region_violation,
     induced_place,
     is_region_point,
     raw_region_model,
+    regions_round_by_round,
 )
 from ttsynth import ilp
 from ttsynth.convert import state_graph_to_labelled_net, trace_to_labelled_net
@@ -24,8 +26,6 @@ from ttsynth.regions import (
     Region,
     RegionEnumeration,
     RegionProblem,
-    add_blocking,
-    blocking_flags,
     build_base_model,
     discovery_final_places,
     enumerate_minimal_regions,
@@ -40,19 +40,10 @@ def markings(enumeration):
 
 def cold_enumeration(problem: RegionProblem, model: ilp.IlpModel, classes) -> RegionEnumeration:
     """Reference enumeration over `model`, whose variables are the classes
-    of `classes` (place -> class): solve without a start, record, block the
-    class values until infeasible."""
-    found = []
-    while True:
-        solution = ilp.solve(model)
-        if solution is None:
-            return RegionEnumeration(tuple(found), truncated=False)
-        values = solution.assignment
-        if problem.max_regions is not None and len(found) >= problem.max_regions:
-            return RegionEnumeration(tuple(found), truncated=True)
-        found.append(Region(Multiset({p: values[c] for p, c in classes.items()}), problem.k))
-        class_values = Multiset({p: values[p] for p, c in classes.items() if p == c})
-        model = add_blocking(model, Region(class_values, problem.k), problem.k, len(found))
+    of `classes` (place -> class): solve, record and block round by round
+    (oracles.regions_round_by_round)."""
+    found, truncated = regions_round_by_round(model, classes, problem.k, problem.max_regions)
+    return RegionEnumeration(tuple(Region(Multiset(m), problem.k) for m in found), truncated)
 
 
 def raw_enumeration(problem: RegionProblem) -> RegionEnumeration:
@@ -161,13 +152,12 @@ class TestSeekAndBlocking:
     def test_e_dup_blocked_becomes_infeasible(self):
         spec = spec_of(make_e_dup())
         model = class_model(RegionProblem(spec, 1))
-        region = Region(Multiset({"c0": 1, "c1": 1, "c2": 1}), 1)
-        assert ilp.solve(add_blocking(model, region, 1, 1)) is None
+        assert ilp.solve(block_region(model, {"c0": 1, "c1": 1, "c2": 1}, 1, 1)) is None
 
     def test_e_seq_blocking_sequence(self):
         spec = spec_of(make_e_seq())
         model = class_model(RegionProblem(spec, 1))
-        model = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1, 1)
+        model = block_region(model, {"c0": 1}, 1, 1)
         solution = ilp.solve(model)
         region_part = {p: solution.assignment[p] for p in ("c0", "c1", "c2")}
         assert region_part == {"c0": 0, "c1": 1, "c2": 0}
@@ -176,7 +166,7 @@ class TestSeekAndBlocking:
         # with k=1 the added inequalities force flag = 1 - place
         spec = spec_of(make_e_seq())
         model = class_model(RegionProblem(spec, 1))
-        blocked = add_blocking(model, Region(Multiset({"c0": 1}), 1), 1, 1)
+        blocked = block_region(model, {"c0": 1}, 1, 1)
         flag = [v.id for v in blocked.variables if isinstance(v.id, tuple)][0]
         lo_hi = [(c.relation, c.rhs) for c in blocked.constraints if flag in c.terms and "c0" in c.terms]
         for p0 in (0, 1):
@@ -191,14 +181,14 @@ class TestSeekAndBlocking:
         spec = spec_of(make_e_seq())
         model = class_model(RegionProblem(spec, 1))
         with pytest.raises(ValueError):
-            add_blocking(model, Region(Multiset(), 1), 1, 1)
+            block_region(model, {}, 1, 1)
 
     def test_blocking_accepts_exactly_smaller_assignments(self):
         # sweep every (place, flag) assignment on a small k=2 model
         spec = spec_of(make_e_dup())
         base = class_model(RegionProblem(spec, 2))
-        found = Region(Multiset({"c0": 2, "c1": 1}), 2)
-        blocked = add_blocking(base, found, 2, 1)
+        found = {"c0": 2, "c1": 1}
+        blocked = block_region(base, found, 2, 1)
         flags = [v.id for v in blocked.variables if isinstance(v.id, tuple)]
         block_rows = blocked.constraints[len(base.constraints):]
         places = ("c0", "c1", "c2")
@@ -218,23 +208,24 @@ class TestSeekAndBlocking:
                 for flag_vals in itertools.product((0, 1), repeat=len(flags))
             )
             strictly_smaller_somewhere = any(
-                assignment[p] < found.marking[p] for p in places if found.marking[p] > 0
+                assignment[p] < found.get(p, 0) for p in places if found.get(p, 0) > 0
             )
             assert satisfiable == strictly_smaller_somewhere, point
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_flags_satisfy_the_blocking_rows(self, k):
-        # a point extended with blocking_flags satisfies the rows that
-        # add_blocking appends exactly when the blocking admits it at all
+        # a point extended with its flags (1 exactly where it lies below the
+        # blocked point) satisfies the rows that block_region appends
+        # exactly when the blocking admits it at all
         base = ilp.IlpModel((ilp.Variable("a", 0, k), ilp.Variable("b", 0, k)))
         for found in itertools.product(range(k + 1), repeat=2):
             if not any(found):
                 continue
-            blocked = add_blocking(base, Region(Multiset(dict(zip("ab", found))), k), k, 1)
+            blocked = block_region(base, {v: s for v, s in zip("ab", found) if s}, k, 1)
             ids = [v.id for v in blocked.variables]
             block = [(i, s) for i, s in enumerate(found) if s]
             for point in itertools.product(range(k + 1), repeat=2):
-                flags = blocking_flags(point, [block])
+                flags = [1 if point[i] < s else 0 for i, s in block]
                 admitted = any(point[i] < s for i, s in block)
                 assert bool(check_assignment(blocked, dict(zip(ids, list(point) + flags)))) == admitted
 
