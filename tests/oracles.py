@@ -181,18 +181,13 @@ def brute_force_minimal_points(model: ilp.IlpModel) -> list:
     """The feasible points (value tuples in variable order) that lie
     componentwise above no other feasible point, in lexicographic order;
     plain enumeration of the variable box."""
-    feasible = []
-    for point in itertools.product(*(range(v.lower, v.upper + 1) for v in model.variables)):
-        values = dict(zip((v.id for v in model.variables), point))
-        if all(
-            {ilp.LE: total <= con.rhs, ilp.GE: total >= con.rhs, ilp.EQ: total == con.rhs}[con.relation]
-            for con in model.constraints
-            for total in [sum(c * values[v] for v, c in con.terms.items())]
-        ):
-            feasible.append(point)
-    return [
-        x for x in feasible if not any(y != x and all(a <= b for a, b in zip(y, x)) for y in feasible)
+    ids = [v.id for v in model.variables]
+    feasible = [
+        point
+        for point in itertools.product(*(range(v.lower, v.upper + 1) for v in model.variables))
+        if check_assignment(model, dict(zip(ids, point)))
     ]
+    return [x for x in feasible if not any(y != x and all(a <= b for a, b in zip(y, x)) for y in feasible)]
 
 
 @dataclass(frozen=True)
