@@ -165,8 +165,9 @@ def _compile_rows(sides, lo, hi, rows: list, act: list, lo_occurs: list, hi_occu
     variable i with c > 0 and `hi_occurs[i]` those with c < 0: the rows
     whose minimum activity grows by c times the move when lo[i] rises or
     hi[i] falls, and the only rows such a move can make tighten. A list
-    that gains entries is replaced by a longer copy, never extended, so a
-    model sharing it (CompiledModel) is left as it was.
+    that gains entries is replaced by a longer copy, never extended, so
+    the compiled model whose lists a search shares (_Search.add) is left
+    as it was.
     """
     new_lo: dict[int, list] = {}
     new_hi: dict[int, list] = {}
@@ -192,9 +193,10 @@ def _compile_rows(sides, lo, hi, rows: list, act: list, lo_occurs: list, hi_occu
 
 @dataclass(frozen=True, eq=False)
 class CompiledModel:
-    """An IlpModel compiled for solve(): variables by position, rows with
-    their occurrence lists, bounds and objective as lists, and the box that
-    propagating every row reaches from the declared bounds.
+    """An IlpModel compiled for solve() and minimal_points(): variables by
+    position, rows with their occurrence lists, the objective as a list,
+    and the box that propagating every row reaches from the declared
+    bounds.
 
     Each declared constraint is compiled into its `<=` sides: a `<=`
     constraint into itself, a `>=` one into its negation and an equality
