@@ -10,16 +10,19 @@ Pair i runs `benchmark/run.py --workload W --seed SEED+i --seconds S
 --trace 0` once in each checkout, S being the change's `run_seconds` in
 `BENCHMARK.json`, the parent first in even pairs and the change first in
 odd ones, so the pair count must be even. Whether a metric is better lower
-or higher is read from the same file's `end_to_end` list. Per workload and
-end-to-end metric the file holds both medians and quartiles, the change's
-relative difference, the pairs the change won (strictly better), and
-whether a gain holds: better in at least 9 of 10 pairs and, in the median,
-by more than the parent's interquartile range. It also holds every run's
-values, the environment that run.py reports, and both commits.
+or higher, and its bound (the relative loss it may show), are read from
+the same file's `end_to_end` list. Per workload and end-to-end metric the
+file holds both medians and quartiles, the change's relative difference,
+the pairs the change won (strictly better), whether a gain holds (better
+in at least 9 of 10 pairs and, in the median, by more than the parent's
+interquartile range) and a no-regression verdict (see `verdict`). It also
+holds every run's values, the environment that run.py reports, and both
+commits. Each verdict is also printed to stderr.
 
 Exit codes: 0 written, 1 a run failed (nothing is written), 2 usage error,
 such as a missing checkout, an odd pair count or a change without a
-readable `BENCHMARK.json` holding `run_seconds` and `end_to_end`.
+readable `BENCHMARK.json` holding `run_seconds` and, per `end_to_end`
+metric, `better` and `bound`.
 """
 
 from __future__ import annotations
@@ -62,7 +65,28 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(runs: list, better: dict) -> dict:
+def verdict(parent: list, change: list, sign: int, bound: float) -> str:
+    """Whether the change's runs show a loss beyond `bound`, relative to
+    the parent's median, on a metric better lower (sign 1) or higher (-1).
+
+    "within bound" when every change run beats every parent run; else
+    "worse" when the change's median is worse than the parent's by more
+    than the bound; else "unresolved" when the parent's interquartile
+    range is wider than the bound, so a loss that large could hide in its
+    spread; else "within bound".
+    """
+    if all(sign * (c - p) < 0 for c in change for p in parent):
+        return "within bound"
+    p = summary(parent)
+    scale = bound * abs(p["median"])
+    if sign * (statistics.median(change) - p["median"]) > scale:
+        return "worse"
+    if p["q3"] - p["q1"] > scale:
+        return "unresolved"
+    return "within bound"
+
+
+def compare(runs: list, better: dict, bounds: dict) -> dict:
     """Per metric: both sides' medians and quartiles, and how the change fared."""
     out = {}
     for name in better:
@@ -79,6 +103,8 @@ def compare(runs: list, better: dict) -> dict:
             "relative": (c["median"] - p["median"]) / p["median"] if p["median"] else None,
             "pairs_won": won,
             "gain_holds": won >= math.ceil(0.9 * len(runs)) and gain > p["q3"] - p["q1"],
+            "bound": bounds[name],
+            "verdict": verdict(parent, change, sign, bounds[name]),
         }
     return out
 
@@ -104,6 +130,7 @@ def main(argv=None) -> int:
         spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
         seconds = float(spec["run_seconds"])
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        bounds = {m["name"]: float(m["bound"]) for m in spec["end_to_end"]}
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: change checkout has no usable BENCHMARK.json: {exc!r}", file=sys.stderr)
         return 2
@@ -122,7 +149,10 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: "
                       + ", ".join(f"{s} check_s {run[s].get('check_s', float('nan')):.4f}" for s in SIDES), file=sys.stderr)
                 runs.append(run)
-            report["workloads"][workload] = {"metrics": compare(runs, better), "runs": runs}
+            metrics = compare(runs, better, bounds)
+            for name, m in metrics.items():
+                print(f"{workload} {name}: {m['verdict']}", file=sys.stderr)
+            report["workloads"][workload] = {"metrics": metrics, "runs": runs}
     except RunFailed as exc:
         print(f"error: run failed, nothing written: {exc}", file=sys.stderr)
         return 1

@@ -5,10 +5,12 @@
 
 Each fake checkout's `benchmark/run.py` prints a fixed result and logs its
 call, and its `BENCHMARK.json` sets a run length of 2 s. Checks that two
-pairs alternate the order, run for that length and sum up medians and
-pairs won, each metric counted in its own direction, and that an odd pair
-count, a missing checkout, a change without `BENCHMARK.json` and a failed
-run each write nothing. Exits 0 when all hold.
+pairs alternate the order, run for that length and sum up medians, pairs
+won and verdicts, each metric counted in its own direction, that the
+verdict tells a loss beyond the bound from one hidden in the parent's
+spread, and that an odd pair count, a missing checkout, a change without
+`BENCHMARK.json` and a failed run each write nothing. Exits 0 when all
+hold.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ print(json.dumps({"failed": 0, "metrics": {
 
 SPEC = {
     "run_seconds": 2,
-    "end_to_end": [{"name": "check_s", "better": "lower"}, {"name": "success_rate", "better": "higher"}],
+    "end_to_end": [
+        {"name": "check_s", "better": "lower", "bound": 0.25},
+        {"name": "success_rate", "better": "higher", "bound": 0.01},
+    ],
 }
 
 failures: list = []
@@ -92,6 +97,10 @@ def main() -> int:
         expect(check.get("pairs_won") == 2 and check.get("gain_holds") is True, "a change better in every pair wins them")
         rate = report.get("workloads", {}).get("w", {}).get("metrics", {}).get("success_rate", {})
         expect(rate.get("better") == "higher" and rate.get("pairs_won") == 0, "a higher-is-better metric, lower in every pair, wins no pair")
+        expect(
+            check.get("verdict") == "within bound" and rate.get("verdict") == "worse",
+            "verdicts: a change better in every run is within bound, one 50% lower on a 1% bound is worse",
+        )
         expect(report.get("commits") == {"parent": "parent-commit", "change": "change-commit"}, "both commits recorded")
 
         code, out, calls = run(root, parent, change, 3)
@@ -114,6 +123,18 @@ def main() -> int:
             code == 1 and not out.exists() and calls == ["parent 2.0", "change 2.0"],
             "a failed run stops and writes nothing",
         )
+    parent = [1.00, 1.10, 1.20, 1.30, 1.40, 1.50, 1.60, 1.70, 1.80, 1.90]  # median 1.45, IQR 0.45
+    cases = [
+        ([x * 0.9 for x in parent], 0.25, "unresolved", "10% faster in the median, but the parent IQR is 31% > 25%"),
+        ([x * 1.4 for x in parent], 0.25, "worse", "40% slower in the median"),
+        ([x * 1.2 for x in parent], 0.25, "unresolved", "20% slower, inside a 31% parent IQR"),
+        ([x * 1.2 for x in parent], 0.5, "within bound", "20% slower on a 50% bound wider than the IQR"),
+        ([x * 0.5 for x in parent], 0.25, "within bound", "no change run reaches the best parent run"),
+    ]
+    for change, bound, want, what in cases:
+        got = bench_pairs.verdict(parent, change, 1, bound)
+        expect(got == want, f"verdict {want!r}: {what} (got {got!r})")
+    expect(bench_pairs.verdict([1.0] * 4, [0.98] * 4, -1, 0.01) == "worse", "a higher-is-better metric 2% lower on a 1% bound is worse")
     print(f"{len(failures)} failed")
     return 1 if failures else 0
 

@@ -1,9 +1,9 @@
 """Petri net synthesis from labelled-net specifications.
 
 A specification is a set of labelled Petri nets. The toolkit enumerates all
-minimal token-trail regions up to a bound k with an iterative exact ILP and
-builds a net with one place per region; the result can simulate every input
-net.
+minimal token-trail regions up to a bound k in one exact search of the
+region ILP's minimal points and builds a net with one place per region; the
+result can simulate every input net.
 """
 
 from .core import (

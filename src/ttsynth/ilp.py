@@ -1,12 +1,12 @@
-"""Exact solver for bounded integer linear programs with a minimize objective.
+"""Exact feasibility search for bounded integer linear programs.
 
 All arithmetic is exact (Python integers); there is no floating point and no
-tolerance anywhere. Among equal-objective optima the solver deterministically
-returns the assignment that is smallest when variables are compared from the
-last declared one backwards, so identical models always yield identical
-solutions.
+tolerance anywhere. solve() returns the feasible point that is least in
+lexicographic order (the first declared variable most significant), so
+identical models always yield identical solutions. minimal_points() lists
+the feasible points that lie above no other.
 
-solve() is a depth-first branch and bound with exact interval
+Both walk one depth-first search (_branch) with exact interval
 propagation at every node. compile_model() turns each constraint into one
 `<=` row per side (an equality into two) and lists, per variable, the rows
 whose minimum activity each of its bounds moves. A compiled model also
@@ -15,19 +15,17 @@ with every row's minimum activity there. A search starts from the root
 box, keeps one box, every row's minimum activity on it and a trail of
 bound moves to undo on backtracking. A row pass reads its carried
 activity, so a row that cannot tighten costs O(1) instead of a sum over
-its terms. The incumbent cut is one more row, over the variables still
-free in the root box, whose right-hand side drops with each better point.
-minimal_points() walks the same tree without objective or cut and lists
-the feasible points that lie above no other; each point it finds adds rows
-to the running search that exclude every point above it.
+its terms. The search branches lower half first, so its leaves come in
+lexicographic order: solve() stops at the first, and minimal_points()
+visits them all, each point it finds adding rows to the running search
+that exclude every point above it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, replace
-from operator import mul
+from dataclasses import dataclass, replace
 from typing import Hashable, Mapping, Optional, Sequence, Tuple
 
 LE = "<="
@@ -87,19 +85,14 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class IlpModel:
-    """Bounded integer variables, linear constraints, minimized objective.
-
-    An empty objective turns solve() into a pure feasibility search.
-    """
+    """Bounded integer variables and linear constraints over them."""
 
     variables: Tuple[Variable, ...]
     constraints: Tuple[LinearConstraint, ...] = ()
-    objective: Mapping[Hashable, int] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "objective", dict(self.objective))
         ids = [v.id for v in self.variables]
         known = set(ids)
         if len(known) != len(ids):
@@ -108,29 +101,11 @@ class IlpModel:
             for v in con.terms:
                 if v not in known:
                     raise ValueError(f"constraint references unknown variable {v!r}")
-        for v, c in self.objective.items():
-            if v not in known:
-                raise ValueError(f"objective references unknown variable {v!r}")
-            _check_int(c, f"objective coefficient of {v!r}")
-
-
-@dataclass(frozen=True)
-class Solution:
-    """An optimum and its objective value."""
-
-    assignment: Mapping[Hashable, int]
-    objective_value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
 
 
 def format_lp(model: IlpModel) -> str:
     """Plain-text dump of the model for inspection (not a stability contract)."""
-    lines = ["minimize"]
-    obj = " ".join(f"{c:+d} {v}" for v, c in model.objective.items()) or "0"
-    lines.append(f"  {obj}")
-    lines.append("subject to")
+    lines = ["subject to"]
     for idx, con in enumerate(model.constraints):
         lines.append(f"  c{idx}: {con.render()}")
     lines.append("bounds")
@@ -194,9 +169,8 @@ def _compile_rows(sides, lo, hi, rows: list, act: list, lo_occurs: list, hi_occu
 @dataclass(frozen=True, eq=False)
 class CompiledModel:
     """An IlpModel compiled for solve() and minimal_points(): variables by
-    position, rows with their occurrence lists, the objective as a list,
-    and the box that propagating every row reaches from the declared
-    bounds.
+    position, rows with their occurrence lists, and the box that
+    propagating every row reaches from the declared bounds.
 
     Each declared constraint is compiled into its `<=` sides: a `<=`
     constraint into itself, a `>=` one into its negation and an equality
@@ -204,11 +178,8 @@ class CompiledModel:
     of _compile_rows in declaration order and `constraints[r]` the pairs
     (row, sign) of declared constraint r, so `variables` and
     `constraints` have the lengths of the model's own tuples. `index` maps
-    each id to its position, and `objective`, `lo_occurs` and `hi_occurs`
-    are indexed like `variables`. So is `weights`, with one more entry at
-    the end: weights[i] is the product of (upper - lower + 1) over the
-    declared bounds of the variables before i, the last entry that product
-    over all of them (see solve()).
+    each id to its position, and `lo_occurs` and `hi_occurs` are indexed
+    like `variables`.
 
     The root box [lo, hi] is the greatest fixpoint of the rows below the
     declared bounds (see _fixpoint), and `act[r]` is row r's minimum
@@ -226,12 +197,10 @@ class CompiledModel:
 
     variables: Tuple[Hashable, ...]
     index: Mapping[Hashable, int]
-    objective: list
     constraints: list
     rows: list
     lo_occurs: list
     hi_occurs: list
-    weights: list
     lo: list
     hi: list
     act: list
@@ -254,10 +223,7 @@ class CompiledModel:
                 rows[r] = (terms, sizes, sign * b, cmax, partner)
         lower, upper = list(lower), list(upper)
         act = [_min_activity(terms, lower, upper) for terms, _, _, _, _ in rows]
-        model = replace(
-            self, rows=rows, weights=_weights(lower, upper), lo=lower, hi=upper, act=act,
-            reach=_reach(lower, upper), failed=None,
-        )
+        model = replace(self, rows=rows, lo=lower, hi=upper, act=act, reach=_reach(lower, upper), failed=None)
         return _settle(model)
 
 
@@ -287,27 +253,16 @@ def compile_model(model: IlpModel) -> CompiledModel:
     compiled = CompiledModel(
         variables=tuple(index),
         index=index,
-        objective=[model.objective.get(v, 0) for v in index],
         constraints=constraints,
         rows=rows,
         lo_occurs=lo_occurs,
         hi_occurs=hi_occurs,
-        weights=_weights(lower, upper),
         lo=lower,
         hi=upper,
         act=act,
         reach=_reach(lower, upper),
     )
     return _settle(compiled)
-
-
-def _weights(lower: Sequence[int], upper: Sequence[int]) -> list:
-    """`weights` (see CompiledModel) of variables with bounds
-    [lower[i], upper[i]]."""
-    weights = [1]
-    for lb, ub in zip(lower, upper):
-        weights.append(weights[-1] * (ub - lb + 1))
-    return weights
 
 
 def _reach(lower: Sequence[int], upper: Sequence[int]) -> int:
@@ -330,24 +285,17 @@ def _settle(model: CompiledModel) -> CompiledModel:
 
 
 class _Search:
-    """The state of one search: the model's rows, with the incumbent cut
-    appended when one is given, one box, every row's minimum activity on
-    it, the queue of rows to visit and the undo trail.
+    """The state of one search: the model's rows, one box, every row's
+    minimum activity on it, the queue of rows to visit and the undo trail.
 
     The box starts as the model's root box (CompiledModel.lo, hi), with
     its activities. `rows`, `lo_occurs` and `hi_occurs` are the model's
-    (see _compile_rows), plus, given `comb`, one more row at position
-    `cut`: the incumbent cut `sum(comb[i] * x[i]) <= rhs`. It is compiled
-    over the variables still free in the root box only; the fixed ones'
-    share, the same at every point of the box, is part of its carried
-    activity, which thus is the whole sum's least value on the box. Its
-    rhs is None, which bounds nothing, until set_incumbent() sets it;
-    otherwise it is an ordinary row. `lo` and `hi` bound the variables,
-    and `act[r]` is the least value of row r's sum over that box. So the
-    row of a `<=` constraint carries the constraint's minimum activity, the
-    row of a `>=` constraint (its negation) minus its maximum, and an
-    equality's two rows carry both. add() declares more variables and rows
-    while the search runs.
+    (see _compile_rows). `lo` and `hi` bound the variables, and `act[r]`
+    is the least value of row r's sum over that box. So the row of a `<=`
+    constraint carries the constraint's minimum activity, the row of a
+    `>=` constraint (its negation) minus its maximum, and an equality's
+    two rows carry both. add() declares more variables and rows while the
+    search runs.
 
     Every bound move goes through move() or _fixpoint. A move adds its
     change to the activities that read the moved bound, queues those rows
@@ -356,42 +304,25 @@ class _Search:
     being lo and lo_occurs for a lower bound and hi and hi_occurs for an
     upper one. undo(mark) takes back the moves after the first `mark`,
     activities included. `reach` bounds every range (see CompiledModel).
-    `wake` lists, in order, the rows whose bound dropped (the cut) or that
-    were added after the search began; _branch seeds a node with those
-    listed after its parent was propagated.
+    `wake` lists, in order, the rows added after the search began;
+    _branch seeds a node with those listed after its parent was
+    propagated.
     """
 
-    __slots__ = ("rows", "lo_occurs", "hi_occurs", "cut", "lo", "hi", "act", "queue", "queued", "trail", "reach", "wake")
+    __slots__ = ("rows", "lo_occurs", "hi_occurs", "lo", "hi", "act", "queue", "queued", "trail", "reach", "wake")
 
-    def __init__(self, model: CompiledModel, comb: Optional[Sequence[int]] = None):
-        self.lo = lo = list(model.lo)
-        self.hi = hi = list(model.hi)
+    def __init__(self, model: CompiledModel):
+        self.lo = list(model.lo)
+        self.hi = list(model.hi)
         self.rows = list(model.rows)
         self.act = list(model.act)
         self.lo_occurs = list(model.lo_occurs)
         self.hi_occurs = list(model.hi_occurs)
-        self.cut = None
-        if comb is not None:
-            self.cut = len(self.rows)
-            free, fixed = [], 0
-            for i, c in enumerate(comb):
-                if lo[i] < hi[i]:
-                    free.append((i, c))
-                else:
-                    fixed += c * lo[i]
-            _compile_rows([(free, None, None)], lo, hi, self.rows, self.act, self.lo_occurs, self.hi_occurs)
-            self.act[-1] += fixed
         self.queue = deque()
         self.queued = bytearray(len(self.rows))
         self.trail = []
         self.reach = model.reach
         self.wake = []
-
-    def set_incumbent(self, key: int) -> None:
-        """Bound the cut to keys below `key`."""
-        terms, sizes, _, cmax, partner = self.rows[self.cut]
-        self.rows[self.cut] = (terms, sizes, key - 1, cmax, partner)
-        self.wake.append(self.cut)
 
     def add(self, bounds: Sequence[Tuple[int, int]], sides) -> None:
         """Declare one variable per (lower, upper) pair of `bounds` after
@@ -449,7 +380,7 @@ def _fixpoint(search: _Search, seeds) -> bool:
     """Tighten integer bounds to a fixpoint; False means provably infeasible.
 
     Each row `(terms, sizes, rhs, cmax, partner)` of `search.rows` (see
-    _compile_rows) states sum(c * x[i]) <= rhs; the cut is one of them.
+    _compile_rows) states sum(c * x[i]) <= rhs.
     Propagation is event-driven: it visits the rows queued by earlier
     moves (see _Search) and those in `seeds`, and a pass that raises lo[i]
     or lowers hi[i] queues the rows in lo_occurs[i] or hi_occurs[i], whose
@@ -488,8 +419,6 @@ def _fixpoint(search: _Search, seeds) -> bool:
         r = queue.popleft()
         queued[r] = 0
         terms, sizes, rhs, cmax, partner = rows[r]
-        if rhs is None:
-            continue
         slack = rhs - act[r]
         if slack < 0:
             for r in queue:
@@ -528,18 +457,22 @@ def _fixpoint(search: _Search, seeds) -> bool:
     return True
 
 
-def _branch(search: _Search, n: int, seeds, leaf) -> None:
+def _branch(search: _Search, n: int, seeds):
     """Depth-first over the box of `search`, branching on the first of its
-    first `n` variables that is free, lower half first, and calling
-    `leaf()` at every node whose box fixes all n.
+    first `n` variables that is free, lower half first, and yielding the
+    values of those n at every node whose box fixes them all. The leaves
+    come in lexicographic order (the first variable most significant),
+    and propagation drops no feasible point, so the first leaf is the
+    least feasible point of the box.
 
     Every node, the root included, is propagated (_propagate): the root
     visits `seeds`, and any other node undoes the trail back to its
     parent's fixpoint, moves the bound of its branch and visits the rows
     the move woke plus those listed on `search.wake` since the parent was
-    propagated. A failed node is pruned. Every variable before the one a
-    node branched on is fixed in all its descendants, so the scan for the
-    first free variable starts there.
+    propagated, which includes rows added while the caller held a leaf. A
+    failed node is pruned. Every variable before the one a node branched
+    on is fixed in all its descendants, so the scan for the first free
+    variable starts there.
     """
     lo, hi, trail, wake = search.lo, search.hi, search.trail, search.wake
     # An entry is (trail length at the parent's fixpoint, variable to move,
@@ -558,7 +491,7 @@ def _branch(search: _Search, n: int, seeds, leaf) -> None:
         if not _propagate(search, seeds):
             continue
         if lo[i:n] == hi[i:n]:
-            leaf()
+            yield tuple(lo[:n])
             continue
         while lo[i] == hi[i]:
             i += 1
@@ -568,74 +501,40 @@ def _branch(search: _Search, n: int, seeds, leaf) -> None:
         stack.append((mark, i, True, mid, seen))
 
 
-def solve(model: IlpModel | CompiledModel) -> Optional[Solution]:
-    """Minimize the objective over all integer points; None if infeasible.
+def solve(model: IlpModel | CompiledModel) -> Optional[dict]:
+    """The feasible point least in lexicographic order (the first declared
+    variable most significant) as {id: value}; None if infeasible.
 
     An IlpModel is compiled first (compile_model); a CompiledModel is
     solved as it is, so a model compiled once can be solved again with
     new right-hand sides without compiling its rows again.
 
-    Depth-first branch and bound (_branch) over the finite variable
-    domains. The search key of an assignment x is `sum(comb[i] * x[i])`
-    with comb[i] = big * objective[i] + weight[i], where weight[i] is the
-    product of (upper - lower + 1) over the variables declared before i
-    and `big` that product over all of them. The tie-break part stays
-    below `big`, so the key orders points by objective first and then
-    compares them from the last declared variable backwards: the returned
-    optimum is unique.
-
-    Each node runs exact interval propagation over all rows, the cut `key
-    <= best key - 1` included once an incumbent exists, so pruning
-    decisions are exact as well. The search keeps one box (see _Search),
-    which starts as the model's root box: the fixpoint of every row, rows
-    without terms included, below the declared bounds (CompiledModel). So
-    the root visits only the cut, or, when the rows admit no point, the
-    row that fails on that box; the greatest fixpoint does not depend on
-    the order rows are visited in, so the root's box is the one a sweep
-    over every row would reach. A node below visits the cut only when it
-    has dropped since the parent was propagated. At a leaf (lo == hi) the
-    cut's carried activity is the key.
+    The point is the first leaf of the search (_branch). It starts from
+    the model's root box: the fixpoint of every row, rows without terms
+    included, below the declared bounds (CompiledModel). So the root
+    visits no row, or, when the rows admit no point, the row that fails on
+    that box. Each node runs exact interval propagation, so pruning
+    decisions are exact as well.
     """
     if isinstance(model, IlpModel):
         model = compile_model(model)
-
-    # Mixed-radix weights: the tie-break key of an assignment is unique,
-    # and `big` exceeds any possible tie-break key difference.
-    weights = model.weights
-    big = weights[-1]
-    obj = model.objective
-    comb = [big * o + w for o, w in zip(obj, weights)]
-    search = _Search(model, comb)
-    lo, act, cut = search.lo, search.act, search.cut
-    best_key: Optional[int] = None
-    best: Optional[Tuple[int, ...]] = None
-
-    def leaf():
-        nonlocal best_key, best
-        key = act[cut]
-        if best_key is None or key < best_key:
-            best_key, best = key, tuple(lo)
-            search.set_incumbent(key)
-
-    _branch(search, len(lo), (cut,) if model.failed is None else (model.failed,), leaf)
-    if best is None:
-        return None
-    return Solution(dict(zip(model.variables, best)), sum(map(mul, obj, best)))
+    for point in _branch(_Search(model), len(model.variables), () if model.failed is None else (model.failed,)):
+        return dict(zip(model.variables, point))
+    return None
 
 
 def minimal_points(model: IlpModel | CompiledModel) -> list:
     """Every feasible point that no other feasible point lies below
     componentwise, as a tuple of values by variable position, in
-    lexicographic order (the first variable most significant). The
-    objective plays no part.
+    lexicographic order (the first variable most significant).
 
-    One search (_branch) over the root box, as solve() branches but with
-    no objective and no cut, so leaves come in lexicographic order. Each
-    leaf is recorded, and rows that exclude it and every point above it
-    are added to the running search (_Search.add). They name its support,
-    the variables i where its value s lies above the root box's lo[i]: a
-    point is above it exactly when it is at least s on all of them. A
-    support of one variable gives the row x[i] <= s - 1. A larger one
+    The search of solve() (_branch), followed through every leaf instead
+    of stopping at the first. Each leaf is recorded, and rows that exclude
+    it and every point above it are added to the running search
+    (_Search.add). They name its support, the variables i where its value
+    s lies above the root box's lo[i]: a point is above it exactly when it
+    is at least s on all of them. A support of one variable gives the row
+    x[i] <= s - 1. A larger one
     gives, per variable, a new [0, 1] binary b with x[i] + r * b <= s - 1
     + r, r being the range hi[i] - lo[i] of the root box (b = 1 forces
     x[i] < s; b = 0 bounds nothing), and then sum(b) >= 1. With x fixed,
@@ -650,21 +549,16 @@ def minimal_points(model: IlpModel | CompiledModel) -> list:
     if isinstance(model, IlpModel):
         model = compile_model(model)
     search = _Search(model)
-    lo, n = search.lo, len(model.variables)
     floor, ranges = model.lo, [h - l for l, h in zip(model.lo, model.hi)]
     points: list = []
-
-    def leaf():
-        point = tuple(lo[:n])
+    for point in _branch(search, len(model.variables), () if model.failed is None else (model.failed,)):
         points.append(point)
         support = [(i, s) for i, s in enumerate(point) if s > floor[i]]
         if len(support) == 1:
             search.add((), [([(support[0][0], 1)], support[0][1] - 1, None)])
-            return
-        b = len(lo)
+            continue
+        b = len(search.lo)
         sides = [([(i, 1), (b + j, ranges[i])], s - 1 + ranges[i], None) for j, (i, s) in enumerate(support)]
         sides.append(([(b + j, -1) for j in range(len(support))], -1, None))
         search.add([(0, 1)] * len(support), sides)
-
-    _branch(search, n, () if model.failed is None else (model.failed,), leaf)
     return points

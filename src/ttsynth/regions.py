@@ -14,10 +14,9 @@ label rises, counted with their sign, along the walk from the marked
 place, and both are shared by all nets. So places with the same signed
 label counts form one class (parikh_classes); on a trace these counts are
 the Parikh vector of the prefix. Every other place is a class of its own.
-build_base_model writes the model over these classes in one pass; its
-objective and tie-break are those of one variable per place (see
-build_base_model), so the regions and their order do not depend on the
-classes.
+build_base_model writes the model over these classes in one pass, and
+discovery order weighs each class by its places (see _discovery_order),
+so the regions and their order do not depend on the classes.
 """
 
 from __future__ import annotations
@@ -134,17 +133,16 @@ def build_base_model(problem: RegionProblem, classes: Mapping[str, str]) -> ilp.
     other one carrying it; initial-sum equalities between net 1 and every
     later net; in discovery mode a zero equality per final place. A row
     left without terms (0 == 0) or repeating an earlier row is skipped.
-    Last comes the seek row sum(size * class) >= 1, whose terms are also
-    the minimized objective: a nonzero region with as few tokens as
-    possible. It is kept even without terms, so a specification without
-    places has no region.
+    Last comes the seek row sum(size * class) >= 1, size being the places
+    in the class, which keeps the zero region out. It is kept even without
+    terms, so a specification without places has no region.
 
-    Per place, the objective is the token count, as with one variable per
-    place, and naming each class after its last member keeps the tie-break
-    of ilp.solve: it compares variables from the last declared backwards,
-    and on class-constant points the first difference it meets over one
-    variable per place is at some class's last member, which is where it
-    meets it here too.
+    Per place, the seek row's sum is the token count, as with one variable
+    per place. Naming each class after its last member keeps the order of
+    the classes: compared from the last variable back, the first
+    difference between two class-constant points over one variable per
+    place is at some class's last member, which is where it is met here
+    too.
     """
     spec, k = problem.spec, problem.k
     constraints: list[ilp.LinearConstraint] = []
@@ -186,7 +184,7 @@ def build_base_model(problem: RegionProblem, classes: Mapping[str, str]) -> ilp.
     sizes = per_class(dict.fromkeys(spec.all_places(), 1), {})
     constraints.append(ilp.LinearConstraint(sizes, ilp.GE, 1))
     variables = [ilp.Variable(p, 0, k) for p in spec.all_places() if classes[p] == p]
-    return ilp.IlpModel(tuple(variables), tuple(constraints), sizes)
+    return ilp.IlpModel(tuple(variables), tuple(constraints))
 
 
 def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
@@ -198,34 +196,40 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
     for its minimal points (ilp.minimal_points); the seek row keeps the
     zero point out, so these are the minimal regions, over the classes.
     Each class value is mapped back to the class's places. Discovery order
-    is that of solving the model, recording the optimum and excluding it
-    and everything above it, round by round (_discovery_order). The whole
-    set is found either way, so max_regions cuts the output, not the work.
+    is that of minimizing the seek row's sum (each class weighed by its
+    places), recording the optimum and excluding it and everything above
+    it, round by round (_discovery_order). The whole set is found either
+    way, so max_regions cuts the output, not the work.
     """
     classes = parikh_classes(problem.spec)
     model = ilp.compile_model(build_base_model(problem, classes))
-    order = _discovery_order(ilp.minimal_points(model), model.objective)
+    position = {p: model.index[c] for p, c in classes.items()}
+    sizes = [0] * len(model.variables)
+    for i in position.values():
+        sizes[i] += 1
+    order = _discovery_order(ilp.minimal_points(model), sizes)
     truncated = problem.max_regions is not None and len(order) > problem.max_regions
     if truncated:
         order = order[: problem.max_regions]
-    position = {p: model.index[c] for p, c in classes.items()}
     regions = (Region(Multiset({p: x[i] for p, i in position.items() if x[i]}), problem.k) for x in order)
     return RegionEnumeration(tuple(regions), truncated)
 
 
 def _discovery_order(points: list, objective: list) -> list:
     """The minimal points `points` of the class model, each a tuple of
-    class values by position, in the order in which rounds of ilp.solve
-    find them when each round adds the found point's blocking rows to the
+    class values by position, in the order in which rounds of a branch and
+    bound find them when each round minimizes `objective` (a coefficient
+    per class), ties going to the point least when compared from the last
+    variable back, and then adds the found point's blocking rows to the
     model: a binary per class of the point's support, declared after the
     classes and the earlier binaries, that is 1 exactly when the class
     lies below the point's value.
 
-    Round n's optimum is the unfound minimal point with the least solver
-    key: a point above a minimal one has a larger objective, so no such
-    point is optimal, and the binaries are functions of the point. The key
-    ranks the objective first, then compares variables from the last
-    declared back: the newest block's binaries from its last support class
+    Round n's optimum is the unfound minimal point with the least key: a
+    point above a minimal one has a larger objective, so no such point is
+    optimal, and the binaries are functions of the point. The key ranks
+    the objective first, then compares variables from the last declared
+    back: the newest block's binaries from its last support class
     back, then the older blocks', then the class values from the last
     back. So the points are sorted by (objective, class values from the
     last back), and after each pick the rest are stable-sorted by

@@ -206,7 +206,9 @@ def _trail_model(net: LabelledNet) -> ilp.CompiledModel:
 
     Per transition e, in order, an inflow row `pre[e] >= .` and a balance
     row `effect(e) == .`, then the initial-sum row `initial == .`; one
-    variable per place. Right-hand sides and bounds are left to
+    variable per place, declared in reverse place order, so that the
+    point ilp.solve returns is the least when compared from the last
+    place back. Right-hand sides and bounds are left to
     find_token_trail, which sets them per place behaviour. The model is
     never changed, so two threads that both compile it keep equal models.
     """
@@ -217,7 +219,7 @@ def _trail_model(net: LabelledNet) -> ilp.CompiledModel:
             constraints.append(ilp.LinearConstraint(net.net.pre[e], ilp.GE, 0))
             constraints.append(ilp.LinearConstraint(effect(net.net, e), ilp.EQ, 0))
         constraints.append(ilp.LinearConstraint(dict(net.initial.items()), ilp.EQ, 0))
-        variables = [ilp.Variable(p, 0, 0) for p in net.net.places]
+        variables = [ilp.Variable(p, 0, 0) for p in reversed(net.net.places)]
         model = ilp.compile_model(ilp.IlpModel(tuple(variables), tuple(constraints)))
         object.__setattr__(net, "trail_model", model)
     return model
@@ -226,7 +228,7 @@ def _trail_model(net: LabelledNet) -> ilp.CompiledModel:
 def _trail_by_walk(net: LabelledNet, walk, pb: PlaceBehavior, bound: int) -> Optional[TokenTrail]:
     """The one point that the initial-sum row and the balance rows leave on
     a connected state machine, if it lies in [0, bound] and meets every
-    inflow and balance row; else None (what ilp.solve returns on the rows).
+    inflow and balance row; else None (what solving the rows gives).
 
     Every value is bounded, and the inflow row of its tree arc tested, as
     it is walked; a label that pb does not touch copies the value. A tree
@@ -264,8 +266,8 @@ def find_token_trail(net: LabelledNet, pb: PlaceBehavior, bound: Optional[int] =
     computes it and tests every row; no ILP is built. On any other net the
     trail rows are compiled once (_trail_model, kept as `trail_model`) and
     each search only fills in the place behaviour's right-hand sides and
-    the bound. Both give what ilp.solve gives on the rows, keys in place
-    order.
+    the bound. Both give the trail that is least when compared from the
+    last place back, keys in place order.
     """
     if bound is None:
         bound = default_trail_bound(net, pb)
@@ -282,10 +284,10 @@ def find_token_trail(net: LabelledNet, pb: PlaceBehavior, bound: Optional[int] =
         rhs.append(pb.rise(label))
     rhs.append(pb.initial)
     n = len(model.variables)
-    solution = ilp.solve(model.with_rhs(rhs, [0] * n, [bound] * n))
-    if solution is None:
+    point = ilp.solve(model.with_rhs(rhs, [0] * n, [bound] * n))
+    if point is None:
         return None
-    return Multiset({p: v for p, v in solution.assignment.items() if v})
+    return Multiset({p: point[p] for p in net.net.places if point[p]})
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,12 @@ def random_place_behavior(rng: random.Random, labels, max_value: int = 2) -> Pla
 
 
 def random_ilp_model(rng: random.Random, max_vars: int = 8, max_constraints: int = 12) -> ilp.IlpModel:
+    return random_ilp_problem(rng, max_vars, max_constraints)[0]
+
+
+def random_ilp_problem(rng: random.Random, max_vars: int = 8, max_constraints: int = 12) -> tuple:
+    """(model, objective): a random IlpModel and a random objective
+    ({id: coefficient}) over its variables, drawn after it."""
     n = rng.randint(2, max_vars)
     variables = []
     for i in range(n):
@@ -148,7 +154,7 @@ def random_ilp_model(rng: random.Random, max_vars: int = 8, max_constraints: int
             rhs = rng.randint(-6, 8)
         constraints.append(ilp.LinearConstraint(terms, relation, rhs))
     objective = {f"v{i}": rng.randint(-3, 3) for i in range(n) if rng.random() < 0.7}
-    return ilp.IlpModel(tuple(variables), tuple(constraints), objective)
+    return ilp.IlpModel(tuple(variables), tuple(constraints)), objective
 
 
 def random_trace(rng: random.Random, max_len: int = 5, n_labels: int = 3):

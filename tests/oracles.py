@@ -146,18 +146,16 @@ def brute_force_minimal_regions(spec: Specification, k: int, finals=None) -> set
     }
 
 
-def brute_force_ilp(model: ilp.IlpModel):
-    """(objective, assignment) of the optimum under the solver's tie-break,
-    or None; plain enumeration of the variable box."""
+def feasible_points(model: ilp.IlpModel):
+    """Every feasible point of `model` as {id: value}, in lexicographic
+    order (the first variable most significant); plain enumeration of the
+    variable box."""
     ids = [v.id for v in model.variables]
     rows = [
         (tuple(ids.index(v) for v in con.terms), tuple(con.terms.values()), con.relation, con.rhs)
         for con in model.constraints
     ]
-    coeffs = [model.objective.get(i, 0) for i in ids]
-    best = None
     for point in itertools.product(*(range(v.lower, v.upper + 1) for v in model.variables)):
-        ok = True
         for idxs, cs, relation, rhs in rows:
             total = sum(c * point[i] for i, c in zip(idxs, cs))
             if (
@@ -165,28 +163,32 @@ def brute_force_ilp(model: ilp.IlpModel):
                 or (relation == ilp.GE and total < rhs)
                 or (relation == ilp.EQ and total != rhs)
             ):
-                ok = False
                 break
-        if not ok:
-            continue
-        key = (sum(c * v for c, v in zip(coeffs, point)), tuple(reversed(point)))
-        if best is None or key < best[0]:
-            best = (key, point)
-    if best is None:
-        return None
-    return best[0][0], dict(zip(ids, best[1]))
+        else:
+            yield dict(zip(ids, point))
+
+
+def first_feasible_point(model: ilp.IlpModel):
+    """The lexicographically least feasible point as {id: value}, or None."""
+    return next(feasible_points(model), None)
+
+
+def brute_force_ilp(model: ilp.IlpModel, objective: Mapping):
+    """The feasible point that minimizes `objective` ({id: coefficient}),
+    ties going to the point least when compared from the last variable
+    back, as {id: value}; None if the model is infeasible."""
+
+    def key(assignment):
+        return sum(c * assignment[v] for v, c in objective.items()), tuple(reversed(assignment.values()))
+
+    return min(feasible_points(model), key=key, default=None)
 
 
 def brute_force_minimal_points(model: ilp.IlpModel) -> list:
     """The feasible points (value tuples in variable order) that lie
     componentwise above no other feasible point, in lexicographic order;
     plain enumeration of the variable box."""
-    ids = [v.id for v in model.variables]
-    feasible = [
-        point
-        for point in itertools.product(*(range(v.lower, v.upper + 1) for v in model.variables))
-        if check_assignment(model, dict(zip(ids, point)))
-    ]
+    feasible = [tuple(point.values()) for point in feasible_points(model)]
     return [x for x in feasible if not any(y != x and all(a <= b for a, b in zip(y, x)) for y in feasible)]
 
 
@@ -252,10 +254,40 @@ def interval_fixpoint(model: ilp.IlpModel, lo: list, hi: list):
     return lo, hi
 
 
-def reference_bnb(model: ilp.IlpModel):
-    """(solution, nodes) of a plain branch and bound that follows the
-    search ilp.solve documents; the solution is None if the model is
-    infeasible, and nodes counts the boxes propagated.
+def first_leaf(model: ilp.IlpModel):
+    """(assignment, nodes) of a plain depth-first search that stops at its
+    first leaf, as ilp.solve documents: the assignment ({id: value}) is
+    None if the model is infeasible, and nodes counts the boxes
+    propagated. Every node sweeps all constraints with interval_fixpoint,
+    then branches on the first free variable, lower half first."""
+    nodes = 0
+
+    def visit(lo, hi):
+        nonlocal nodes
+        nodes += 1
+        box = interval_fixpoint(model, lo, hi)
+        if box is None:
+            return None
+        lo, hi = box
+        free = [i for i in range(len(lo)) if lo[i] < hi[i]]
+        if not free:
+            return lo
+        i = free[0]
+        mid = (lo[i] + hi[i]) // 2
+        point = visit(lo, hi[:i] + [mid] + hi[i + 1:])
+        return point if point is not None else visit(lo[:i] + [mid + 1] + lo[i + 1:], hi)
+
+    point = visit([v.lower for v in model.variables], [v.upper for v in model.variables])
+    return (None if point is None else {v.id: x for v, x in zip(model.variables, point)}), nodes
+
+
+def reference_bnb(model: ilp.IlpModel, objective: Mapping):
+    """(assignment, nodes) of a plain branch and bound that minimizes
+    `objective` ({id: coefficient}), ties going to the point least when
+    compared from the last variable back: the assignment ({id: value}) is
+    None if the model is infeasible, and nodes counts the boxes
+    propagated. Solving round by round (regions_round_by_round) runs it,
+    and regions._discovery_order replays the order it finds regions in.
 
     The key of a point is big * objective + sum(weight[i] * x[i]), with
     mixed-radix weights over the declared ranges and big their product.
@@ -268,7 +300,7 @@ def reference_bnb(model: ilp.IlpModel):
     for v in model.variables:
         weights.append(big)
         big *= v.upper - v.lower + 1
-    key = {vid: big * model.objective.get(vid, 0) + w for vid, w in zip(ids, weights)}
+    key = {vid: big * objective.get(vid, 0) + w for vid, w in zip(ids, weights)}
     best = None  # (key, point)
     nodes = 0
 
@@ -292,11 +324,7 @@ def reference_bnb(model: ilp.IlpModel):
         visit(lo[:i] + [mid + 1] + lo[i + 1:], hi)
 
     visit([v.lower for v in model.variables], [v.upper for v in model.variables])
-    if best is None:
-        return None, nodes
-    point = best[1]
-    value = sum(model.objective.get(v, 0) * x for v, x in zip(ids, point))
-    return ilp.Solution(dict(zip(ids, point)), value), nodes
+    return (None if best is None else dict(zip(ids, best[1]))), nodes
 
 
 def trail_model(ln: LabelledNet, pb, bound: int) -> ilp.IlpModel:
@@ -336,7 +364,8 @@ def raw_region_model(problem) -> ilp.IlpModel:
     equality per net's final place, the one named in problem.final_places
     or else the only place without outgoing arcs (ValueError if there is
     none or several); last the seek row sum(places) >= 1, whose terms are
-    also the minimized objective. Rows without terms and repeats are kept.
+    also the objective that regions_round_by_round minimizes. Rows without
+    terms and repeats are kept.
 
     Built straight from the arcs; solving it round by round
     (regions_round_by_round) is the reference for the regions, their order
@@ -381,7 +410,7 @@ def raw_region_model(problem) -> ilp.IlpModel:
     seek = dict.fromkeys(places, 1)
     constraints.append(ilp.LinearConstraint(seek, ilp.GE, 1))
     variables = tuple(ilp.Variable(p, 0, problem.k) for p in places)
-    return ilp.IlpModel(variables, tuple(constraints), seek)
+    return ilp.IlpModel(variables, tuple(constraints))
 
 
 def block_region(model: ilp.IlpModel, found: dict, k: int, round_no: int) -> ilp.IlpModel:
@@ -404,27 +433,29 @@ def block_region(model: ilp.IlpModel, found: dict, k: int, round_no: int) -> ilp
         constraints.append(ilp.LinearConstraint({v: 1, flag: k}, ilp.GE, s))
         constraints.append(ilp.LinearConstraint({v: 1, flag: k}, ilp.LE, s + k - 1))
     constraints.append(ilp.LinearConstraint({v.id: 1 for v in binaries}, ilp.GE, 1))
-    return ilp.IlpModel(model.variables + tuple(binaries), model.constraints + tuple(constraints), model.objective)
+    return ilp.IlpModel(model.variables + tuple(binaries), model.constraints + tuple(constraints))
 
 
 def regions_round_by_round(model: ilp.IlpModel, classes: Mapping[str, str], k: int, max_regions=None):
-    """(markings, truncated): the regions of the region model `model`,
-    whose variables are the classes of `classes` (place -> class), in the
-    order that solving it round by round finds them.
+    """(markings, truncated, nodes): the regions of the region model
+    `model`, whose variables are the classes of `classes` (place -> class)
+    and whose last row is the seek row, in the order that solving it round
+    by round finds them, and the nodes of all those searches.
 
-    Each round solves the model, maps the optimum's class values to the
-    places, and blocks the class values (block_region) until the model
-    turns infeasible; with max_regions, the round after the last one
-    wanted only tells whether more regions exist.
+    Each round minimizes the seek row's sum (reference_bnb), maps the
+    optimum's class values to the places, and blocks the class values
+    (block_region) until the model turns infeasible; with max_regions, the
+    round after the last one wanted only tells whether more regions exist.
     """
-    found = []
+    objective = model.constraints[-1].terms
+    found, nodes = [], 0
     while True:
-        solution = ilp.solve(model)
-        if solution is None:
-            return found, False
-        values = solution.assignment
+        values, searched = reference_bnb(model, objective)
+        nodes += searched
+        if values is None:
+            return found, False, nodes
         if max_regions is not None and len(found) >= max_regions:
-            return found, True
+            return found, True, nodes
         found.append({p: values[c] for p, c in classes.items() if values[c]})
         class_values = {c: values[c] for p, c in classes.items() if p == c and values[c]}
         model = block_region(model, class_values, k, len(found))

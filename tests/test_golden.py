@@ -12,12 +12,14 @@ searches the model over Parikh classes once for all its minimal points
 (NODES), which the larger inputs pin too, with the rows and binaries that
 the regions found add to the running search. The reference loops of
 test_regions solve, record and block round by round
-(oracles.regions_round_by_round): over the class model (COLD_NODES), which
-pins the branching order and the propagation strength of ilp.solve, and
-over the raw model, one variable per place (RAW_NODES). The places of the
-state graph and of the run are all classes of their own, and their models
-skip the raw model's rows without terms and repeats, so their cold counts
-must agree.
+(oracles.regions_round_by_round), each round a search of the test
+reference oracles.reference_bnb that minimizes the seek row's sum: over
+the class model (COLD_NODES), which pins its branching order and
+propagation strength, and over the raw model, one variable per place
+(RAW_NODES). These count the reference's own nodes, not _propagate
+calls. The places of the state graph and of the run are all classes of
+their own, and their models skip the raw model's rows without terms and
+repeats, so their cold counts must agree.
 
 `check` of the golden net against its input is pinned too: stdout and, for
 the trace and run inputs, the witness trail behind each verdict. `check`
@@ -108,20 +110,18 @@ def test_search_tree_size(name, k, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name,k", CASES)
-def test_cold_search_tree_size(name, k, monkeypatch):
+def test_cold_search_tree_size(name, k):
     spec = build_specification(_load_nets(GOLDEN / INPUTS[name]))
     problem = RegionProblem(spec, k)
-    calls = count_propagate(monkeypatch)
-    cold_enumeration(problem, class_model(problem), parikh_classes(spec))
-    assert len(calls) == COLD_NODES[name]
+    _, nodes = cold_enumeration(problem, class_model(problem), parikh_classes(spec))
+    assert nodes == COLD_NODES[name]
 
 
 @pytest.mark.parametrize("name,k", CASES)
-def test_raw_search_tree_size(name, k, monkeypatch):
+def test_raw_search_tree_size(name, k):
     spec = build_specification(_load_nets(GOLDEN / INPUTS[name]))
-    calls = count_propagate(monkeypatch)
-    raw_enumeration(RegionProblem(spec, k))
-    assert len(calls) == RAW_NODES[name]
+    _, nodes = raw_enumeration(RegionProblem(spec, k))
+    assert nodes == RAW_NODES[name]
 
 
 def cycles_graph(n: int) -> StateGraph:

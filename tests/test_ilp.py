@@ -5,20 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import random_ilp_model
-from oracles import brute_force_ilp, brute_force_minimal_points, check_assignment, interval_fixpoint, reference_bnb
+from gens import random_ilp_model, random_ilp_problem
+from oracles import (
+    brute_force_ilp,
+    brute_force_minimal_points,
+    check_assignment,
+    first_feasible_point,
+    first_leaf,
+    interval_fixpoint,
+    reference_bnb,
+)
 from ttsynth import ilp
 
 
-def model(variables, constraints=(), objective=None):
-    return ilp.IlpModel(tuple(variables), tuple(constraints), objective or {})
+def model(variables, constraints=()):
+    return ilp.IlpModel(tuple(variables), tuple(constraints))
 
 
-def search_on(m, comb=None, lo=None, hi=None):
-    """A search over the compiled rows of m, with a cut over `comb` (by
-    default all zero, a cut that never binds), moved to the sub-box
-    [lo, hi] when given."""
-    search = ilp._Search(ilp.compile_model(m), comb or [0] * len(m.variables))
+def search_on(m, lo=None, hi=None):
+    """A search over the compiled rows of m, moved to the sub-box [lo, hi]
+    when given."""
+    search = ilp._Search(ilp.compile_model(m))
     for i in range(len(m.variables)):
         if lo is not None and lo[i] > search.lo[i]:
             search.move(i, False, lo[i])
@@ -92,20 +99,17 @@ class TestModelValidation:
     def test_unknown_reference_rejected(self):
         with pytest.raises(ValueError):
             model([ilp.Variable("x", 0, 1)], [ilp.LinearConstraint({"y": 1}, ilp.LE, 0)])
-        with pytest.raises(ValueError):
-            model([ilp.Variable("x", 0, 1)], objective={"y": 1})
 
 
 class TestSolve:
     def test_cover_constraint_tie_break(self):
+        # (0, 1), (1, 0) and (1, 1) are feasible; the first declared
+        # variable is the most significant
         m = model(
             [ilp.Variable("x", 0, 1), ilp.Variable("y", 0, 1)],
             [ilp.LinearConstraint({"x": 1, "y": 1}, ilp.GE, 1)],
-            {"x": 1, "y": 1},
         )
-        solution = ilp.solve(m)
-        assert solution.objective_value == 1
-        assert solution.assignment == {"x": 1, "y": 0}
+        assert ilp.solve(m) == {"x": 0, "y": 1}
 
     def test_infeasible(self):
         m = model([ilp.Variable("x", 0, 1)], [ilp.LinearConstraint({"x": 1}, ilp.GE, 2)])
@@ -119,17 +123,8 @@ class TestSolve:
                 ilp.LinearConstraint({"p0": -1, "p1": 2, "p2": -1}, ilp.EQ, 0),
                 ilp.LinearConstraint({"p0": 1, "p1": 1, "p2": 1}, ilp.GE, 1),
             ],
-            {"p0": 1, "p1": 1, "p2": 1},
         )
-        solution = ilp.solve(m)
-        assert solution.objective_value == 3
-        assert solution.assignment == {"p0": 1, "p1": 1, "p2": 1}
-
-    def test_negative_objective_prefers_upper_bound(self):
-        m = model([ilp.Variable("x", 0, 3)], objective={"x": -1})
-        solution = ilp.solve(m)
-        assert solution.assignment == {"x": 3}
-        assert solution.objective_value == -3
+        assert ilp.solve(m) == {"p0": 1, "p1": 1, "p2": 1}
 
     def test_pure_feasibility_is_deterministic(self):
         m = model(
@@ -139,38 +134,35 @@ class TestSolve:
         first = ilp.solve(m)
         second = ilp.solve(m)
         assert first == second
-        assert check_assignment(m, first.assignment)
+        assert check_assignment(m, first)
 
     def test_no_variables(self):
-        assert ilp.solve(model([])).assignment == {}
+        assert ilp.solve(model([])) == {}
         infeasible = ilp.IlpModel((), (ilp.LinearConstraint({}, ilp.GE, 1),))
         assert ilp.solve(infeasible) is None
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=80)
     def test_matches_oracle(self, seed):
+        # The first feasible point in lexicographic order (the first
+        # variable most significant), as exhaustive enumeration meets it.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
         got = ilp.solve(m)
-        want = brute_force_ilp(m)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert got.objective_value == want[0]
-            assert got.assignment == want[1]
-            assert check_assignment(m, got.assignment)
+        assert got == first_feasible_point(m)
+        assert got is None or check_assignment(m, got)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=400)
     def test_same_search_as_reference(self, seed):
-        # Node for node: the same optimum after the same number of
+        # Node for node: the same point after the same number of
         # propagated boxes (one _propagate call per node) as a plain
-        # branch and bound that sweeps every constraint and an explicit cut.
+        # depth-first search that sweeps every constraint and stops at its
+        # first leaf.
         m = random_ilp_model(random.Random(seed))
         with mock.patch.object(ilp, "_propagate", wraps=ilp._propagate) as propagate:
             got = ilp.solve(m)
-        want, nodes = reference_bnb(m)
+        want, nodes = first_leaf(m)
         assert got == want
         assert propagate.call_count == nodes
 
@@ -207,7 +199,6 @@ class TestCompiledModel:
         fresh = model(
             [ilp.Variable(v.id, lb, ub) for v, lb, ub in zip(m.variables, lower, upper)],
             [ilp.LinearConstraint(con.terms, con.relation, b) for con, b in zip(m.constraints, rhs)],
-            m.objective,
         )
         want = interval_fixpoint(fresh, lower, upper)
         assert (sibling.lo, sibling.hi) == want if sibling.failed is None else want is None
@@ -274,9 +265,9 @@ class TestCompiledModel:
             [ilp.LinearConstraint({}, ilp.EQ, 0), ilp.LinearConstraint({"x": 1}, ilp.GE, 1)],
         )
         compiled = ilp.compile_model(m)
-        assert ilp.solve(compiled).assignment == {"x": 1}
+        assert ilp.solve(compiled) == {"x": 1}
         assert ilp.solve(compiled.with_rhs([1, 1], [0], [1])) is None
-        assert ilp.solve(compiled.with_rhs([0, 0], [0], [1])).assignment == {"x": 0}
+        assert ilp.solve(compiled.with_rhs([0, 0], [0], [1])) == {"x": 0}
         assert ilp.solve(model(m.variables, m.constraints + (ilp.LinearConstraint({}, ilp.LE, -1),))) is None
 
     def test_invalid_extensions_rejected(self):
@@ -357,43 +348,6 @@ class TestPropagation:
             if ok:
                 assert (woken.lo, woken.hi) == (lo, hi)
 
-    @given(st.integers(min_value=0, max_value=10**6))
-    @settings(deadline=None, max_examples=300)
-    def test_cut_matches_oracle(self, seed):
-        # The cut pass (an ordinary row: no summing, only the terms with
-        # |c| * reach above the slack) and its carried activity against the
-        # cut written as a plain constraint. As in the search, the rows are
-        # at fixpoint when the incumbent improves, and only the cut is
-        # queued; its moves must wake rows.
-        rng = random.Random(seed)
-        m = random_ilp_model(rng)
-        comb = [rng.choice([0, rng.randint(-20, 20)]) for _ in m.variables]
-        terms = {v.id: c for v, c in zip(m.variables, comb)}
-        lo = [v.lower for v in m.variables]
-        hi = [v.upper for v in m.variables]
-        for i in range(len(lo)):
-            if rng.random() < 0.3:
-                lo[i] = hi[i] = rng.randint(lo[i], hi[i])
-        box = (list(lo), list(hi))
-        search = search_on(m, comb, lo, hi)
-        lo, hi = search.lo, search.hi
-
-        def activity(bounds_of):
-            return sum(bounds_of(c * l, c * h) for c, l, h in zip(comb, lo, hi))
-
-        ok = ilp._propagate(search, range(len(search.rows)))
-        key = activity(max) + 1
-        while ok:
-            assert search.act[search.cut] == activity(min)
-            key -= rng.randint(1, 4)
-            search.set_incumbent(key)
-            with_cut = model(m.variables, m.constraints + (ilp.LinearConstraint(terms, ilp.LE, key - 1),))
-            want = interval_fixpoint(with_cut, *box)
-            ok = ilp._propagate(search, [search.cut])
-            assert ok == (want is not None)
-            if ok:
-                assert (lo, hi) == want
-
     def test_empty_box_leaves_no_queue(self):
         # The first row fails while the others are still queued; the next
         # node must not inherit them.
@@ -412,18 +366,16 @@ class TestPropagation:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=300)
     def test_carried_activities_follow_moves_and_undo(self, seed):
-        # Walk one random branch, with a cut that drops now and then: after
-        # every _propagate each carried activity equals a fresh sum over
-        # the box (per declared constraint its minimum for a `<=` side, its
-        # maximum for a `>=` side, both for an equality; the cut's
-        # minimum), also when the box turned out empty. Then undo the walk
-        # step by step: each undo gives back the box and the activities from
-        # before that step's move.
+        # Walk one random branch: after every _propagate each carried
+        # activity equals a fresh sum over the box (per declared constraint
+        # its minimum for a `<=` side, its maximum for a `>=` side, both for
+        # an equality), also when the box turned out empty. Then undo the
+        # walk step by step: each undo gives back the box and the
+        # activities from before that step's move.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
-        comb = [rng.randint(-20, 20) for _ in m.variables]
         compiled = ilp.compile_model(m)
-        search = ilp._Search(compiled, comb)
+        search = ilp._Search(compiled)
         lo, hi = search.lo, search.hi
 
         def fresh():
@@ -434,7 +386,6 @@ class TestPropagation:
             for con, sides in zip(m.constraints, compiled.constraints):
                 for r, sign in sides:
                     want[r] = total(con.terms, min) if sign > 0 else -total(con.terms, max)
-            want[search.cut] = total({v.id: c for v, c in zip(m.variables, comb)}, min)
             return want
 
         def state():
@@ -453,9 +404,6 @@ class TestPropagation:
             # Extra seeds change nothing but leave more rows queued when
             # the box turns out empty.
             seeds = range(len(search.rows)) if rng.random() < 0.3 else ()
-            if rng.random() < 0.3:
-                search.set_incumbent(rng.randint(search.act[search.cut], search.act[search.cut] + 60))
-                seeds = [*seeds, search.cut]
             ok = ilp._propagate(search, seeds)
             assert search.act == fresh()
             assert not search.queue and not any(search.queued)
@@ -471,7 +419,7 @@ class TestMinimalPoints:
     @settings(deadline=None, max_examples=300)
     def test_matches_brute_force(self, seed):
         # The feasible points above no other feasible point, in
-        # lexicographic order, whatever the bounds and the objective.
+        # lexicographic order, whatever the bounds.
         m = random_ilp_model(random.Random(seed), max_vars=5)
         assert ilp.minimal_points(m) == brute_force_minimal_points(m)
 
@@ -536,15 +484,27 @@ class TestRunningSearch:
         assert search.act == [sum(c * (lo[i] if c > 0 else hi[i]) for i, c in row[0]) for row in search.rows]
 
 
+class TestReferenceBnb:
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=300)
+    def test_matches_brute_force(self, seed):
+        # The minimizing branch and bound that solving round by round runs
+        # (oracles.regions_round_by_round) finds the optimum that
+        # exhaustive enumeration finds, ties going to the point least when
+        # compared from the last variable back.
+        m, objective = random_ilp_problem(random.Random(seed))
+        got, _ = reference_bnb(m, objective)
+        assert got == brute_force_ilp(m, objective)
+        assert got is None or check_assignment(m, got)
+
+
 class TestLpDump:
     def test_sections_present(self):
         m = model(
             [ilp.Variable("x", 0, 2)],
             [ilp.LinearConstraint({"x": 1}, ilp.LE, 1)],
-            {"x": 1},
         )
         text = ilp.format_lp(m)
-        assert "minimize" in text
         assert "subject to" in text
         assert "bounds" in text
         assert "0 <= x <= 2" in text

@@ -14,7 +14,7 @@ from gens import (
     random_trace,
     random_two_way_arcs,
 )
-from oracles import initial_sum, net_inflow, net_rise, trail_model
+from oracles import initial_sum, net_inflow, net_rise, reference_bnb, trail_model
 from test_regions import state_machine
 from ttsynth import ilp
 from ttsynth.convert import run_to_labelled_net, slot_place_ids, state_graph_to_labelled_net, trace_to_labelled_net
@@ -206,7 +206,8 @@ class TestTrailReuse:
         # has no terms) and a transition labelled "y" with an empty preset
         # (its inflow row has no terms). Several place behaviours, one of
         # them repeated last, are searched on the same net object in random
-        # order; each must match a fresh solve of its own model.
+        # order; each must match the reference solver on its own model
+        # (reference_trail).
         rng = random.Random(seed)
         base = random_labelled_net(rng, "", rng.randint(1, 4), rng.randint(0, 3))
         p, q = rng.choice(base.net.places), rng.choice(base.net.places)
@@ -228,8 +229,7 @@ class TestTrailReuse:
         searches.append(searches[0])
         for pb, bound in searches:
             got = find_token_trail(net, pb, bound)
-            fresh = ilp.solve(trail_model(net, pb, bound))
-            want = None if fresh is None else Multiset({v: x for v, x in fresh.assignment.items() if x})
+            want = reference_trail(net, pb, bound)
             assert got == want
             if pb.rise("x") != 0 or pb.consume.get("y", 0) > 0:
                 assert got is None
@@ -258,9 +258,11 @@ class TestTrailReuse:
 
 
 def reference_trail(net, pb, bound):
-    """What ilp.solve gives on the trail rows, built afresh from the arcs."""
-    solution = ilp.solve(trail_model(net, pb, bound))
-    return None if solution is None else Multiset({p: v for p, v in solution.assignment.items() if v})
+    """The trail least when compared from the last place back, found by the
+    independent reference solver (oracles.reference_bnb, no objective) on
+    the trail rows built afresh from the arcs; keys in place order."""
+    point, _ = reference_bnb(trail_model(net, pb, bound), {})
+    return None if point is None else Multiset({p: v for p, v in point.items() if v})
 
 
 def counting_solves(monkeypatch) -> list:
@@ -292,7 +294,8 @@ NOT_STATE_MACHINES = {
 
 class TestTrailWalk:
     """On a connected state machine find_token_trail walks a spanning tree
-    instead of solving; it must give exactly what ilp.solve gives."""
+    instead of solving; it must give exactly the trail the reference
+    solver gives (reference_trail)."""
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=300)
