@@ -166,7 +166,10 @@ def write_pnml(obj: Union[LabelledNet, MarkedPetriNet, SynthesisResult]) -> byte
     """Emit the PNML subset; parsing the output reproduces the input net.
 
     Synthesis results carry one tool-specific annotation per place naming
-    its source region; other tools can ignore it.
+    its source region; other tools can ignore it. The text is written
+    directly, laid out and escaped as ElementTree writes it after
+    ET.indent, except that a carriage return in text content is written
+    as &#13;, so that it reads back as itself.
     """
     source_regions: dict[str, Region] = {}
     if isinstance(obj, SynthesisResult):
@@ -175,30 +178,49 @@ def write_pnml(obj: Union[LabelledNet, MarkedPetriNet, SynthesisResult]) -> byte
                 source_regions[pid] = place.source_region
     ln = _as_labelled(obj)
 
-    root = ET.Element("pnml", {"xmlns": PNML_NS})
-    net_elem = ET.SubElement(root, "net", {"id": "net1", "type": PTNET_TYPE})
-    page = ET.SubElement(net_elem, "page", {"id": "page1"})
+    lines = []
     for pid in ln.net.places:
-        place_elem = ET.SubElement(page, "place", {"id": pid})
+        inner = []
         if ln.initial[pid]:
-            entry = ET.SubElement(place_elem, "initialMarking")
-            ET.SubElement(entry, "text").text = str(ln.initial[pid])
+            inner += ["        <initialMarking>", f"          <text>{ln.initial[pid]}</text>", "        </initialMarking>"]
         if pid in source_regions:
-            tool = ET.SubElement(place_elem, "toolspecific", {"tool": TOOL_NAME, "version": "1"})
             marking = source_regions[pid].marking
-            tool.text = " ".join(f"{p}={marking[p]}" for p in marking)
+            text = " ".join(f"{p}={marking[p]}" for p in marking)
+            inner.append(_leaf("        ", "toolspecific", f' tool="{TOOL_NAME}" version="1"', text))
+        lines += _element("      ", "place", f' id="{_escape_attr(pid)}"', inner)
     for tid in ln.net.transitions:
-        trans_elem = ET.SubElement(page, "transition", {"id": tid})
-        name = ET.SubElement(trans_elem, "name")
-        ET.SubElement(name, "text").text = ln.labels[tid]
+        name = ["        <name>", _leaf("          ", "text", "", ln.labels[tid]), "        </name>"]
+        lines += _element("      ", "transition", f' id="{_escape_attr(tid)}"', name)
     for idx, ((src, tgt), weight) in enumerate(sorted(ln.net.arcs.items()), start=1):
-        arc_elem = ET.SubElement(page, "arc", {"id": f"a{idx}", "source": src, "target": tgt})
+        inscription = []
         if weight > 1:
-            inscription = ET.SubElement(arc_elem, "inscription")
-            ET.SubElement(inscription, "text").text = str(weight)
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+            inscription = ["        <inscription>", f"          <text>{weight}</text>", "        </inscription>"]
+        ends = f' id="a{idx}" source="{_escape_attr(src)}" target="{_escape_attr(tgt)}"'
+        lines += _element("      ", "arc", ends, inscription)
+    head = ["<?xml version='1.0' encoding='utf-8'?>", f'<pnml xmlns="{PNML_NS}">', f'  <net id="net1" type="{PTNET_TYPE}">']
+    lines = head + _element("    ", "page", ' id="page1"', lines) + ["  </net>", "</pnml>", ""]
+    return "\n".join(lines).encode("utf-8", "xmlcharrefreplace")
+
+
+def _escape_text(s: str) -> str:
+    # A raw carriage return would be read back as a line feed.
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
+
+
+def _escape_attr(s: str) -> str:
+    return _escape_text(s).replace('"', "&quot;").replace("\n", "&#10;").replace("\t", "&#09;")
+
+
+def _leaf(indent: str, tag: str, attrs: str, text: str) -> str:
+    """One element line holding escaped `text`, or empty when it is."""
+    return f"{indent}<{tag}{attrs}>{_escape_text(text)}</{tag}>" if text else f"{indent}<{tag}{attrs} />"
+
+
+def _element(indent: str, tag: str, attrs: str, inner: list) -> list:
+    """The lines of an element around the already indented `inner` lines."""
+    if not inner:
+        return [f"{indent}<{tag}{attrs} />"]
+    return [f"{indent}<{tag}{attrs}>", *inner, f"{indent}</{tag}>"]
 
 
 def parse_traces(data: bytes) -> list[tuple[str, ...]]:
@@ -215,7 +237,8 @@ def parse_traces(data: bytes) -> list[tuple[str, ...]]:
 def parse_state_graph(data: bytes) -> StateGraph:
     """JSON document {"initial": id, "arcs": [{"from","label","to"}, ...]};
     states are inferred and must all be reachable from the initial one.
-    State ids and labels must not be empty."""
+    State ids and labels must not be empty, and a label must not begin or
+    end with whitespace, which PNML readers strip from it."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -238,6 +261,8 @@ def parse_state_graph(data: bytes) -> StateGraph:
             raise ParseError(f"arc {i}: fields must be strings")
         if not (src and label and tgt):
             raise ParseError(f"arc {i}: empty state id or label")
+        if label != label.strip():
+            raise ParseError(f"arc {i}: label {label!r} begins or ends with whitespace")
         states.setdefault(src, None)
         states.setdefault(tgt, None)
         arcs.append((src, label, tgt))
@@ -254,7 +279,8 @@ def parse_state_graph(data: bytes) -> StateGraph:
 
 def parse_run(data: bytes) -> Run:
     """JSON document {"events": {id: label, ...}, "order": [[a, b], ...]};
-    event ids and labels must not be empty."""
+    event ids and labels must not be empty, and a label must not begin or
+    end with whitespace, as for state graphs."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -268,6 +294,9 @@ def parse_run(data: bytes) -> Run:
         raise ParseError("'events' must map event ids to labels")
     if "" in events or "" in events.values():
         raise ParseError("empty event id or label")
+    for label in events.values():
+        if label != label.strip():
+            raise ParseError(f"label {label!r} begins or ends with whitespace")
     raw_order = doc.get("order", [])
     if not isinstance(raw_order, list):
         raise ParseError("'order' must be a list of pairs")

@@ -26,7 +26,7 @@ from operator import mul
 from typing import Mapping, Optional, Tuple
 
 from . import ilp
-from .core import Multiset, Specification, effect, state_machine_walk
+from .core import Multiset, Specification, state_machine_walk
 from .semantics import ConditionCheck, PlaceBehavior
 
 MODES = ("synthesis", "discovery")
@@ -133,6 +133,11 @@ def build_base_model(problem: RegionProblem, classes: Mapping[str, str]) -> ilp.
     other one carrying it; initial-sum equalities between net 1 and every
     later net; in discovery mode a zero equality per final place. A row
     left without terms (0 == 0) or repeating an earlier row is skipped.
+    Each transition's rise is summed per class once (a class is its own
+    class, so a row sums two of these again). A transition that is not its
+    label's first is skipped before its row is built when an earlier such
+    transition of the label had the same rise per class, zero entries
+    included: its row would repeat.
     Last comes the seek row sum(size * class) >= 1, size being the places
     in the class, which keeps the zero region out. It is kept even without
     terms, so a specification without places has no region.
@@ -163,14 +168,32 @@ def build_base_model(problem: RegionProblem, classes: Mapping[str, str]) -> ilp.
             seen.add(key)
             constraints.append(row)
 
+    def rise_per_class(post: Mapping[str, int], pre: Mapping[str, int]) -> dict[str, int]:
+        # per_class(core.effect(...), {}), term order included, without
+        # building the effect: places whose arcs cancel are left out.
+        terms: dict[str, int] = {}
+        for p, c in post.items():
+            c -= pre.get(p, 0)
+            if c:
+                terms[classes[p]] = terms.get(classes[p], 0) + c
+        for p, c in pre.items():
+            if p not in post:
+                terms[classes[p]] = terms.get(classes[p], 0) - c
+        return terms
+
     first_of_label: dict[str, dict[str, int]] = {}
+    carried: set[tuple] = set()
     for ln in spec.nets:
+        pre, post = ln.net.pre, ln.net.post
         for e in ln.net.transitions:
             label = ln.labels[e]
-            rise = effect(ln.net, e)
+            rise = rise_per_class(post[e], pre[e])
             if label not in first_of_label:
                 first_of_label[label] = rise
-            else:
+                continue
+            key = (label, frozenset(rise.items()))
+            if key not in carried:
+                carried.add(key)
                 add_zero_row(per_class(first_of_label[label], rise))
 
     for ln in spec.nets[1:]:
@@ -235,15 +258,38 @@ def _discovery_order(points: list, objective: list) -> list:
     last back), and after each pick the rest are stable-sorted by
     (objective, the pick's binaries from its last support class back),
     which puts the pick's binaries above all that earlier sorts ranked.
+
+    The objective comes first, so every pick is taken from the group with
+    the least objective, and a sort moves points only within their group.
+    A group is therefore ordered when it becomes the least: by its class
+    values, then by the binaries of each earlier pick in turn. A sort is
+    skipped where no point of the group reaches any of the pick's support
+    values; every binary is then 1, and the stable sort would keep the
+    order.
     """
-    ranked = sorted(((sum(map(mul, objective, x)), x) for x in points), key=lambda e: (e[0], e[1][::-1]))
-    order = []
-    while ranked:
-        _, pick = ranked.pop(0)
-        order.append(pick)
-        support = [(i, s) for i, s in reversed(list(enumerate(pick))) if s]
-        ranked.sort(key=lambda e: (e[0], [e[1][i] < s for i, s in support]))
+    groups: dict[int, list] = {}
+    for x in points:
+        groups.setdefault(sum(map(mul, objective, x)), []).append(x)
+    order: list = []
+    supports: list = []
+    for _, group in sorted(groups.items()):
+        group.sort(key=lambda x: x[::-1])
+        for support in supports:
+            _rerank(group, support)
+        while group:
+            pick = group.pop(0)
+            order.append(pick)
+            supports.append([(i, s) for i, s in reversed(list(enumerate(pick))) if s])
+            _rerank(group, supports[-1])
     return order
+
+
+def _rerank(group: list, support: list) -> None:
+    """Stable-sort `group` by the binaries of a pick with `support`
+    ((class, value) from its last support class back), unless every
+    binary is 1."""
+    if any(x[i] >= s for x in group for i, s in support):
+        group.sort(key=lambda x: [x[i] < s for i, s in support])
 
 
 def _arc_index(spec: Specification) -> tuple:

@@ -6,11 +6,15 @@ implementations they check.
 """
 
 import itertools
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from operator import mul
 from typing import Mapping, Optional
 
 from ttsynth import ilp
+from ttsynth import io as net_io
 from ttsynth.core import LabelledNet, Multiset, Specification, StateGraph
+from ttsynth.synthesis import SynthesisResult
 
 
 def net_rise(ln: LabelledNet, marking: dict, e: str) -> int:
@@ -461,6 +465,25 @@ def regions_round_by_round(model: ilp.IlpModel, classes: Mapping[str, str], k: i
         model = block_region(model, class_values, k, len(found))
 
 
+def discovery_order_by_rounds(points: list, objective: list) -> list:
+    """The minimal points `points` (tuples of class values) in discovery
+    order, sorted the way regions._discovery_order did before it ordered
+    one objective group at a time: sort all points by (objective, class
+    values from the last back), then after each pick stable-sort all the
+    rest by (objective, the pick's binaries from its last support class
+    back), a binary being 1 where a point lies below the pick's value.
+    O(R^2 log R) for R points; the reference for _discovery_order.
+    """
+    ranked = sorted(((sum(map(mul, objective, x)), x) for x in points), key=lambda e: (e[0], e[1][::-1]))
+    order = []
+    while ranked:
+        _, pick = ranked.pop(0)
+        order.append(pick)
+        support = [(i, s) for i, s in reversed(list(enumerate(pick))) if s]
+        ranked.sort(key=lambda e: (e[0], [e[1][i] < s for i, s in support]))
+    return order
+
+
 def classical_state_regions(sg: StateGraph) -> set[frozenset]:
     """Subsets of states where each label uniformly enters, exits, or does
     not cross; the textbook region condition for state graphs."""
@@ -536,3 +559,41 @@ def relabel_arcs(sg: StateGraph, mapping: dict) -> StateGraph:
         sg.initial,
         tuple((src, mapping.get(label, label), tgt) for src, label, tgt in sg.arcs),
     )
+
+
+def write_pnml_by_element_tree(obj) -> bytes:
+    """write_pnml as it was before it wrote the text itself: an element
+    tree, laid out by ET.indent and serialized by ElementTree, which
+    writes a carriage return in text content raw. The reference for the
+    bytes write_pnml gives."""
+    source_regions = {}
+    if isinstance(obj, SynthesisResult):
+        for pid, place in zip(obj.net.net.places, obj.places):
+            if place.source_region is not None:
+                source_regions[pid] = place.source_region
+    ln = net_io._as_labelled(obj)
+
+    root = ET.Element("pnml", {"xmlns": net_io.PNML_NS})
+    net_elem = ET.SubElement(root, "net", {"id": "net1", "type": net_io.PTNET_TYPE})
+    page = ET.SubElement(net_elem, "page", {"id": "page1"})
+    for pid in ln.net.places:
+        place_elem = ET.SubElement(page, "place", {"id": pid})
+        if ln.initial[pid]:
+            entry = ET.SubElement(place_elem, "initialMarking")
+            ET.SubElement(entry, "text").text = str(ln.initial[pid])
+        if pid in source_regions:
+            tool = ET.SubElement(place_elem, "toolspecific", {"tool": net_io.TOOL_NAME, "version": "1"})
+            marking = source_regions[pid].marking
+            tool.text = " ".join(f"{p}={marking[p]}" for p in marking)
+    for tid in ln.net.transitions:
+        trans_elem = ET.SubElement(page, "transition", {"id": tid})
+        name = ET.SubElement(trans_elem, "name")
+        ET.SubElement(name, "text").text = ln.labels[tid]
+    for idx, ((src, tgt), weight) in enumerate(sorted(ln.net.arcs.items()), start=1):
+        arc_elem = ET.SubElement(page, "arc", {"id": f"a{idx}", "source": src, "target": tgt})
+        if weight > 1:
+            inscription = ET.SubElement(arc_elem, "inscription")
+            ET.SubElement(inscription, "text").text = str(weight)
+    tree = ET.ElementTree(root)
+    ET.indent(tree, space="  ")
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"

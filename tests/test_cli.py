@@ -433,18 +433,43 @@ class TestConvert:
             ("g.sg", {"initial": "s0", "arcs": [{"from": "s0", "label": "a", "to": ""}]}),
             ("r.run", {"events": {"": "a", "v2": "b"}, "order": [["", "v2"]]}),
             ("r.run", {"events": {"v1": "", "v2": "b"}, "order": [["v1", "v2"]]}),
+            ("g.sg", {"initial": "s0", "arcs": [{"from": "s0", "label": " a", "to": "s1"}]}),
+            ("g.sg", {"initial": "s0", "arcs": [{"from": "s0", "label": "a\n", "to": "s1"}]}),
+            ("r.run", {"events": {"v1": " a", "v2": "b"}, "order": [["v1", "v2"]]}),
+            ("r.run", {"events": {"v1": "a", "v2": "b\n"}, "order": [["v1", "v2"]]}),
         ],
-        ids=["sg-label", "sg-initial", "sg-state", "run-event", "run-label"],
+        ids=["sg-label", "sg-initial", "sg-state", "run-event", "run-label",
+             "sg-label-leading-space", "sg-label-trailing-newline",
+             "run-label-leading-space", "run-label-trailing-newline"],
     )
     def test_empty_ids_rejected(self, tmp_path, capsys, name, doc):
-        # An empty id or label would reach a PNML that no reader accepts:
-        # exit 2, one error line, nothing written, for convert and synth.
+        # An empty id or label would reach a PNML that no reader accepts,
+        # and a PNML reader strips whitespace at a label's ends: exit 2,
+        # one error line, nothing written, for convert and synth.
         spec = write(tmp_path, name, json.dumps(doc))
         for argv in (["convert", spec, "-o", str(tmp_path / "out.pnml")], ["synth", "-o", str(tmp_path / "out.pnml"), spec]):
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    @pytest.mark.parametrize(
+        "name, doc",
+        [
+            ("g.sg", {"initial": "s0", "arcs": [{"from": "s0", "label": "a\rb", "to": "s1"}]}),
+            ("r.run", {"events": {"v1": "a\rb", "v2": "c"}, "order": [["v1", "v2"]]}),
+        ],
+        ids=["sg", "run"],
+    )
+    def test_carriage_return_in_label_survives(self, tmp_path, capsys, name, doc):
+        # XML reads a raw carriage return in text back as a line feed.
+        spec = write(tmp_path, name, json.dumps(doc))
+        model = str(tmp_path / "m.pnml")
+        assert main(["synth", "-k", "2", "-o", model, spec]) == 0
+        assert main(["check", "--model", model, spec]) == 0
+        assert "enabled" in capsys.readouterr().out
+        assert main(["convert", spec, "-o", str(tmp_path / "c.pnml")]) == 0
+        assert "a\rb" in net_io.parse_pnml((tmp_path / "c.pnml").read_bytes()).labels.values()
 
     def test_acyclic_run(self, tmp_path):
         run = write(

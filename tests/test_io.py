@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
 from gens import random_labelled_net
+from oracles import write_pnml_by_element_tree
 from ttsynth import io as net_io
-from ttsynth.core import LabelledNet, Multiset, PetriNet
+from ttsynth.core import LabelledNet, MarkedPetriNet, Multiset, PetriNet
 from ttsynth.regions import Region, RegionProblem
-from ttsynth.synthesis import synthesize
+from ttsynth.synthesis import PlaceDefinition, SynthesisResult, synthesize
 
 MINIMAL = b"""<?xml version="1.0"?>
 <pnml xmlns="http://www.pnml.org/version-2009/grammar/pnml">
@@ -116,6 +117,48 @@ class TestParsePnml:
             net_io.parse_pnml(doc)
 
 
+#: Characters that XML escapes, reads back changed or strips, plus others.
+HOSTILE = "a&<>\"'\r\n\t ]]>é\x85\\,()"
+
+
+@st.composite
+def hostile_nets(draw):
+    """A random net whose ids (distinct, not empty) and labels (maybe
+    empty) are drawn from HOSTILE; as a LabelledNet, or as a synthesis
+    result whose places carry source regions over such ids."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ln = random_labelled_net(rng, "x", rng.randint(0, 4), rng.randint(0, 4), max_weight=3, max_tokens=3)
+    n = len(ln.net.places) + len(ln.net.transitions)
+    ids = draw(st.lists(st.text(HOSTILE, min_size=1, max_size=6), min_size=n, max_size=n, unique=True))
+    rename = dict(zip(ln.net.places + ln.net.transitions, ids))
+    net = PetriNet(
+        tuple(rename[p] for p in ln.net.places),
+        tuple(rename[t] for t in ln.net.transitions),
+        Multiset({(rename[s], rename[t]): w for (s, t), w in ln.net.arcs.items()}),
+    )
+    initial = Multiset({rename[p]: c for p, c in ln.initial.items()})
+    labels = {t: draw(st.text(HOSTILE, max_size=4)) for t in net.transitions}
+    if not draw(st.booleans()):
+        return LabelledNet(net, initial, labels)
+    places = []
+    for _ in net.places:
+        marking = draw(st.dictionaries(st.text(HOSTILE, min_size=1, max_size=4), st.integers(1, 2), max_size=3))
+        region = Region(Multiset(marking), 2) if marking and draw(st.booleans()) else None
+        places.append(PlaceDefinition({}, {}, 0, region))
+    return SynthesisResult(MarkedPetriNet(net, initial), tuple(places), ())
+
+
+def texts_of(obj) -> list:
+    """The strings write_pnml puts in text content: labels and provenance."""
+    if isinstance(obj, LabelledNet):
+        return list(obj.labels.values())
+    texts = list(obj.net.net.transitions)
+    for place in obj.places:
+        if place.source_region is not None:
+            texts += [f"{p}={c}" for p, c in place.source_region.marking.items()]
+    return texts
+
+
 class TestWritePnml:
     def test_e_seq_document_shape(self):
         payload = net_io.write_pnml(make_e_seq())
@@ -158,6 +201,36 @@ class TestWritePnml:
             parsed = net_io.parse_pnml(payload)
         assert parsed.net == res.net.net
         assert parsed.initial == res.net.initial
+
+    @given(hostile_nets())
+    @settings(deadline=None, max_examples=200)
+    def test_same_bytes_as_element_tree(self, obj):
+        # ElementTree writes a carriage return in text raw, which XML reads
+        # back as a line feed; write_pnml escapes it, as in attributes.
+        payload = net_io.write_pnml(obj)
+        assert b"\r" not in payload
+        if not any("\r" in t for t in texts_of(obj)):
+            assert payload == write_pnml_by_element_tree(obj)
+
+    @given(hostile_nets())
+    @settings(deadline=None, max_examples=200)
+    def test_hostile_nets_roundtrip(self, obj):
+        if isinstance(obj, SynthesisResult):
+            ln = LabelledNet(obj.net.net, obj.net.initial, {t: t for t in obj.net.net.transitions})
+        else:
+            ln = obj
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = net_io.parse_pnml(net_io.write_pnml(obj))
+        # A reader strips a name's edge whitespace and falls back to the
+        # id for an empty one; every other label reads back as written.
+        assert parsed == LabelledNet(ln.net, ln.initial, {t: label.strip() or t for t, label in ln.labels.items()})
+
+    def test_carriage_return_in_text_is_escaped(self):
+        ln = LabelledNet(PetriNet(("p",), ("t",), Multiset({("p", "t"): 1})), Multiset({"p": 1}), {"t": "a\rb"})
+        payload = net_io.write_pnml(ln)
+        assert b"<text>a&#13;b</text>" in payload
+        assert net_io.parse_pnml(payload) == ln
 
     def test_deterministic_bytes(self):
         assert net_io.write_pnml(make_e_seq()) == net_io.write_pnml(make_e_seq())

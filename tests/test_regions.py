@@ -31,6 +31,7 @@ from ttsynth.regions import (
     discovery_final_places,
     enumerate_minimal_regions,
     parikh_classes,
+    _discovery_order,
     verify_region,
 )
 
@@ -501,6 +502,31 @@ class TestParikhClasses:
         spec = build_specification(nets)
         assert parikh_classes(spec) == oracles.parikh_classes(spec)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=100)
+    def test_class_members_are_equal_in_every_raw_point(self, seed):
+        # State machines whose walks take labels both ways (with few
+        # cycles, so the labels can rise), a trace and maybe a converted
+        # state graph: no point of the raw model (one variable per place),
+        # minimal or not, may tell a class member q from its class, so
+        # x[q] - x[class] >= 1 and <= -1 are infeasible. A sign error in
+        # the walk's counts merges places that some region tells apart.
+        rng = random.Random(seed)
+        nets = [state_machine(*random_two_way_arcs(rng, max_extra=rng.randint(0, 1))) for _ in range(rng.randint(1, 2))]
+        nets.append(trace_to_labelled_net(rng.choice(["a", "ab", "aba", "b"])))
+        if rng.random() < 0.3:
+            nets.append(state_graph_to_labelled_net(random_state_graph(rng, max_states=4, max_arcs=5, n_labels=2)))
+        rng.shuffle(nets)
+        spec = build_specification(nets)
+        members = [(q, c) for q, c in parikh_classes(spec).items() if q != c]
+        for k in (1, 2):
+            raw = raw_region_model(RegionProblem(spec, k))
+            for q, c in members:
+                for relation, rhs in ((ilp.GE, 1), (ilp.LE, -1)):
+                    apart = ilp.LinearConstraint({q: 1, c: -1}, relation, rhs)
+                    model = ilp.IlpModel(raw.variables, raw.constraints + (apart,))
+                    assert reference_bnb(model, {})[0] is None, (q, c, k, relation)
+
     def test_state_machines_share_classes_with_traces(self):
         # a trace "ab" and the state graph s0 -a-> s1 -b-> s2, s0 -b-> s3:
         # c0 ~ s0, c1 ~ s1, c2 ~ s2 across the nets; the walk is kept on
@@ -591,3 +617,19 @@ class TestSameAsRawModel:
                 enumerate_minimal_regions(problem)
             return
         assert enumerate_minimal_regions(problem) == expected
+
+
+class TestDiscoveryOrder:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12),
+                st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_same_order_as_sorting_by_rounds(self, case):
+        # Any points, ties, repeats and several objective groups included.
+        points, objective = case
+        assert _discovery_order(points, objective) == oracles.discovery_order_by_rounds(points, objective)
