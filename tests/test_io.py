@@ -215,10 +215,7 @@ class TestWritePnml:
     @given(hostile_nets())
     @settings(deadline=None, max_examples=200)
     def test_hostile_nets_roundtrip(self, obj):
-        if isinstance(obj, SynthesisResult):
-            ln = LabelledNet(obj.net.net, obj.net.initial, {t: t for t in obj.net.net.transitions})
-        else:
-            ln = obj
+        ln = net_io._as_labelled(obj)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             parsed = net_io.parse_pnml(net_io.write_pnml(obj))
