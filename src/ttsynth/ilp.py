@@ -8,17 +8,16 @@ the feasible points that lie above no other.
 
 Both walk one depth-first search (_branch) with exact interval
 propagation at every node. compile_model() turns each constraint into one
-`<=` row per side (an equality into two) and lists, per variable, the rows
-whose minimum activity each of its bounds moves. A compiled model also
-carries its root box: the bounds that propagating all its rows reaches,
-with every row's minimum activity there. A search starts from the root
-box, keeps one box, every row's minimum activity on it and a trail of
-bound moves to undo on backtracking. A row pass reads its carried
-activity, so a row that cannot tighten costs O(1) instead of a sum over
-its terms. The search branches lower half first, so its leaves come in
-lexicographic order: solve() stops at the first, and minimal_points()
-visits them all, each point it finds adding rows to the running search
-that exclude every point above it.
+`<=` row per side (an equality into two), lists, per variable, the rows
+whose minimum activity each of its bounds moves, and computes every row's
+minimum activity on the declared box. A search starts from that box,
+keeps one box, every row's minimum activity on it and a trail of bound
+moves to undo on backtracking; its root propagates every row. A row pass
+reads its carried activity, so a row that cannot tighten costs O(1)
+instead of a sum over its terms. The search branches lower half first, so
+its leaves come in lexicographic order: solve() stops at the first, and
+minimal_points() visits them all, each point it finds adding rows to the
+running search that exclude every point above it.
 """
 
 from __future__ import annotations
@@ -169,8 +168,8 @@ def _compile_rows(sides, lo, hi, rows: list, act: list, lo_occurs: list, hi_occu
 @dataclass(frozen=True, eq=False)
 class CompiledModel:
     """An IlpModel compiled for solve() and minimal_points(): variables by
-    position, rows with their occurrence lists, and the box that
-    propagating every row reaches from the declared bounds.
+    position, rows with their occurrence lists, the declared box and every
+    row's minimum activity on it.
 
     Each declared constraint is compiled into its `<=` sides: a `<=`
     constraint into itself, a `>=` one into its negation and an equality
@@ -179,20 +178,13 @@ class CompiledModel:
     (row, sign) of declared constraint r, so `variables` and
     `constraints` have the lengths of the model's own tuples. `index` maps
     each id to its position, and `lo_occurs` and `hi_occurs` are indexed
-    like `variables`.
-
-    The root box [lo, hi] is the greatest fixpoint of the rows below the
-    declared bounds (see _fixpoint), and `act[r]` is row r's minimum
-    activity on it. Every feasible point lies in it, and every search of
-    the model starts from it. `reach` is at least 1 and at least every
-    declared range, so it bounds every range a search meets. When the rows
-    admit no point of the bounds, `failed` is a row that fails on the box
-    (its activity exceeds its rhs), else None.
+    like `variables`. Variable i is declared in [lo[i], hi[i]], and
+    `act[r]` is row r's minimum activity on that box.
 
     Like IlpModel it is never changed after construction: with_rhs()
     returns a sibling with new right-hand sides and bounds that shares the
-    terms and the occurrence lists and propagates every row again. Ids are
-    read only when compiling and in the solution, never in the search.
+    terms and the occurrence lists. Ids are read only when compiling and
+    in the solution, never in the search.
     """
 
     variables: Tuple[Hashable, ...]
@@ -204,8 +196,6 @@ class CompiledModel:
     lo: list
     hi: list
     act: list
-    reach: int
-    failed: Optional[int] = None
 
     def with_rhs(self, rhs: Sequence[int], lower: Sequence[int], upper: Sequence[int]) -> "CompiledModel":
         """The same rows with right-hand side rhs[r] for declared
@@ -223,13 +213,11 @@ class CompiledModel:
                 rows[r] = (terms, sizes, sign * b, cmax, partner)
         lower, upper = list(lower), list(upper)
         act = [_min_activity(terms, lower, upper) for terms, _, _, _, _ in rows]
-        model = replace(self, rows=rows, lo=lower, hi=upper, act=act, reach=_reach(lower, upper), failed=None)
-        return _settle(model)
+        return replace(self, rows=rows, lo=lower, hi=upper, act=act)
 
 
 def compile_model(model: IlpModel) -> CompiledModel:
-    """Compile every row of `model` once (see _compile_rows) and propagate
-    them all from the declared bounds."""
+    """Compile every row of `model` once (see _compile_rows)."""
     index = {v.id: i for i, v in enumerate(model.variables)}
     lower = [v.lower for v in model.variables]
     upper = [v.upper for v in model.variables]
@@ -250,7 +238,7 @@ def compile_model(model: IlpModel) -> CompiledModel:
     rows, act = [], []
     lo_occurs, hi_occurs = [[] for _ in lower], [[] for _ in lower]
     _compile_rows(sides, lower, upper, rows, act, lo_occurs, hi_occurs)
-    compiled = CompiledModel(
+    return CompiledModel(
         variables=tuple(index),
         index=index,
         constraints=constraints,
@@ -260,50 +248,30 @@ def compile_model(model: IlpModel) -> CompiledModel:
         lo=lower,
         hi=upper,
         act=act,
-        reach=_reach(lower, upper),
     )
-    return _settle(compiled)
-
-
-def _reach(lower: Sequence[int], upper: Sequence[int]) -> int:
-    """`reach` (see CompiledModel): 1 or the widest range, if larger."""
-    return max([1, *(ub - lb for lb, ub in zip(lower, upper))])
-
-
-def _settle(model: CompiledModel) -> CompiledModel:
-    """Finish `model`, just built by compile_model() or with_rhs() with its
-    box at the declared bounds: propagate every row, and make the box, the
-    activities reached and, when the box turns out empty, the first row
-    that fails on it its own."""
-    search = _Search(model)
-    failed = None
-    if not _fixpoint(search, range(len(search.rows))):
-        failed = next(r for r, row in enumerate(search.rows) if search.act[r] > row[2])
-    for name, value in (("lo", search.lo), ("hi", search.hi), ("act", search.act), ("failed", failed)):
-        object.__setattr__(model, name, value)
-    return model
 
 
 class _Search:
     """The state of one search: the model's rows, one box, every row's
     minimum activity on it, the queue of rows to visit and the undo trail.
 
-    The box starts as the model's root box (CompiledModel.lo, hi), with
-    its activities. `rows`, `lo_occurs` and `hi_occurs` are the model's
-    (see _compile_rows). `lo` and `hi` bound the variables, and `act[r]`
-    is the least value of row r's sum over that box. So the row of a `<=`
-    constraint carries the constraint's minimum activity, the row of a
-    `>=` constraint (its negation) minus its maximum, and an equality's
-    two rows carry both. add() declares more variables and rows while the
-    search runs.
+    The box starts as the model's declared box (CompiledModel.lo, hi),
+    with its activities. `rows`, `lo_occurs` and `hi_occurs` are the
+    model's (see _compile_rows). `lo` and `hi` bound the variables, and
+    `act[r]` is the least value of row r's sum over that box. So the row
+    of a `<=` constraint carries the constraint's minimum activity, the
+    row of a `>=` constraint (its negation) minus its maximum, and an
+    equality's two rows carry both. add() declares more variables and
+    rows while the search runs.
 
-    Every bound move goes through move() or _fixpoint. A move adds its
+    Every bound move goes through move() or _propagate. A move adds its
     change to the activities that read the moved bound, queues those rows
     (`queue`, with `queued[r]` set while row r is in it) and records
     (variable, old bound, bounds, occurrences) on `trail`, the last two
     being lo and lo_occurs for a lower bound and hi and hi_occurs for an
     upper one. undo(mark) takes back the moves after the first `mark`,
-    activities included. `reach` bounds every range (see CompiledModel).
+    activities included. `reach` is 1 or the widest declared range, if
+    larger, so it bounds every range the search meets.
     `wake` lists, in order, the rows added after the search began;
     _branch seeds a node with those listed after its parent was
     propagated.
@@ -321,7 +289,7 @@ class _Search:
         self.queue = deque()
         self.queued = bytearray(len(self.rows))
         self.trail = []
-        self.reach = model.reach
+        self.reach = max([1, *(ub - lb for lb, ub in zip(model.lo, model.hi))])
         self.wake = []
 
     def add(self, bounds: Sequence[Tuple[int, int]], sides) -> None:
@@ -369,15 +337,9 @@ class _Search:
 
 
 def _propagate(search: _Search, seeds) -> bool:
-    """Propagate one node of a search (see _fixpoint). _branch calls it once
-    per node, the root included, and nothing else does, so its calls count
-    the nodes of solve() and minimal_points(); propagating a compiled
-    model's root box (_settle) is not a node."""
-    return _fixpoint(search, seeds)
-
-
-def _fixpoint(search: _Search, seeds) -> bool:
     """Tighten integer bounds to a fixpoint; False means provably infeasible.
+    _branch calls it once per node, the root included, and nothing else
+    does, so its calls count the nodes of solve() and minimal_points().
 
     Each row `(terms, sizes, rhs, cmax, partner)` of `search.rows` (see
     _compile_rows) states sum(c * x[i]) <= rhs.
@@ -457,7 +419,7 @@ def _fixpoint(search: _Search, seeds) -> bool:
     return True
 
 
-def _branch(search: _Search, n: int, seeds):
+def _branch(search: _Search, n: int):
     """Depth-first over the box of `search`, branching on the first of its
     first `n` variables that is free, lower half first, and yielding the
     values of those n at every node whose box fixes them all. The leaves
@@ -466,7 +428,7 @@ def _branch(search: _Search, n: int, seeds):
     least feasible point of the box.
 
     Every node, the root included, is propagated (_propagate): the root
-    visits `seeds`, and any other node undoes the trail back to its
+    visits every row, and any other node undoes the trail back to its
     parent's fixpoint, moves the bound of its branch and visits the rows
     the move woke plus those listed on `search.wake` since the parent was
     propagated, which includes rows added while the caller held a leaf. A
@@ -485,6 +447,7 @@ def _branch(search: _Search, n: int, seeds):
             search.undo(mark)
         if i < 0:
             i = 0
+            seeds = range(len(search.rows))
         else:
             search.move(i, upper, bound)
             seeds = wake[seen:]
@@ -509,16 +472,14 @@ def solve(model: IlpModel | CompiledModel) -> Optional[dict]:
     solved as it is, so a model compiled once can be solved again with
     new right-hand sides without compiling its rows again.
 
-    The point is the first leaf of the search (_branch). It starts from
-    the model's root box: the fixpoint of every row, rows without terms
-    included, below the declared bounds (CompiledModel). So the root
-    visits no row, or, when the rows admit no point, the row that fails on
-    that box. Each node runs exact interval propagation, so pruning
+    The point is the first leaf of the search (_branch), whose root
+    propagates every row, rows without terms included, from the declared
+    bounds. Each node runs exact interval propagation, so pruning
     decisions are exact as well.
     """
     if isinstance(model, IlpModel):
         model = compile_model(model)
-    for point in _branch(_Search(model), len(model.variables), () if model.failed is None else (model.failed,)):
+    for point in _branch(_Search(model), len(model.variables)):
         return dict(zip(model.variables, point))
     return None
 
@@ -532,12 +493,12 @@ def minimal_points(model: IlpModel | CompiledModel) -> list:
     of stopping at the first. Each leaf is recorded, and rows that exclude
     it and every point above it are added to the running search
     (_Search.add). They name its support, the variables i where its value
-    s lies above the root box's lo[i]: a point is above it exactly when it
-    is at least s on all of them. A support of one variable gives the row
-    x[i] <= s - 1. A larger one
-    gives, per variable, a new [0, 1] binary b with x[i] + r * b <= s - 1
-    + r, r being the range hi[i] - lo[i] of the root box (b = 1 forces
-    x[i] < s; b = 0 bounds nothing), and then sum(b) >= 1. With x fixed,
+    s lies above the declared lower bound lo[i]: a point is above it
+    exactly when it is at least s on all of them. A support of one
+    variable gives the row x[i] <= s - 1. A larger one gives, per
+    variable, a new [0, 1] binary b with x[i] + r * b <= s - 1 + r, r
+    being the declared range hi[i] - lo[i] (b = 1 forces x[i] < s; b = 0
+    bounds nothing), and then sum(b) >= 1. With x fixed,
     propagation leaves some b free exactly when some x[i] < s, so a leaf
     passes the rows exactly when it lies above no point found.
 
@@ -551,7 +512,7 @@ def minimal_points(model: IlpModel | CompiledModel) -> list:
     search = _Search(model)
     floor, ranges = model.lo, [h - l for l, h in zip(model.lo, model.hi)]
     points: list = []
-    for point in _branch(search, len(model.variables), () if model.failed is None else (model.failed,)):
+    for point in _branch(search, len(model.variables)):
         points.append(point)
         support = [(i, s) for i, s in enumerate(point) if s > floor[i]]
         if len(support) == 1:

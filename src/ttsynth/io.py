@@ -11,6 +11,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from typing import Iterable, Sequence, Union
@@ -27,6 +28,16 @@ TOOL_NAME = "ttsynth"
 
 class ParseError(ValueError):
     """Malformed input file."""
+
+
+#: A character outside XML 1.0's Char production: no PNML can hold it.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _check_xml_chars(text: str, context: str) -> None:
+    found = _NOT_XML_CHAR.search(text)
+    if found:
+        raise ParseError(f"{context}: character {found.group()!r} cannot be written to XML")
 
 
 def _local(tag: str) -> str:
@@ -224,9 +235,12 @@ def _element(indent: str, tag: str, attrs: str, inner: list) -> list:
 
 
 def parse_traces(data: bytes) -> list[tuple[str, ...]]:
-    """One whitespace-separated trace per line; '#' lines and blanks ignored."""
+    """One whitespace-separated trace per line; '#' lines and blanks ignored.
+    The text must hold only characters that XML 1.0 allows."""
+    text = data.decode("utf-8")
+    _check_xml_chars(text, "trace file")
     traces = []
-    for line in data.decode("utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -237,8 +251,9 @@ def parse_traces(data: bytes) -> list[tuple[str, ...]]:
 def parse_state_graph(data: bytes) -> StateGraph:
     """JSON document {"initial": id, "arcs": [{"from","label","to"}, ...]};
     states are inferred and must all be reachable from the initial one.
-    State ids and labels must not be empty, and a label must not begin or
-    end with whitespace, which PNML readers strip from it."""
+    State ids and labels must not be empty or hold a character that XML
+    1.0 does not allow, and a label must not begin or end with whitespace,
+    which PNML readers strip from it."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -248,6 +263,7 @@ def parse_state_graph(data: bytes) -> StateGraph:
     initial = doc["initial"]
     if not isinstance(initial, str) or not initial:
         raise ParseError("'initial' must be a state identifier")
+    _check_xml_chars(initial, "'initial'")
     raw_arcs = doc.get("arcs", [])
     if not isinstance(raw_arcs, list):
         raise ParseError("'arcs' must be a list")
@@ -261,6 +277,8 @@ def parse_state_graph(data: bytes) -> StateGraph:
             raise ParseError(f"arc {i}: fields must be strings")
         if not (src and label and tgt):
             raise ParseError(f"arc {i}: empty state id or label")
+        for x in (src, label, tgt):
+            _check_xml_chars(x, f"arc {i}")
         if label != label.strip():
             raise ParseError(f"arc {i}: label {label!r} begins or ends with whitespace")
         states.setdefault(src, None)
@@ -279,8 +297,7 @@ def parse_state_graph(data: bytes) -> StateGraph:
 
 def parse_run(data: bytes) -> Run:
     """JSON document {"events": {id: label, ...}, "order": [[a, b], ...]};
-    event ids and labels must not be empty, and a label must not begin or
-    end with whitespace, as for state graphs."""
+    event ids and labels follow the rules of state ids and labels."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -294,7 +311,9 @@ def parse_run(data: bytes) -> Run:
         raise ParseError("'events' must map event ids to labels")
     if "" in events or "" in events.values():
         raise ParseError("empty event id or label")
-    for label in events.values():
+    for event, label in events.items():
+        for x in (event, label):
+            _check_xml_chars(x, f"event {event!r}")
         if label != label.strip():
             raise ParseError(f"label {label!r} begins or ends with whitespace")
     raw_order = doc.get("order", [])

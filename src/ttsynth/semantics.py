@@ -1,9 +1,14 @@
-"""Validity checks for token trails, compact token flows, and state graphs.
+"""Token trails, compact token flows and state graphs: the trail search
+behind `check`, and validity checks.
 
-These are the oracles the synthesis pipeline is tested against: a marking of
-a labelled net is a token trail for a place when every transition receives
-enough tokens, passes on exactly the surplus the place dictates for its
-label, and the initially marked places carry the place's initial tokens.
+A marking of a labelled net is a token trail for a place when every
+transition receives enough tokens, passes on exactly the surplus the place
+dictates for its label, and the initially marked places carry the place's
+initial tokens. find_token_trail searches for one within a bound, and
+is_enabled runs that search for every place of a model, which is what
+`check` reports. The validity checks (is_valid_token_trail,
+is_valid_compact_token_flow, check_state_graph_enabled) are oracles that
+the synthesis pipeline is tested against.
 """
 
 from __future__ import annotations

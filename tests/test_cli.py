@@ -471,6 +471,47 @@ class TestConvert:
         assert main(["convert", spec, "-o", str(tmp_path / "c.pnml")]) == 0
         assert "a\rb" in net_io.parse_pnml((tmp_path / "c.pnml").read_bytes()).labels.values()
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("g.sg", json.dumps({"initial": "s0", "arcs": [{"from": "s0", "label": "a\x01", "to": "s1"}]})),
+            ("g.sg", json.dumps({"initial": "s0", "arcs": [{"from": "s0", "label": "a", "to": "s\uffff"}]})),
+            ("g.sg", json.dumps({"initial": "s\ud800", "arcs": []})),
+            ("r.run", json.dumps({"events": {"v1": "a\ud800", "v2": "b"}, "order": [["v1", "v2"]]})),
+            ("r.run", json.dumps({"events": {"v\x01": "a", "v2": "b"}, "order": [["v\x01", "v2"]]})),
+            ("t.traces", "a b\x01 c\n"),
+            ("t.traces", "a \uffff\n"),
+        ],
+        ids=["sg-label", "sg-state", "sg-initial", "run-label", "run-event", "traces-control", "traces-noncharacter"],
+    )
+    def test_characters_xml_cannot_hold_rejected(self, tmp_path, capsys, name, text):
+        # A character outside XML 1.0's Char production would reach a PNML
+        # that no reader accepts: exit 2, one error line, nothing written.
+        spec = write(tmp_path, name, text)
+        for argv in (["convert", spec, "-o", str(tmp_path / "out.pnml")], ["synth", "-o", str(tmp_path / "out.pnml"), spec]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "XML" in err and err.count("\n") == 1
+            assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    @pytest.mark.parametrize(
+        "name, text, label",
+        [
+            ("g.sg", json.dumps({"initial": "s\x85", "arcs": [{"from": "s\x85", "label": "é\tb\x85c", "to": "s1"}]}), "é\tb\x85c"),
+            ("r.run", json.dumps({"events": {"v\x85": "é\tb", "v2": "c"}, "order": [["v\x85", "v2"]]}), "é\tb"),
+            ("t.traces", "é b\n", "é"),
+        ],
+        ids=["sg", "run", "traces"],
+    )
+    def test_characters_xml_can_hold_pass(self, tmp_path, capsys, name, text, label):
+        # é, NEL and an inner tab are XML 1.0 characters.
+        spec = write(tmp_path, name, text)
+        model = str(tmp_path / "m.pnml")
+        assert main(["synth", "-k", "2", "-o", model, spec]) == 0
+        assert main(["check", "--model", model, spec]) == 0
+        assert main(["convert", spec, "-o", str(tmp_path / "c.pnml")]) == 0
+        assert label in net_io.parse_pnml((tmp_path / "c.pnml").read_bytes()).labels.values()
+
     def test_acyclic_run(self, tmp_path):
         run = write(
             tmp_path,

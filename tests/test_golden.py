@@ -191,6 +191,15 @@ def test_check_takes_the_walk(name, k, monkeypatch, capsys):
     assert solves == []
 
 
+def test_check_trail_search_size(monkeypatch, capsys):
+    # The run's net is not a state machine, so `check` searches the
+    # compiled trail rows, one sibling per place; pinned by its nodes.
+    calls = count_propagate(monkeypatch)
+    model = GOLDEN / "concurrent_2x4.k1.pnml"
+    assert main(["check", "--model", str(model), str(GOLDEN / INPUTS["concurrent_2x4"])]) == 0
+    assert len(calls) == 122
+
+
 @pytest.mark.parametrize("name,k", WITNESS_CASES)
 def test_witness_trails(name, k):
     expected = (GOLDEN / f"{name}.k{k}.witnesses.txt").read_text(encoding="utf-8")

@@ -181,14 +181,21 @@ def solve_counting(m):
     return solution, propagate.call_count
 
 
+def root_search(compiled):
+    """A search of `compiled` propagated at its root, as _branch does, and
+    whether that left its box non-empty."""
+    search = ilp._Search(compiled)
+    return search, ilp._propagate(search, range(len(search.rows)))
+
+
 class TestCompiledModel:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=200)
     def test_sibling_searches_like_a_fresh_model(self, seed):
         # New right-hand sides and bounds on shared rows: the same search as
-        # an IlpModel built with them, from the root box that propagating
-        # every row reaches from the new bounds; the original is left as it
-        # was.
+        # an IlpModel built with them, whose root reaches the box that
+        # propagating every row reaches from the new bounds; the original is
+        # left as it was.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
         compiled = ilp.compile_model(m)
@@ -201,17 +208,46 @@ class TestCompiledModel:
             [ilp.LinearConstraint(con.terms, con.relation, b) for con, b in zip(m.constraints, rhs)],
         )
         want = interval_fixpoint(fresh, lower, upper)
-        assert (sibling.lo, sibling.hi) == want if sibling.failed is None else want is None
+        assert (sibling.lo, sibling.hi) == (lower, upper)
+        search, ok = root_search(sibling)
+        assert (search.lo, search.hi) == want if ok else want is None
         assert solve_counting(sibling) == solve_counting(fresh)
         assert solve_counting(compiled) == solve_counting(m)
 
     @given(st.integers(min_value=0, max_value=10**6))
+    @settings(deadline=None, max_examples=200)
+    def test_searching_leaves_the_model_as_it_was(self, seed):
+        # A search moves bounds and activities, and minimal_points adds
+        # rows and binaries to its running search: none of it may reach
+        # the compiled model or a sibling sharing its lists, so searching
+        # the model again is the same search.
+        rng = random.Random(seed)
+        m = random_ilp_model(rng)
+        compiled = ilp.compile_model(m)
+
+        def snapshot():
+            occurs = [[list(entries) for entries in lists] for lists in (compiled.lo_occurs, compiled.hi_occurs)]
+            return list(compiled.rows), occurs, list(compiled.lo), list(compiled.hi), list(compiled.act)
+
+        def minimal_points_counting():
+            with mock.patch.object(ilp, "_propagate", wraps=ilp._propagate) as propagate:
+                points = ilp.minimal_points(compiled)
+            return points, propagate.call_count
+
+        before = snapshot()
+        first = minimal_points_counting()
+        assert minimal_points_counting() == first
+        ilp.solve(compiled)
+        ilp.solve(compiled.with_rhs([rng.randint(-6, 8) for _ in m.constraints], compiled.lo, compiled.hi))
+        assert snapshot() == before
+
+    @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=300)
     def test_carried_box_is_the_fixpoint(self, seed):
-        # Compile growing prefixes of a model's variables and rows: each
-        # root box is the interval fixpoint of the rows declared so far (or,
-        # when that box is empty, a row fails on it), and each activity is
-        # a fresh sum over the box.
+        # Compile growing prefixes of a model's variables and rows: the box
+        # that a search's root reaches is the interval fixpoint of the rows
+        # declared so far (or, when that box is empty, a row fails on it),
+        # and each activity is a fresh sum over the box.
         rng = random.Random(seed)
         m = random_ilp_model(rng)
         needs = [max((int(v[1:]) + 1 for v in con.terms), default=0) for con in m.constraints]
@@ -221,17 +257,18 @@ class TestCompiledModel:
             declared = model(m.variables[:a], m.constraints[:b])
             compiled = ilp.compile_model(declared)
             want = interval_fixpoint(declared, [v.lower for v in declared.variables], [v.upper for v in declared.variables])
-            lo, hi = compiled.lo, compiled.hi
-            if compiled.failed is not None:
+            search, ok = root_search(compiled)
+            lo, hi = search.lo, search.hi
+            if not ok:
                 assert want is None
-                assert compiled.act[compiled.failed] > compiled.rows[compiled.failed][2]
+                assert any(search.act[r] > row[2] for r, row in enumerate(search.rows))
             else:
                 assert (lo, hi) == want
                 for con, sides in zip(declared.constraints, compiled.constraints):
                     least = sum(min(c * lo[int(v[1:])], c * hi[int(v[1:])]) for v, c in con.terms.items())
                     most = sum(max(c * lo[int(v[1:])], c * hi[int(v[1:])]) for v, c in con.terms.items())
                     for r, sign in sides:
-                        assert compiled.act[r] == (least if sign > 0 else -most)
+                        assert search.act[r] == (least if sign > 0 else -most)
             if (a, b) == everything:
                 break
             new_a, new_b = rng.randint(a, len(m.variables)), b
@@ -242,14 +279,14 @@ class TestCompiledModel:
             a, b = new_a, new_b
 
     def test_root_infeasible_model_takes_one_node(self):
-        # The rows admit no point: the root visits the failing row only,
-        # and so does the search for minimal points.
+        # The rows admit no point: propagating the root empties its box, so
+        # the search ends there, and so does the search for minimal points.
         m = model(
             [ilp.Variable("x", 0, 3), ilp.Variable("y", 0, 3)],
             [ilp.LinearConstraint({"x": 1, "y": 1}, ilp.GE, 5), ilp.LinearConstraint({"x": 1}, ilp.LE, 1)],
         )
         compiled = ilp.compile_model(m)
-        assert compiled.failed is not None
+        assert not root_search(compiled)[1]
         assert solve_counting(compiled) == (None, 1)
         with mock.patch.object(ilp, "_propagate", wraps=ilp._propagate) as propagate:
             assert ilp.minimal_points(compiled) == []
@@ -257,7 +294,7 @@ class TestCompiledModel:
         grown = ilp.compile_model(
             model(m.variables + (ilp.Variable("z", 0, 1),), m.constraints + (ilp.LinearConstraint({"z": 1}, ilp.LE, 1),))
         )
-        assert grown.failed == compiled.failed and solve_counting(grown) == (None, 1)
+        assert not root_search(grown)[1] and solve_counting(grown) == (None, 1)
 
     def test_rows_without_terms_are_judged_on_every_solve(self):
         m = model(
@@ -451,9 +488,9 @@ class TestRunningSearch:
         needed = max((pos[v] + 1 for con in m.constraints[:b] for v in con.terms), default=0)
         a = rng.randint(needed, len(m.variables))
         compiled = ilp.compile_model(model(m.variables[:a], m.constraints[:b]))
-        if compiled.failed is not None:
+        search, ok = root_search(compiled)
+        if not ok:
             return
-        search = ilp._Search(compiled)
         lo, hi = search.lo, search.hi
         for _ in range(rng.randint(0, 3)):
             move = random_move(rng, lo, hi)
