@@ -19,12 +19,6 @@ interquartile range) and a no-regression verdict (see `verdict`). It also
 holds every run's values, the environment that run.py reports, and both
 commits. Each verdict is also printed to stderr.
 
-Just before each run, a fixed pure-Python loop is timed in this process
-(`calibrate`) and kept with the pair as `calibration_s`, per side. A
-machine whose speed drifts between bands shows it there, so a pair whose
-sides ran in different bands can be told from a change in the code. The
-verdicts do not read it.
-
 Exit codes: 0 written, 1 a run failed (nothing is written), 2 usage error,
 such as a missing checkout, an odd pair count or a change without a
 readable `BENCHMARK.json` holding `run_seconds` and, per `end_to_end`
@@ -39,7 +33,6 @@ import math
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -47,15 +40,6 @@ SIDES = ("parent", "change")
 
 class RunFailed(Exception):
     pass
-
-
-def calibrate(n: int = 1_000_000) -> float:
-    """Seconds that a fixed loop of `n` pure-Python steps takes here."""
-    start = time.perf_counter()
-    total = 0
-    for i in range(n):
-        total += i * i % 7
-    return time.perf_counter() - start
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, names) -> tuple[dict, dict]:
@@ -158,14 +142,12 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                run = {"seed": seed, "first": order[0], "calibration_s": {}}
+                run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run["calibration_s"][side] = calibrate()
                     run[side], env = run_once(checkouts[side], workload, seed, seconds, better)
                     report["environment"].setdefault(side, env)
                 print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: "
-                      + ", ".join(f"{s} check_s {run[s].get('check_s', float('nan')):.4f}"
-                                  f" (calibration {run['calibration_s'][s]:.3f} s)" for s in SIDES), file=sys.stderr)
+                      + ", ".join(f"{s} check_s {run[s].get('check_s', float('nan')):.4f}" for s in SIDES), file=sys.stderr)
                 runs.append(run)
             metrics = compare(runs, better, bounds)
             for name, m in metrics.items():

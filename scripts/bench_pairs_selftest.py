@@ -5,9 +5,8 @@
 
 Each fake checkout's `benchmark/run.py` prints a fixed result and logs its
 call, and its `BENCHMARK.json` sets a run length of 2 s. Checks that two
-pairs alternate the order, run for that length, record a calibration time
-per side and sum up medians, pairs won and verdicts, each metric counted
-in its own direction, that the
+pairs alternate the order, run for that length and sum up medians, pairs
+won and verdicts, each metric counted in its own direction, that the
 verdict tells a loss beyond the bound from one hidden in the parent's
 spread, and that an odd pair count, a missing checkout, a change without
 `BENCHMARK.json` and a failed run each write nothing. Exits 0 when all
@@ -101,16 +100,6 @@ def main() -> int:
         expect(
             check.get("verdict") == "within bound" and rate.get("verdict") == "worse",
             "verdicts: a change better in every run is within bound, one 50% lower on a 1% bound is worse",
-        )
-        runs = report.get("workloads", {}).get("w", {}).get("runs", [])
-        expect(
-            len(runs) == 2
-            and all(
-                sorted(r.get("calibration_s", {})) == ["change", "parent"]
-                and all(isinstance(t, float) and t > 0 for t in r["calibration_s"].values())
-                for r in runs
-            ),
-            "every pair records a positive calibration_s for each side",
         )
         expect(report.get("commits") == {"parent": "parent-commit", "change": "change-commit"}, "both commits recorded")
 

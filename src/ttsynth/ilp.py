@@ -274,10 +274,11 @@ class _Search:
     larger, so it bounds every range the search meets.
     `wake` lists, in order, the rows added after the search began;
     _branch seeds a node with those listed after its parent was
-    propagated.
+    propagated. `floor` holds the lower bounds of the root's fixpoint
+    once _branch has propagated the root, the declared ones before.
     """
 
-    __slots__ = ("rows", "lo_occurs", "hi_occurs", "lo", "hi", "act", "queue", "queued", "trail", "reach", "wake")
+    __slots__ = ("rows", "lo_occurs", "hi_occurs", "lo", "hi", "act", "queue", "queued", "trail", "reach", "wake", "floor")
 
     def __init__(self, model: CompiledModel):
         self.lo = list(model.lo)
@@ -291,6 +292,7 @@ class _Search:
         self.trail = []
         self.reach = max([1, *(ub - lb for lb, ub in zip(model.lo, model.hi))])
         self.wake = []
+        self.floor = model.lo
 
     def add(self, bounds: Sequence[Tuple[int, int]], sides) -> None:
         """Declare one variable per (lower, upper) pair of `bounds` after
@@ -428,7 +430,8 @@ def _branch(search: _Search, n: int):
     least feasible point of the box.
 
     Every node, the root included, is propagated (_propagate): the root
-    visits every row, and any other node undoes the trail back to its
+    visits every row and, when it passes, leaves its lower bounds in
+    `search.floor`, and any other node undoes the trail back to its
     parent's fixpoint, moves the bound of its branch and visits the rows
     the move woke plus those listed on `search.wake` since the parent was
     propagated, which includes rows added while the caller held a leaf. A
@@ -445,13 +448,14 @@ def _branch(search: _Search, n: int):
         mark, i, upper, bound, seen = stack.pop()
         if len(trail) > mark:
             search.undo(mark)
-        if i < 0:
-            i = 0
-            seeds = range(len(search.rows))
-        else:
+        if i >= 0:
             search.move(i, upper, bound)
-            seeds = wake[seen:]
-        if not _propagate(search, seeds):
+            if not _propagate(search, wake[seen:]):
+                continue
+        elif _propagate(search, range(len(search.rows))):
+            i = 0
+            search.floor = lo[:]
+        else:
             continue
         if lo[i:n] == hi[i:n]:
             yield tuple(lo[:n])
@@ -493,8 +497,10 @@ def minimal_points(model: IlpModel | CompiledModel) -> list:
     of stopping at the first. Each leaf is recorded, and rows that exclude
     it and every point above it are added to the running search
     (_Search.add). They name its support, the variables i where its value
-    s lies above the declared lower bound lo[i]: a point is above it
-    exactly when it is at least s on all of them. A support of one
+    s lies above the lower bound floor[i] of the root's fixpoint, which
+    no feasible point goes below: a point is above it exactly when it is
+    at least s on all of them. An empty support leaves no feasible point
+    outside what it excludes, so the search ends there. A support of one
     variable gives the row x[i] <= s - 1. A larger one gives, per
     variable, a new [0, 1] binary b with x[i] + r * b <= s - 1 + r, r
     being the declared range hi[i] - lo[i] (b = 1 forces x[i] < s; b = 0
@@ -510,11 +516,14 @@ def minimal_points(model: IlpModel | CompiledModel) -> list:
     if isinstance(model, IlpModel):
         model = compile_model(model)
     search = _Search(model)
-    floor, ranges = model.lo, [h - l for l, h in zip(model.lo, model.hi)]
+    ranges = [h - l for l, h in zip(model.lo, model.hi)]
     points: list = []
     for point in _branch(search, len(model.variables)):
         points.append(point)
+        floor = search.floor
         support = [(i, s) for i, s in enumerate(point) if s > floor[i]]
+        if not support:
+            break
         if len(support) == 1:
             search.add((), [([(support[0][0], 1)], support[0][1] - 1, None)])
             continue

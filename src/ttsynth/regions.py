@@ -17,11 +17,18 @@ the Parikh vector of the prefix. Every other place is a class of its own.
 build_base_model writes the model over these classes in one pass, and
 discovery order weighs each class by its places (see _discovery_order),
 so the regions and their order do not depend on the classes.
+
+A class that no row but the seek row names (free: no rise, initial-sum or
+final-place equality holds it) can take any value, so its unit point is a
+region and the only minimal one that marks it; the search runs over the
+other classes alone. Every class of a single trace with distinct labels is
+free, so such a trace is not searched at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import mul
 from typing import Mapping, Optional, Tuple
 
@@ -215,22 +222,49 @@ def enumerate_minimal_regions(problem: RegionProblem) -> RegionEnumeration:
     max_regions set, the first max_regions of them, flagged when more
     exist.
 
-    The model over the Parikh classes (build_base_model) is searched once
-    for its minimal points (ilp.minimal_points); the seek row keeps the
-    zero point out, so these are the minimal regions, over the classes.
-    Each class value is mapped back to the class's places. Discovery order
+    The model over the Parikh classes (build_base_model) is split first.
+    A free class, one that no row except the seek row names, gives one
+    region: value 1 on it, 0 elsewhere. The rows are homogeneous
+    equalities and every class lies in [0, k] with k >= 1 and holds at
+    least one place, so that unit point passes every row; any region
+    marking the class lies above it; and every other minimal region marks
+    no free class. So the rest are the minimal points (ilp.minimal_points)
+    of the model without the free classes, its seek row restricted to the
+    classes kept, which is not searched when no class is kept; the seek
+    row keeps the zero point out. Each class value is mapped back to the
+    class's places. Discovery order
     is that of minimizing the seek row's sum (each class weighed by its
     places), recording the optimum and excluding it and everything above
     it, round by round (_discovery_order). The whole set is found either
     way, so max_regions cuts the output, not the work.
     """
     classes = parikh_classes(problem.spec)
-    model = ilp.compile_model(build_base_model(problem, classes))
-    position = {p: model.index[c] for p, c in classes.items()}
-    sizes = [0] * len(model.variables)
-    for i in position.values():
-        sizes[i] += 1
-    order = _discovery_order(ilp.minimal_points(model), sizes)
+    base = build_base_model(problem, classes)
+    *rows, seek = base.constraints
+    named = {c for row in rows for c in row.terms}
+    variables = base.variables
+    n = len(variables)
+    points, kept = [], []
+    for i, v in enumerate(variables):
+        if v.id in named:
+            kept.append(i)
+        else:
+            point = [0] * n
+            point[i] = 1
+            points.append(tuple(point))
+    if kept:
+        reduced = ilp.IlpModel(
+            tuple(variables[i] for i in kept),
+            (*rows, ilp.LinearConstraint({c: s for c, s in seek.terms.items() if c in named}, ilp.GE, 1)),
+        )
+        for x in ilp.minimal_points(reduced):
+            point = [0] * n
+            for i, s in zip(kept, x):
+                point[i] = s
+            points.append(tuple(point))
+    index = {v.id: i for i, v in enumerate(variables)}
+    position = {p: index[c] for p, c in classes.items()}
+    order = _discovery_order(points, [seek.terms[v.id] for v in variables])
     truncated = problem.max_regions is not None and len(order) > problem.max_regions
     if truncated:
         order = order[: problem.max_regions]
@@ -265,7 +299,9 @@ def _discovery_order(points: list, objective: list) -> list:
     values, then by the binaries of each earlier pick in turn. A sort is
     skipped where no point of the group reaches any of the pick's support
     values; every binary is then 1, and the stable sort would keep the
-    order.
+    order. Each group is sorted in full, so the order does not depend on
+    the order of `points`, which enumeration puts together from the free
+    classes and the search.
     """
     groups: dict[int, list] = {}
     for x in points:
@@ -279,7 +315,7 @@ def _discovery_order(points: list, objective: list) -> list:
         while group:
             pick = group.pop(0)
             order.append(pick)
-            supports.append([(i, s) for i, s in reversed(list(enumerate(pick))) if s])
+            supports.append(list(compress(enumerate(pick), pick))[::-1])
             _rerank(group, supports[-1])
     return order
 

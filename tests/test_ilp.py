@@ -470,6 +470,26 @@ class TestMinimalPoints:
             assert ilp.minimal_points(m) == [(0, 2), (1, 1), (2, 0)]
         assert [(len(c.args[1]), len(c.args[2])) for c in add.call_args_list] == [(0, 1), (2, 3), (0, 1)]
 
+    def test_supports_are_measured_from_the_root_box(self):
+        # x >= 1 raises x's lower bound at the root, so every feasible
+        # point has x >= 1. The first point (1, 1) lies above the root box
+        # in y alone: one bound row y <= 0, no binary. Then (2, 0) bounds x.
+        m = model(
+            [ilp.Variable("x", 0, 2), ilp.Variable("y", 0, 2)],
+            [ilp.LinearConstraint({"x": 1}, ilp.GE, 1), ilp.LinearConstraint({"x": 1, "y": 1}, ilp.GE, 2)],
+        )
+        with mock.patch.object(ilp._Search, "add", autospec=True, side_effect=ilp._Search.add) as add:
+            assert ilp.minimal_points(m) == [(1, 1), (2, 0)]
+        assert [(c.args[1], c.args[2]) for c in add.call_args_list] == [((), [([(1, 1)], 0, None)]), ((), [([(0, 1)], 1, None)])]
+
+    def test_a_point_at_the_root_box_ends_the_search(self):
+        # x + y >= 4 on [0, 2]^2 fixes both at the root: (2, 2) is the
+        # only feasible point, above nothing it could exclude.
+        m = model([ilp.Variable("x", 0, 2), ilp.Variable("y", 0, 2)], [ilp.LinearConstraint({"x": 1, "y": 1}, ilp.GE, 4)])
+        with mock.patch.object(ilp._Search, "add", autospec=True, side_effect=ilp._Search.add) as add:
+            assert ilp.minimal_points(m) == [(2, 2)]
+        assert add.call_args_list == []
+
 
 class TestRunningSearch:
     @given(st.integers(min_value=0, max_value=10**6))
