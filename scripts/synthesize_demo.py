@@ -40,7 +40,7 @@ def main() -> None:
               f"{len(dict(result.net.net.arcs.items()))} arcs")
         for pid, place in zip(result.net.net.places, result.places):
             parts = []
-            for label in result.label_alphabet:
+            for label in result.net.net.transitions:
                 if place.consume.get(label):
                     parts.append(f"{label} takes {place.consume[label]}")
                 if place.produce.get(label):

@@ -50,7 +50,7 @@ def _build_problem(args) -> RegionProblem:
     if not nets:
         raise ValueError("empty specification: inputs contain no nets")
     spec = build_specification(nets)
-    return RegionProblem(spec, args.k, args.mode, getattr(args, "max_regions", None))
+    return RegionProblem(spec, args.k, args.mode, args.max_regions)
 
 
 def _model_with_label_transitions(ln: LabelledNet) -> MarkedPetriNet:
@@ -154,7 +154,7 @@ def _cmd_check(args) -> int:
                 print(f"net {i}: place {place}: enabled")
             else:
                 print(f"net {i}: place {place}: not shown within bound")
-    return EXIT_OK if all(v.enabled for v in verdicts) else EXIT_NOT_SHOWN
+    return EXIT_OK if all(verdicts) else EXIT_NOT_SHOWN
 
 
 def _cmd_convert(args) -> int:
@@ -184,19 +184,18 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="enumerate minimal regions and write the synthesized net")
-    synth.add_argument("inputs", nargs="+", metavar="INPUT")
-    synth.add_argument("-k", type=int, default=1, help="region bound (default 1)")
-    synth.add_argument("--mode", choices=MODES, default="synthesis")
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("inputs", nargs="+", metavar="INPUT")
+    problem.add_argument("-k", type=int, default=1, help="region bound (default 1)")
+    problem.add_argument("--mode", choices=MODES, default="synthesis")
+
+    synth = sub.add_parser("synth", parents=[problem], help="enumerate minimal regions and write the synthesized net")
     synth.add_argument("--max-regions", type=int, default=None, dest="max_regions")
     synth.add_argument("-o", "--out", required=True, help="output PNML file")
     synth.add_argument("--dot", default=None, help="also write a DOT rendering")
     synth.set_defaults(func=_cmd_synth)
 
-    regions = sub.add_parser("regions", help="print the minimal-region table")
-    regions.add_argument("inputs", nargs="+", metavar="INPUT")
-    regions.add_argument("-k", type=int, default=1)
-    regions.add_argument("--mode", choices=MODES, default="synthesis")
+    regions = sub.add_parser("regions", parents=[problem], help="print the minimal-region table")
     regions.add_argument("--format", choices=["table", "json"], default="table")
     regions.set_defaults(func=_cmd_regions, max_regions=None)
 

@@ -176,10 +176,10 @@ class CompiledModel:
     into both. `rows` holds these rows `(terms, sizes, rhs, cmax, partner)`
     of _compile_rows in declaration order and `constraints[r]` the pairs
     (row, sign) of declared constraint r, so `variables` and
-    `constraints` have the lengths of the model's own tuples. `index` maps
-    each id to its position, and `lo_occurs` and `hi_occurs` are indexed
-    like `variables`. Variable i is declared in [lo[i], hi[i]], and
-    `act[r]` is row r's minimum activity on that box.
+    `constraints` have the lengths of the model's own tuples, and
+    `lo_occurs` and `hi_occurs` are indexed like `variables`. Variable i
+    is declared in [lo[i], hi[i]], and `act[r]` is row r's minimum
+    activity on that box.
 
     Like IlpModel it is never changed after construction: with_rhs()
     returns a sibling with new right-hand sides and bounds that shares the
@@ -188,7 +188,6 @@ class CompiledModel:
     """
 
     variables: Tuple[Hashable, ...]
-    index: Mapping[Hashable, int]
     constraints: list
     rows: list
     lo_occurs: list
@@ -240,7 +239,6 @@ def compile_model(model: IlpModel) -> CompiledModel:
     _compile_rows(sides, lower, upper, rows, act, lo_occurs, hi_occurs)
     return CompiledModel(
         variables=tuple(index),
-        index=index,
         constraints=constraints,
         rows=rows,
         lo_occurs=lo_occurs,

@@ -40,6 +40,12 @@ def _check_xml_chars(text: str, context: str) -> None:
         raise ParseError(f"{context}: character {found.group()!r} cannot be written to XML")
 
 
+def _check_label(label: str, context: str) -> None:
+    """A label must not begin or end with whitespace: PNML readers strip it."""
+    if label != label.strip():
+        raise ParseError(f"{context}: label {label!r} begins or ends with whitespace")
+
+
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -82,7 +88,8 @@ def _check_children(elem: ET.Element, known: set[str], context: str) -> None:
 
 def parse_pnml(data: bytes) -> LabelledNet:
     """Read one place/transition net; the transition label is its name text
-    when present, else its id, so equally named transitions share a label."""
+    when present, else its id, so equally named transitions share a label.
+    An id read as a label must not begin or end with whitespace."""
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -132,8 +139,8 @@ def parse_pnml(data: bytes) -> LabelledNet:
                     raise ParseError("transition without id")
                 _check_children(node, set(), f"transition {tid!r}")
                 transitions.append(tid)
-                name = _text_of(node, "name")
-                labels[tid] = name if name else tid
+                labels[tid] = _text_of(node, "name") or tid
+                _check_label(labels[tid], f"transition {tid!r}")
             elif tag == "arc":
                 aid = node.get("id") or f"arc#{len(arcs)}"
                 src, tgt = node.get("source"), node.get("target")
@@ -279,8 +286,7 @@ def parse_state_graph(data: bytes) -> StateGraph:
             raise ParseError(f"arc {i}: empty state id or label")
         for x in (src, label, tgt):
             _check_xml_chars(x, f"arc {i}")
-        if label != label.strip():
-            raise ParseError(f"arc {i}: label {label!r} begins or ends with whitespace")
+        _check_label(label, f"arc {i}")
         states.setdefault(src, None)
         states.setdefault(tgt, None)
         arcs.append((src, label, tgt))
@@ -314,8 +320,7 @@ def parse_run(data: bytes) -> Run:
     for event, label in events.items():
         for x in (event, label):
             _check_xml_chars(x, f"event {event!r}")
-        if label != label.strip():
-            raise ParseError(f"label {label!r} begins or ends with whitespace")
+        _check_label(label, f"event {event!r}")
     raw_order = doc.get("order", [])
     if not isinstance(raw_order, list):
         raise ParseError("'order' must be a list of pairs")

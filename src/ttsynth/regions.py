@@ -389,7 +389,7 @@ def verify_region(spec: Specification, region: Region) -> ConditionCheck:
     values = dict(region.marking.items())
     for p, value in values.items():
         if value > region.k:
-            return ConditionCheck(False, "bound", p)
+            return ConditionCheck("bound", p)
 
     # Per touched label, in alphabet order: the first carrier's rise (post
     # minus pre) and the least inflow over its carriers.
@@ -418,7 +418,7 @@ def verify_region(spec: Specification, region: Region) -> ConditionCheck:
         consume[label] = least
         produce[label] = least + rise
     if violation is not None:
-        return ConditionCheck(False, "rise", violation[1])
+        return ConditionCheck("rise", violation[1])
 
     sums = [0] * len(spec.nets)
     for p, value in values.items():
@@ -427,5 +427,5 @@ def verify_region(spec: Specification, region: Region) -> ConditionCheck:
             sums[idx] += tokens * value
     for idx, s in enumerate(sums[1:], start=2):
         if s != sums[0]:
-            return ConditionCheck(False, "initial-sum", f"net 1 vs net {idx}")
-    return ConditionCheck(True, place=PlaceBehavior(consume, produce, sums[0]))
+            return ConditionCheck("initial-sum", f"net 1 vs net {idx}")
+    return ConditionCheck(place=PlaceBehavior(consume, produce, sums[0]))

@@ -128,17 +128,17 @@ class Run:
 @dataclass(frozen=True)
 class ConditionCheck:
     """Outcome of a validity check of a token trail, a compact token flow or
-    a region (regions.verify_region); on failure names the first violated
-    condition (in checking order) and the smallest witness. A region that
-    passes also carries the place it induces (`place`, outside equality)."""
+    a region (regions.verify_region): truthy when `condition` is None, else
+    `condition` names the first violated condition (in checking order) and
+    `witness` the smallest witness. A region that passes also carries the
+    place it induces (`place`, outside equality)."""
 
-    ok: bool
     condition: Optional[str] = None
     witness: Optional[str] = None
     place: Optional[PlaceBehavior] = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.condition is None
 
 
 def _require_trail_support(net: LabelledNet, x: Multiset) -> None:
@@ -174,13 +174,13 @@ def is_valid_token_trail(net: LabelledNet, x: TokenTrail, pb: PlaceBehavior) -> 
     _require_trail_support(net, x)
     for e in net.net.transitions:
         if inflow(net, x, e) < pb.consume.get(net.labels[e], 0):
-            return ConditionCheck(False, "inflow", e)
+            return ConditionCheck("inflow", e)
     for e in net.net.transitions:
         if outflow(net, x, e) != inflow(net, x, e) + pb.rise(net.labels[e]):
-            return ConditionCheck(False, "balance", e)
+            return ConditionCheck("balance", e)
     if sum(n * x[p] for p, n in net.initial.items()) != pb.initial:
-        return ConditionCheck(False, "initial-sum", None)
-    return ConditionCheck(True)
+        return ConditionCheck("initial-sum")
+    return ConditionCheck()
 
 
 def _trail_parts(pb: PlaceBehavior) -> tuple:
@@ -297,12 +297,10 @@ def find_token_trail(net: LabelledNet, pb: PlaceBehavior, bound: Optional[int] =
 
 @dataclass(frozen=True)
 class Enabledness:
-    """Per-place witness trails; blocked_place is the first place for which
-    no trail was found within the bound (None when fully enabled)."""
+    """Per-place witness trails, and the places with none within the bound
+    (`not_shown`, in place order); truthy when `not_shown` is empty."""
 
-    enabled: bool
     witnesses: Mapping[str, TokenTrail]
-    blocked_place: Optional[str] = None
     not_shown: Tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -310,7 +308,7 @@ class Enabledness:
         object.__setattr__(self, "not_shown", tuple(self.not_shown))
 
     def __bool__(self) -> bool:
-        return self.enabled
+        return not self.not_shown
 
 
 def _place_behaviors(model: MarkedPetriNet) -> dict[str, PlaceBehavior]:
@@ -351,12 +349,7 @@ def is_enabled(model: MarkedPetriNet, spec_net: LabelledNet, bound: Optional[int
             not_shown.append(place)
         else:
             witnesses[place] = trail
-    return Enabledness(
-        enabled=not not_shown,
-        witnesses=witnesses,
-        blocked_place=not_shown[0] if not_shown else None,
-        not_shown=tuple(not_shown),
-    )
+    return Enabledness(witnesses, not_shown)
 
 
 def flow_domain(run: Run) -> Tuple[Tuple[str, str], ...]:
@@ -387,18 +380,20 @@ def is_valid_compact_token_flow(run: Run, x: CompactTokenFlow, pb: PlaceBehavior
             raise ValueError(f"flow value at {slot!r} must be a non-negative integer")
     for v in run.events:
         if event_inflow(run, x, v) < pb.consume.get(run.labels[v], 0):
-            return ConditionCheck(False, "inflow", v)
+            return ConditionCheck("inflow", v)
     for v in run.events:
         if event_outflow(run, x, v) != event_inflow(run, x, v) + pb.rise(run.labels[v]):
-            return ConditionCheck(False, "balance", v)
+            return ConditionCheck("balance", v)
     if sum(x.get((SOURCE, v), 0) for v in run.events) != pb.initial:
-        return ConditionCheck(False, "initial-sum", None)
-    return ConditionCheck(True)
+        return ConditionCheck("initial-sum")
+    return ConditionCheck()
 
 
 @dataclass(frozen=True)
 class StateGraphCheck:
-    ok: bool
+    """Outcome of check_state_graph_enabled: truthy when `reason` is None, and
+    then `mapping` maps each state to its marking; else `reason` says why not."""
+
     mapping: Optional[Mapping] = None
     reason: Optional[str] = None
 
@@ -407,7 +402,7 @@ class StateGraphCheck:
             object.__setattr__(self, "mapping", dict(self.mapping))
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.reason is None
 
 
 def check_state_graph_enabled(model: MarkedPetriNet, sg: StateGraph) -> StateGraphCheck:
@@ -420,7 +415,7 @@ def check_state_graph_enabled(model: MarkedPetriNet, sg: StateGraph) -> StateGra
     reachable = state_graph_reachable(sg)
     for s in sg.states:
         if s not in reachable:
-            return StateGraphCheck(False, None, f"unreachable state: {s!r}")
+            return StateGraphCheck(reason=f"unreachable state: {s!r}")
     mapping = {sg.initial: model.initial}
     # Arc-driven propagation; sg arcs are finitely many, so iterate to fixpoint.
     pending = list(sg.arcs)
@@ -432,14 +427,14 @@ def check_state_graph_enabled(model: MarkedPetriNet, sg: StateGraph) -> StateGra
                 remaining.append((src, t, tgt))
                 continue
             if t not in model.net.transitions:
-                return StateGraphCheck(False, None, f"unknown transition: {t!r}")
+                return StateGraphCheck(reason=f"unknown transition: {t!r}")
             m = mapping[src]
             if not preset(model.net, t) <= m:
-                return StateGraphCheck(False, None, f"not enabled: {t!r} at state {src!r}")
+                return StateGraphCheck(reason=f"not enabled: {t!r} at state {src!r}")
             nxt = fire(model, m, t)
             if tgt in mapping:
                 if mapping[tgt] != nxt:
-                    return StateGraphCheck(False, None, f"inconsistent marking for state {tgt!r}")
+                    return StateGraphCheck(reason=f"inconsistent marking for state {tgt!r}")
             else:
                 mapping[tgt] = nxt
             progressed = True
@@ -450,6 +445,6 @@ def check_state_graph_enabled(model: MarkedPetriNet, sg: StateGraph) -> StateGra
     for s in sg.states:
         m = mapping[s]
         if m in seen:
-            return StateGraphCheck(False, None, f"not injective: states {seen[m]!r} and {s!r} share a marking")
+            return StateGraphCheck(reason=f"not injective: states {seen[m]!r} and {s!r} share a marking")
         seen[m] = s
-    return StateGraphCheck(True, mapping)
+    return StateGraphCheck(mapping)

@@ -40,9 +40,11 @@ class PlaceDefinition(PlaceBehavior):
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """The synthesized net, one transition per label in alphabet order; the
+    definition of each place, the regions found, and whether the cap cut them."""
+
     net: MarkedPetriNet
     places: Tuple[PlaceDefinition, ...]
-    label_alphabet: Tuple[str, ...]
     regions: Tuple[Region, ...] = ()
     truncated: bool = False
 
@@ -98,13 +100,11 @@ def synthesize(problem: RegionProblem) -> SynthesisResult:
     are dropped; every kept place keeps a reference to its source region.
     """
     enumeration = enumerate_minimal_regions(problem)
-    alphabet = problem.spec.alphabet()
     candidates = [place_from_region(problem.spec, r) for r in enumeration.regions]
     kept = [p for p in dedupe_places(candidates) if not p.is_zero()]
     return SynthesisResult(
-        net=assemble_net(alphabet, kept),
+        net=assemble_net(problem.spec.alphabet(), kept),
         places=tuple(kept),
-        label_alphabet=alphabet,
         regions=enumeration.regions,
         truncated=enumeration.truncated,
     )

@@ -453,6 +453,16 @@ class TestConvert:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
+    def test_pnml_id_label_with_edge_whitespace_rejected(self, tmp_path, capsys):
+        # A transition without a name is labelled by its id; a reader would
+        # strip the name written for " t ", so check could not read it back.
+        spec = write(tmp_path, "in.pnml", '<pnml xmlns="http://www.pnml.org/version-2009/grammar/pnml"><net id="n">'
+                     '<place id="p"/><transition id=" t "/><arc id="a1" source=" t " target="p"/></net></pnml>')
+        for argv in (["convert", spec, "-o", str(tmp_path / "out.pnml")], ["synth", "-k", "1", "-o", str(tmp_path / "out.pnml"), spec]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: transition ' t ': label ' t ' begins or ends with whitespace\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pnml"]
+
     @pytest.mark.parametrize(
         "name, doc",
         [

@@ -412,12 +412,13 @@ class TestPropagation:
         rng = random.Random(seed)
         m = random_ilp_model(rng)
         compiled = ilp.compile_model(m)
+        index = {v: i for i, v in enumerate(compiled.variables)}
         search = ilp._Search(compiled)
         lo, hi = search.lo, search.hi
 
         def fresh():
             def total(terms, bounds_of):
-                return sum(bounds_of(c * lo[compiled.index[v]], c * hi[compiled.index[v]]) for v, c in terms.items())
+                return sum(bounds_of(c * lo[index[v]], c * hi[index[v]]) for v, c in terms.items())
 
             want = [None] * len(search.rows)
             for con, sides in zip(m.constraints, compiled.constraints):

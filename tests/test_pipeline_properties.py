@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
-from gens import random_run, random_specification, random_trace
+from gens import random_labelled_net, random_run, random_specification, random_trace
 from ttsynth import io as net_io
 from ttsynth.convert import run_to_labelled_net, trace_to_labelled_net
 from ttsynth.core import LabelledNet, Multiset, PetriNet, build_specification, reachability_graph
@@ -82,6 +82,40 @@ class TestEnumerationDeterminism:
         assert set(seek.terms) == {"c0", "c1", "c2"}
         flags = {v.id for v in blocked.variables if isinstance(v.id, tuple)}
         assert flags == {(1, "c0"), (2, "c1")}
+
+
+def small_nets(rng: random.Random, n_nets: int) -> list:
+    """`n_nets` random nets with 4 to 8 places in all. Their ids carry the
+    net's draw position ("n0p1", "n1t0"), so no id clashes and
+    build_specification renames none of them, in any order of the nets."""
+    places = [rng.randint(4, 8)] if n_nets == 1 else [rng.randint(2, 4) for _ in range(n_nets)]
+    return [random_labelled_net(rng, f"n{i}", n, rng.randint(1, 4)) for i, n in enumerate(places)]
+
+
+def region_markings(nets: list, k: int) -> set:
+    regions = enumerate_minimal_regions(RegionProblem(build_specification(nets), k)).regions
+    return {frozenset(r.marking.items()) for r in regions}
+
+
+class TestMetamorphicRelations:
+    """Relations between enumerations of related problems, which hold
+    without knowing what either enumeration should return."""
+
+    def test_minimal_regions_at_k_stay_minimal_at_k_plus_1(self):
+        # A region below a minimal region at k would be bounded by k too,
+        # so raising the bound keeps every minimal region minimal.
+        rng = random.Random(2601)
+        for _ in range(60):
+            nets = small_nets(rng, rng.randint(1, 2))
+            k = rng.randint(1, 2)
+            assert region_markings(nets, k) <= region_markings(nets, k + 1), (nets, k)
+
+    def test_regions_do_not_depend_on_net_order(self):
+        rng = random.Random(2602)
+        for _ in range(60):
+            nets = small_nets(rng, 2)
+            k = rng.randint(1, 3)
+            assert region_markings(nets, k) == region_markings(nets[::-1], k), (nets, k)
 
 
 class TestIdentifierClashes:

@@ -355,7 +355,7 @@ class TestVerifyRegion:
                 for k in (1, 2):
                     verdict = verify_region(spec, Region(region.marking, k))
                     assert (verdict.condition, verdict.witness) == first_region_violation(spec, support, k)
-                    assert (verdict.place is not None) == verdict.ok
+                    assert (verdict.place is not None) == bool(verdict)
 
 
     @given(st.integers(0, 2**32 - 1))
@@ -371,8 +371,8 @@ class TestVerifyRegion:
         support = {p: rng.randint(1, 3) for p in rng.sample(places, rng.randint(0, min(3, len(places))))}
         verdict = verify_region(spec, Region(Multiset(support), k))
         condition, witness = first_region_violation(spec, support, k)
-        assert (verdict.ok, verdict.condition, verdict.witness) == (condition is None, condition, witness)
-        if verdict.ok:
+        assert (bool(verdict), verdict.condition, verdict.witness) == (condition is None, condition, witness)
+        if verdict:
             place = verdict.place
             assert (list(place.consume.items()), list(place.produce.items()), place.initial) == induced_place(spec, support)
         assert "region_index" not in repr(spec) and spec == build_specification(list(spec.nets))

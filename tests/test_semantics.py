@@ -418,7 +418,7 @@ class TestIsEnabled:
         )
         verdict = is_enabled(model, make_e_seq())
         assert not verdict
-        assert verdict.blocked_place == "p"
+        assert verdict.not_shown[0] == "p"
         assert verdict.not_shown == ("p",)
 
     def test_unknown_label_rejected(self):
