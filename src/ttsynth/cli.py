@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import io as net_io
 from .convert import run_to_labelled_net, state_graph_to_labelled_net, trace_to_labelled_net
-from .core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, build_specification
+from .core import LabelledNet, build_specification
 from .regions import MODES, RegionProblem, enumerate_minimal_regions
 from .semantics import is_enabled
 from .synthesis import synthesize
@@ -51,20 +51,6 @@ def _build_problem(args) -> RegionProblem:
         raise ValueError("empty specification: inputs contain no nets")
     spec = build_specification(nets)
     return RegionProblem(spec, args.k, args.mode, args.max_regions)
-
-
-def _model_with_label_transitions(ln: LabelledNet) -> MarkedPetriNet:
-    """Reads a PNML model so its transitions are identified by their label."""
-    labels = ln.labels
-    seen = set()
-    for t in ln.net.transitions:
-        if labels[t] in seen:
-            raise ValueError(f"duplicate transition label in model: {labels[t]!r}")
-        seen.add(labels[t])
-    # One rename of every transition; a label may equal a place id, so the
-    # renamed net goes through PetriNet's checks.
-    arcs = Multiset({(labels.get(s, s), labels.get(t, t)): w for (s, t), w in ln.net.arcs.items()})
-    return MarkedPetriNet(PetriNet(ln.net.places, tuple(labels[t] for t in ln.net.transitions), arcs), ln.initial)
 
 
 def _write_all(documents: Sequence[tuple[Path, bytes]]) -> None:
@@ -139,8 +125,7 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    model_net = net_io.parse_pnml(Path(args.model).read_bytes())
-    model = _model_with_label_transitions(model_net)
+    model = net_io.parse_pnml(Path(args.model).read_bytes())
     spec_nets = []
     for name in args.specs:
         spec_nets.extend(_load_nets(Path(name)))

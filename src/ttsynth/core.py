@@ -55,9 +55,6 @@ class Multiset:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
     def items(self):
         return self._items.items()
 
@@ -99,11 +96,6 @@ class Multiset:
         if not isinstance(other, Multiset):
             return NotImplemented
         return all(v <= other[k] for k, v in self._items.items())
-
-    def __ge__(self, other: "Multiset") -> bool:
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        return other.__le__(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multiset):
@@ -165,12 +157,7 @@ class PetriNet:
 
 @dataclass(frozen=True)
 class MarkedPetriNet:
-    """A net together with its initial marking.
-
-    semantics.is_enabled reads every place's behaviour once and keeps them
-    on the net as `place_behaviors`; derived from the fields, equality and
-    repr ignore it.
-    """
+    """A net together with its initial marking."""
 
     net: PetriNet
     initial: Marking
@@ -192,7 +179,9 @@ class LabelledNet:
     walk state_machine_walk keeps on the net (`trail_walk`, None on other
     nets) for the region classes and the trail search; on other nets
     semantics.find_token_trail keeps the compiled trail rows
-    (`trail_model`). Like PetriNet.pre/post they are derived from the
+    (`trail_model`). A model, whose labels must be distinct, keeps every
+    place's behaviour per label, which semantics.is_enabled reads once
+    (`place_behaviors`). Like PetriNet.pre/post they are derived from the
     fields, and equality and repr ignore them.
     """
 

@@ -16,7 +16,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from typing import Iterable, Sequence, Union
 
-from .core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, StateGraph, state_graph_reachable
+from .core import LabelledNet, Multiset, PetriNet, StateGraph, state_graph_reachable
 from .regions import Region
 from .semantics import Run
 from .synthesis import SynthesisResult
@@ -170,17 +170,15 @@ def parse_pnml(data: bytes) -> LabelledNet:
         raise ParseError(str(exc)) from None
 
 
-def _as_labelled(obj: Union[LabelledNet, MarkedPetriNet, SynthesisResult]) -> LabelledNet:
+def _as_labelled(obj: Union[LabelledNet, SynthesisResult]) -> LabelledNet:
+    if isinstance(obj, SynthesisResult):
+        return obj.net
     if isinstance(obj, LabelledNet):
         return obj
-    if isinstance(obj, SynthesisResult):
-        obj = obj.net
-    if isinstance(obj, MarkedPetriNet):
-        return LabelledNet(obj.net, obj.initial, {t: t for t in obj.net.transitions})
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_pnml(obj: Union[LabelledNet, MarkedPetriNet, SynthesisResult]) -> bytes:
+def write_pnml(obj: Union[LabelledNet, SynthesisResult]) -> bytes:
     """Emit the PNML subset; parsing the output reproduces the input net.
 
     Synthesis results carry one tool-specific annotation per place naming
@@ -343,7 +341,7 @@ def _dot_quote(s: str) -> str:
     return '"' + _dot_escape(s) + '"'
 
 
-def export_dot(obj: Union[LabelledNet, MarkedPetriNet, SynthesisResult]) -> str:
+def export_dot(obj: Union[LabelledNet, SynthesisResult]) -> str:
     """Graphviz text: boxes for transitions (showing the label), circles for
     places (showing tokens), arc weights annotated when above 1."""
     ln = _as_labelled(obj)

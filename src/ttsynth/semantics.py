@@ -5,10 +5,11 @@ A marking of a labelled net is a token trail for a place when every
 transition receives enough tokens, passes on exactly the surplus the place
 dictates for its label, and the initially marked places carry the place's
 initial tokens. find_token_trail searches for one within a bound, and
-is_enabled runs that search for every place of a model, which is what
-`check` reports. The validity checks (is_valid_token_trail,
-is_valid_compact_token_flow, check_state_graph_enabled) are oracles that
-the synthesis pipeline is tested against.
+is_enabled runs that search for every place of a model, a labelled net
+read per label, which is what `check` reports. The validity checks
+(is_valid_token_trail, is_valid_compact_token_flow,
+check_state_graph_enabled) are oracles that the synthesis pipeline is
+tested against.
 """
 
 from __future__ import annotations
@@ -311,39 +312,45 @@ class Enabledness:
         return not self.not_shown
 
 
-def _place_behaviors(model: MarkedPetriNet) -> dict[str, PlaceBehavior]:
-    """Every model place's behaviour, in place order, read in one pass over
-    the arcs on first use and kept on the model as `place_behaviors`
-    (outside equality and repr, like trail_model)."""
+def _place_behaviors(model: LabelledNet) -> dict[str, PlaceBehavior]:
+    """Every model place's behaviour over the transition labels, in place
+    order, read in one pass over the arcs on first use and kept on the
+    model as `place_behaviors` (outside equality and repr, like
+    trail_model). Two transitions that share a label are an error."""
     behaviors = getattr(model, "place_behaviors", None)
     if behaviors is None:
         consume: dict[str, dict[str, int]] = {p: {} for p in model.net.places}
         produce: dict[str, dict[str, int]] = {p: {} for p in model.net.places}
+        seen = set()
         for t in model.net.transitions:
+            label = model.labels[t]
+            if label in seen:
+                raise ValueError(f"duplicate transition label in model: {label!r}")
+            seen.add(label)
             for p, w in model.net.pre[t].items():
-                consume[p][t] = w
+                consume[p][label] = w
             for p, w in model.net.post[t].items():
-                produce[p][t] = w
+                produce[p][label] = w
         behaviors = {p: PlaceBehavior(consume[p], produce[p], model.initial[p]) for p in model.net.places}
         object.__setattr__(model, "place_behaviors", behaviors)
     return behaviors
 
 
-def is_enabled(model: MarkedPetriNet, spec_net: LabelledNet, bound: Optional[int] = None) -> Enabledness:
+def is_enabled(model: LabelledNet, spec_net: LabelledNet, bound: Optional[int] = None) -> Enabledness:
     """Search a witness trail in spec_net for every place of the model.
 
-    The model's transitions act as the label universe; a spec label missing
-    from the model is an error. The model's place behaviours are read once
-    and kept on it (_place_behaviors), so checking many spec nets against
-    one model reads its arcs once.
+    The model's labels are the label universe; a spec label missing from
+    them, or two model transitions sharing one, is an error. The model's
+    place behaviours are read once and kept on it (_place_behaviors), so
+    checking many spec nets against one model reads its arcs once.
     """
-    labels = set(spec_net.labels.values())
-    missing = labels - set(model.net.transitions)
+    behaviors = _place_behaviors(model)
+    missing = set(spec_net.labels.values()) - set(model.labels.values())
     if missing:
         raise ValueError(f"unknown label: {sorted(missing)[0]!r}")
     witnesses: dict[str, TokenTrail] = {}
     not_shown: list[str] = []
-    for place, pb in _place_behaviors(model).items():
+    for place, pb in behaviors.items():
         trail = find_token_trail(spec_net, pb, bound)
         if trail is None:
             not_shown.append(place)
@@ -417,10 +424,11 @@ def check_state_graph_enabled(model: MarkedPetriNet, sg: StateGraph) -> StateGra
         if s not in reachable:
             return StateGraphCheck(reason=f"unreachable state: {s!r}")
     mapping = {sg.initial: model.initial}
-    # Arc-driven propagation; sg arcs are finitely many, so iterate to fixpoint.
+    # Arc-driven propagation, deferring arcs whose source is not mapped yet.
+    # Every state is reachable, so each pass maps the source of some
+    # deferred arc: the first arc leaving the mapped states on a path to it.
     pending = list(sg.arcs)
     while pending:
-        progressed = False
         remaining = []
         for src, t, tgt in pending:
             if src not in mapping:
@@ -437,9 +445,6 @@ def check_state_graph_enabled(model: MarkedPetriNet, sg: StateGraph) -> StateGra
                     return StateGraphCheck(reason=f"inconsistent marking for state {tgt!r}")
             else:
                 mapping[tgt] = nxt
-            progressed = True
-        if not progressed:
-            break
         pending = remaining
     seen: dict[Marking, object] = {}
     for s in sg.states:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .core import MarkedPetriNet, Multiset, PetriNet, Specification
+from .core import LabelledNet, Multiset, PetriNet, Specification
 from .regions import Region, RegionProblem, enumerate_minimal_regions, verify_region
 from .semantics import PlaceBehavior
 
@@ -40,10 +40,11 @@ class PlaceDefinition(PlaceBehavior):
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """The synthesized net, one transition per label in alphabet order; the
-    definition of each place, the regions found, and whether the cap cut them."""
+    """The synthesized net, one transition per label in alphabet order,
+    named by its label; the definition of each place, the regions found,
+    and whether the cap cut them."""
 
-    net: MarkedPetriNet
+    net: LabelledNet
     places: Tuple[PlaceDefinition, ...]
     regions: Tuple[Region, ...] = ()
     truncated: bool = False
@@ -71,10 +72,11 @@ def dedupe_places(places: Sequence[PlaceDefinition]) -> list[PlaceDefinition]:
     return kept
 
 
-def assemble_net(alphabet: Sequence[str], places: Sequence[PlaceDefinition]) -> MarkedPetriNet:
-    """One transition per label, one place per definition, ids p1, p2, ...;
-    while one of these would equal a label, underscores are prepended to
-    the "p" ("_p1"), so places and transitions never share an id."""
+def assemble_net(alphabet: Sequence[str], places: Sequence[PlaceDefinition]) -> LabelledNet:
+    """One transition per label, named and labelled by it; one place per
+    definition, ids p1, p2, ...; while one of these would equal a label,
+    underscores are prepended to the "p" ("_p1"), so places and
+    transitions never share an id."""
     labels = set(alphabet)
     stem = "p"
     while any(f"{stem}{i}" in labels for i in range(1, len(places) + 1)):
@@ -90,7 +92,7 @@ def assemble_net(alphabet: Sequence[str], places: Sequence[PlaceDefinition]) -> 
         if place.initial:
             marking[pid] = place.initial
     net = PetriNet(tuple(place_ids), tuple(alphabet), Multiset(arcs))
-    return MarkedPetriNet(net, Multiset(marking))
+    return LabelledNet(net, Multiset(marking), {label: label for label in alphabet})
 
 
 def synthesize(problem: RegionProblem) -> SynthesisResult:

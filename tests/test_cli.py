@@ -98,6 +98,46 @@ class TestSynth:
             assert main(["check", "--model", deep, deep]) == 0
             assert capsys.readouterr().out == "net 1: place p: enabled\n"
 
+    @pytest.mark.parametrize(
+        "name, doc, error",
+        [
+            ("in.pnml", "<notpnml/>", "expected <pnml> root, got <notpnml>"),
+            ("in.pnml", f'<pnml xmlns="{net_io.PNML_NS}"/>', "no <net> element"),
+            ("in.pnml", f'<pnml xmlns="{net_io.PNML_NS}"><net id="n"><place/></net></pnml>', "place without id"),
+            ("in.pnml", f'<pnml xmlns="{net_io.PNML_NS}"><net id="n"><transition/></net></pnml>', "transition without id"),
+            (
+                "in.pnml",
+                f'<pnml xmlns="{net_io.PNML_NS}"><net id="n"><place id="p"/><arc id="a1" target="p"/></net></pnml>',
+                "arc 'a1': missing source/target",
+            ),
+            (
+                "in.pnml",
+                f'<pnml xmlns="{net_io.PNML_NS}"><net id="n"><place id="p"/><place id="p"/></net></pnml>',
+                "duplicate identifier",
+            ),
+            ("g.sg", {"initial": "s0", "arcs": {}}, "'arcs' must be a list"),
+            ("g.sg", {"initial": "s0", "arcs": [{"from": "s0", "label": 1, "to": "s1"}]}, "arc 0: fields must be strings"),
+            ("g.sg", {"initial": "s0", "arcs": [{"from": "s0", "label": "a", "to": "s1"}] * 2}, "duplicate arc"),
+            ("r.run", {"order": []}, "run needs an 'events' field"),
+            ("r.run", {"events": [["v1", "a"]]}, "'events' must map event ids to labels"),
+            ("r.run", {"events": {"v1": "a"}, "order": {}}, "'order' must be a list of pairs"),
+            ("r.run", {"events": {"▶": "a"}}, "events must not use the reserved source/sink symbols"),
+            ("r.run", {"events": {"v1": "a", "v2": "b"}, "order": [["v1", "v2"]] * 2}, "duplicate order pair"),
+            ("r.run", {"events": {"v1": "a"}, "order": [["v1", "v2"]]}, "order pair over unknown events"),
+        ],
+        ids=["pnml-root", "pnml-no-net", "pnml-place-id", "pnml-transition-id", "pnml-arc-ends",
+             "pnml-duplicate-place", "sg-arcs-map", "sg-arc-field", "sg-duplicate-arc", "run-no-events",
+             "run-events-list", "run-order-map", "run-source-event", "run-duplicate-pair", "run-unknown-event"],
+    )
+    def test_malformed_input_exits_2_and_writes_nothing(self, tmp_path, capsys, name, doc, error):
+        spec = write(tmp_path, name, doc if isinstance(doc, str) else json.dumps(doc))
+        argv = ["synth", "-o", str(tmp_path / "out.pnml"), "--dot", str(tmp_path / "out.dot"), spec]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
     def test_unknown_extension(self, tmp_path):
         weird = write(tmp_path, "spec.xyz", "a b\n")
         assert main(["synth", "-o", str(tmp_path / 'o.pnml'), weird]) == 2
@@ -336,9 +376,9 @@ class TestCheck:
         assert main(["check", "--model", model, traces]) == 2
         assert "duplicate transition label" in capsys.readouterr().err
 
-    def test_label_equal_to_a_model_place_rejected(self, tmp_path, capsys):
-        # Renaming the model's transitions to their labels is not fresh:
-        # the label "a" is also a place id, so the renamed net is invalid.
+    def test_label_equal_to_a_model_place_accepted(self, tmp_path, capsys):
+        # A label may equal a place id: the model is read by its labels,
+        # and its transitions keep their ids.
         doc = b"""<?xml version="1.0"?>
 <pnml xmlns="http://www.pnml.org/version-2009/grammar/pnml">
   <net id="n" type="http://www.pnml.org/version-2009/grammar/ptnet">
@@ -350,16 +390,15 @@ class TestCheck:
 """
         model = write(tmp_path, "model.pnml", doc)
         traces = write(tmp_path, "spec.traces", "a\n")
-        assert main(["check", "--model", model, traces]) == 2
+        assert main(["check", "--model", model, traces]) == 0
         captured = capsys.readouterr()
-        assert "error: places and transitions overlap: ['a']" in captured.err
-        assert captured.out == ""
-
+        assert captured.out == "net 1: place a: enabled\n"
+        assert captured.err == ""
 
     def test_transition_ids_permuted_among_labels(self, tmp_path, capsys):
         # The model's transition ids are its labels in another order (the
-        # one labelled a is named b, and so on): the transitions are renamed
-        # to their labels all at once, so the verdicts are the model's own.
+        # one labelled a is named b, and so on): the model is read by its
+        # labels, so the verdicts are the model's own.
         traces = write(tmp_path, "spec.traces", "a b c\na c b\n")
         longer = write(tmp_path, "longer.traces", "a b c b\n")
         model = tmp_path / "model.pnml"

@@ -61,6 +61,20 @@ class TestMultiset:
     def test_componentwise_order(self, a, b):
         ma, mb = Multiset(a), Multiset(b)
         assert (ma <= mb) == all(ma[k] <= mb[k] for k in set(a) | set(b))
+        assert (ma >= mb) == all(ma[k] >= mb[k] for k in set(a) | set(b))
+
+    def test_order_against_other_types_rejected(self):
+        m = Multiset({"p": 1})
+        for other in ({"p": 1}, 1, None):
+            with pytest.raises(TypeError):
+                m <= other
+            with pytest.raises(TypeError):
+                m >= other
+
+    def test_truthy_iff_some_count(self):
+        assert not Multiset()
+        assert not Multiset({"p": 0})
+        assert Multiset({"p": 1})
 
     def test_restrict(self):
         m = Multiset({"p": 1, "q": 2})

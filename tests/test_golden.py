@@ -40,7 +40,7 @@ from test_regions import class_model, cold_enumeration, raw_enumeration
 from test_semantics import counting_solves
 from ttsynth import ilp
 from ttsynth import io as net_io
-from ttsynth.cli import _load_nets, _model_with_label_transitions, main
+from ttsynth.cli import _load_nets, main
 from ttsynth.convert import state_graph_to_labelled_net, trace_to_labelled_net
 from ttsynth.core import StateGraph, build_specification
 from ttsynth.regions import RegionProblem, enumerate_minimal_regions, parikh_classes
@@ -164,7 +164,7 @@ def test_search_tree_on_larger_inputs(name, k, regions, nodes, rows, binaries, m
 def witness_report(name: str, k: int) -> str:
     """Per input net and place of the golden net, the witness trail that
     is_enabled finds, in the trail's own order ("not shown" if none)."""
-    model = _model_with_label_transitions(net_io.parse_pnml((GOLDEN / f"{name}.k{k}.pnml").read_bytes()))
+    model = net_io.parse_pnml((GOLDEN / f"{name}.k{k}.pnml").read_bytes())
     lines = []
     for i, spec_net in enumerate(_load_nets(GOLDEN / INPUTS[name]), start=1):
         verdicts = is_enabled(model, spec_net)

@@ -10,7 +10,7 @@ from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spe
 from gens import random_labelled_net
 from oracles import write_pnml_by_element_tree
 from ttsynth import io as net_io
-from ttsynth.core import LabelledNet, MarkedPetriNet, Multiset, PetriNet
+from ttsynth.core import LabelledNet, Multiset, PetriNet
 from ttsynth.regions import Region, RegionProblem
 from ttsynth.synthesis import PlaceDefinition, SynthesisResult, synthesize
 
@@ -125,7 +125,8 @@ HOSTILE = "a&<>\"'\r\n\t ]]>é\x85\\,()"
 def hostile_nets(draw):
     """A random net whose ids (distinct, not empty) and labels (maybe
     empty) are drawn from HOSTILE; as a LabelledNet, or as a synthesis
-    result whose places carry source regions over such ids."""
+    result, labelled by its transition ids, whose places carry source
+    regions over such ids."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     ln = random_labelled_net(rng, "x", rng.randint(0, 4), rng.randint(0, 4), max_weight=3, max_tokens=3)
     n = len(ln.net.places) + len(ln.net.transitions)
@@ -145,7 +146,7 @@ def hostile_nets(draw):
         marking = draw(st.dictionaries(st.text(HOSTILE, min_size=1, max_size=4), st.integers(1, 2), max_size=3))
         region = Region(Multiset(marking), 2) if marking and draw(st.booleans()) else None
         places.append(PlaceDefinition({}, {}, 0, region))
-    return SynthesisResult(MarkedPetriNet(net, initial), tuple(places))
+    return SynthesisResult(LabelledNet(net, initial, {t: t for t in net.transitions}), tuple(places))
 
 
 def texts_of(obj) -> list:

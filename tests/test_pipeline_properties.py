@@ -5,11 +5,11 @@ import random
 import pytest
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
-from gens import random_labelled_net, random_run, random_specification, random_trace
+from gens import LABELS, random_labelled_net, random_run, random_specification, random_trace
 from ttsynth import io as net_io
 from ttsynth.convert import run_to_labelled_net, trace_to_labelled_net
 from ttsynth.core import LabelledNet, Multiset, PetriNet, build_specification, reachability_graph
-from ttsynth.regions import RegionProblem, enumerate_minimal_regions
+from ttsynth.regions import Region, RegionProblem, enumerate_minimal_regions
 from ttsynth.semantics import is_enabled
 from ttsynth.synthesis import synthesize
 
@@ -97,6 +97,23 @@ def region_markings(nets: list, k: int) -> set:
     return {frozenset(r.marking.items()) for r in regions}
 
 
+def renamed(nets: list, places: dict, labels: dict) -> list:
+    """`nets` with their place ids and labels mapped through `places` and
+    `labels`; transition ids are kept."""
+    return [
+        LabelledNet(
+            PetriNet(
+                tuple(places[p] for p in ln.net.places),
+                ln.net.transitions,
+                Multiset({(places.get(s, s), places.get(t, t)): w for (s, t), w in ln.net.arcs.items()}),
+            ),
+            Multiset({places[p]: n for p, n in ln.initial.items()}),
+            {t: labels[label] for t, label in ln.labels.items()},
+        )
+        for ln in nets
+    ]
+
+
 class TestMetamorphicRelations:
     """Relations between enumerations of related problems, which hold
     without knowing what either enumeration should return."""
@@ -116,6 +133,21 @@ class TestMetamorphicRelations:
             nets = small_nets(rng, 2)
             k = rng.randint(1, 3)
             assert region_markings(nets, k) == region_markings(nets[::-1], k), (nets, k)
+
+    def test_regions_follow_renamed_labels_and_place_ids(self):
+        # Bijections on the labels and on the place ids give the regions
+        # renamed, in the same order: no order depends on a name.
+        rng = random.Random(2603)
+        for _ in range(60):
+            nets = small_nets(rng, rng.randint(1, 2))
+            k = rng.randint(1, 2)
+            ids = [p for ln in nets for p in ln.net.places]
+            places = dict(zip(ids, rng.sample(ids, len(ids))))
+            labels = dict(zip(LABELS, rng.sample(LABELS, len(LABELS))))
+            found = enumerate_minimal_regions(RegionProblem(build_specification(nets), k)).regions
+            got = enumerate_minimal_regions(RegionProblem(build_specification(renamed(nets, places, labels)), k)).regions
+            want = tuple(Region(Multiset({places[p]: v for p, v in r.marking.items()}), r.k) for r in found)
+            assert got == want, (nets, places, labels, k)
 
 
 class TestIdentifierClashes:

@@ -17,8 +17,10 @@ from gens import (
 from oracles import initial_sum, net_inflow, net_rise, reference_bnb, trail_model
 from test_regions import state_machine
 from ttsynth import ilp
+from ttsynth import io as net_io
 from ttsynth.convert import run_to_labelled_net, slot_place_ids, state_graph_to_labelled_net, trace_to_labelled_net
-from ttsynth.core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, StateGraph, state_machine_walk
+from ttsynth.core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, StateGraph, build_specification, state_machine_walk
+from ttsynth.regions import RegionProblem
 from ttsynth.semantics import (
     SINK,
     SOURCE,
@@ -39,10 +41,16 @@ from ttsynth.semantics import (
     outflow,
     rise,
 )
+from ttsynth.synthesis import synthesize
 
 
 def behavior(consume=None, produce=None, initial=0):
     return PlaceBehavior(consume or {}, produce or {}, initial)
+
+
+def model_net(net: PetriNet, initial: Multiset) -> LabelledNet:
+    """A model whose transitions are labelled by their own ids."""
+    return LabelledNet(net, initial, {t: t for t in net.transitions})
 
 
 class TestFlows:
@@ -394,14 +402,14 @@ class TestTrailWalk:
 
 class TestIsEnabled:
     def test_isolated_place_model(self):
-        model = MarkedPetriNet(PetriNet(("p",), ("a", "b"), Multiset()), Multiset())
+        model = model_net(PetriNet(("p",), ("a", "b"), Multiset()), Multiset())
         verdict = is_enabled(model, make_e_seq())
         assert verdict
         assert verdict.witnesses == {"p": Multiset()}
 
     def test_model_simulates_itself(self):
         ln = make_e_seq()
-        model = MarkedPetriNet(
+        model = model_net(
             PetriNet(("x0", "x1", "x2"), ("a", "b"),
                      Multiset({("x0", "a"): 1, ("a", "x1"): 1, ("x1", "b"): 1, ("b", "x2"): 1})),
             Multiset({"x0": 1}),
@@ -413,7 +421,7 @@ class TestIsEnabled:
         assert verdict.witnesses["x2"] == Multiset({"c2": 1})
 
     def test_unsatisfiable_place_reported(self):
-        model = MarkedPetriNet(
+        model = model_net(
             PetriNet(("p",), ("a", "b"), Multiset({("p", "a"): 1})), Multiset()
         )
         verdict = is_enabled(model, make_e_seq())
@@ -422,13 +430,13 @@ class TestIsEnabled:
         assert verdict.not_shown == ("p",)
 
     def test_unknown_label_rejected(self):
-        model = MarkedPetriNet(PetriNet(("p",), ("a",), Multiset()), Multiset())
+        model = model_net(PetriNet(("p",), ("a",), Multiset()), Multiset())
         with pytest.raises(ValueError, match="unknown label"):
             is_enabled(model, make_e_seq())  # spec uses label b too
 
     def test_place_behaviors_are_read_once_outside_equality_and_repr(self):
         def model():
-            return MarkedPetriNet(
+            return model_net(
                 PetriNet(("p", "q"), ("a", "b"), Multiset({("p", "a"): 1, ("a", "q"): 1, ("q", "b"): 2})),
                 Multiset({"p": 1}),
             )
@@ -443,8 +451,35 @@ class TestIsEnabled:
         assert searched.place_behaviors is behaviors
         assert behaviors["q"] == _place_behaviors(fresh)["q"] == behavior({"b": 2}, {"a": 1})
 
+    def test_duplicate_model_labels_rejected(self):
+        model = LabelledNet(PetriNet(("p",), ("t1", "t2"), Multiset()), Multiset(), {"t1": "a", "t2": "a"})
+        with pytest.raises(ValueError, match="duplicate transition label in model: 'a'"):
+            is_enabled(model, make_e_seq())
+
+    def test_transition_ids_permuted_among_labels(self):
+        # A parsed model whose transition ids are its labels in another
+        # order (the one labelled a is named b, and so on) gets the
+        # verdicts of the model as written.
+        traces = [("a", "b", "c"), ("a", "c", "b")]
+        result = synthesize(RegionProblem(build_specification([trace_to_labelled_net(t) for t in traces]), 1))
+        model = net_io.parse_pnml(net_io.write_pnml(result))
+        ids = dict(zip(model.net.transitions, model.net.transitions[1:] + model.net.transitions[:1]))
+        permuted = net_io.parse_pnml(net_io.write_pnml(LabelledNet(
+            PetriNet(
+                model.net.places,
+                tuple(ids[t] for t in model.net.transitions),
+                Multiset({(ids.get(s, s), ids.get(t, t)): w for (s, t), w in model.net.arcs.items()}),
+            ),
+            model.initial,
+            {ids[t]: label for t, label in model.labels.items()},
+        )))
+        assert all(t != label for t, label in permuted.labels.items())
+        for spec_net in (trace_to_labelled_net(("a", "b", "c", "b")), *map(trace_to_labelled_net, traces)):
+            assert is_enabled(permuted, spec_net) == is_enabled(model, spec_net)
+        assert is_enabled(permuted, trace_to_labelled_net(("a", "b", "c", "b"))).not_shown == ("p3",)
+
     def test_place_behaviors_read_weights(self):
-        model = MarkedPetriNet(
+        model = model_net(
             PetriNet(("p",), ("a", "b"), Multiset({("p", "a"): 2, ("b", "p"): 3})),
             Multiset({"p": 1}),
         )
@@ -536,6 +571,13 @@ class TestStateGraphEnabled:
         assert verdict
         assert verdict.mapping["s2"] == Multiset({"c2": 1})
 
+    def test_arcs_listed_before_their_source_is_reached(self):
+        forward = StateGraph(("s0", "s1", "s2"), "s0", (("s0", "e_a", "s1"), ("s1", "e_b", "s2")))
+        reversed_arcs = StateGraph(forward.states, "s0", forward.arcs[::-1])
+        verdict = check_state_graph_enabled(make_e_seq().marked(), reversed_arcs)
+        assert verdict
+        assert verdict.mapping == check_state_graph_enabled(make_e_seq().marked(), forward).mapping
+
     def test_single_state_graph(self):
         sg = StateGraph(("s0",), "s0", ())
         verdict = check_state_graph_enabled(make_e_seq().marked(), sg)
@@ -581,12 +623,12 @@ class TestStateGraphEnabled:
             StateGraph(("s0",), "s0", (("s0", "a", "s0"),)),
         ]
         ln = make_e_seq()
-        model = MarkedPetriNet(
+        model = model_net(
             PetriNet(("x0", "x1", "x2"), ("a", "b"),
                      Multiset({("x0", "a"): 1, ("a", "x1"): 1, ("x1", "b"): 1, ("b", "x2"): 1})),
             Multiset({"x0": 1}),
         )
         for sg in cases:
-            direct = bool(check_state_graph_enabled(model, sg))
+            direct = bool(check_state_graph_enabled(model.marked(), sg))
             via_net = bool(is_enabled(model, state_graph_to_labelled_net(sg)))
             assert direct == via_net, sg
