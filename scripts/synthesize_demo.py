@@ -2,7 +2,8 @@
 """Walk the three desk fixtures through the whole pipeline.
 
 For each fixture the script prints the minimal-region table at the chosen
-bound, the synthesized net, and a replay of the shortest input word.
+bound and the synthesized net, each place with what every label takes from
+it and puts on it.
 
     python3 scripts/synthesize_demo.py [-k K] [--dot-dir DIR]
 """
@@ -40,7 +41,7 @@ def main() -> None:
               f"{len(dict(result.net.net.arcs.items()))} arcs")
         for pid, place in zip(result.net.net.places, result.places):
             parts = []
-            for label in result.net.net.transitions:
+            for label in result.net.labels.values():
                 if place.consume.get(label):
                     parts.append(f"{label} takes {place.consume[label]}")
                 if place.produce.get(label):

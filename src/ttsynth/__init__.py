@@ -8,7 +8,6 @@ result can simulate every input net.
 
 from .core import (
     LabelledNet,
-    MarkedPetriNet,
     Marking,
     Multiset,
     PetriNet,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LabelledNet",
-    "MarkedPetriNet",
     "Marking",
     "Multiset",
     "PetriNet",

@@ -156,21 +156,8 @@ class PetriNet:
 
 
 @dataclass(frozen=True)
-class MarkedPetriNet:
-    """A net together with its initial marking."""
-
-    net: PetriNet
-    initial: Marking
-
-    def __post_init__(self):
-        unknown = set(self.initial) - set(self.net.places)
-        if unknown:
-            raise ValueError(f"initial marking uses unknown places: {sorted(unknown)}")
-
-
-@dataclass(frozen=True)
 class LabelledNet:
-    """A marked net whose transitions all carry a label.
+    """A marked net whose transitions all carry a label; the only marked net.
 
     Several transitions may share a label (label splitting); the labelling
     must be total.
@@ -191,7 +178,9 @@ class LabelledNet:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", dict(self.labels))
-        MarkedPetriNet(self.net, self.initial)  # reuse marking validation
+        unknown = set(self.initial) - set(self.net.places)
+        if unknown:
+            raise ValueError(f"initial marking uses unknown places: {sorted(unknown)}")
         missing = set(self.net.transitions) - set(self.labels)
         if missing:
             raise ValueError(f"unlabelled transitions: {sorted(missing)}")
@@ -210,9 +199,6 @@ class LabelledNet:
         ln = object.__new__(cls)
         vars(ln).update(net=net, initial=initial, labels=labels, trail_walk=walk)
         return ln
-
-    def marked(self) -> MarkedPetriNet:
-        return MarkedPetriNet(self.net, self.initial)
 
 
 def state_machine_walk(ln: LabelledNet) -> Optional[tuple]:
@@ -424,12 +410,12 @@ def effect(net: PetriNet, t: str) -> dict[str, int]:
     return {p: c for p, c in delta.items() if c}
 
 
-def enabled_transitions(n: MarkedPetriNet, m: Marking) -> set[str]:
+def enabled_transitions(n: LabelledNet, m: Marking) -> set[str]:
     """Transitions whose preset is covered by the marking m."""
     return {t for t in n.net.transitions if preset(n.net, t) <= m}
 
 
-def fire(n: MarkedPetriNet, m: Marking, t: str) -> Marking:
+def fire(n: LabelledNet, m: Marking, t: str) -> Marking:
     """Fire t in m, returning the follow-up marking; m itself is unchanged."""
     pre = preset(n.net, t)
     if not pre <= m:
@@ -437,11 +423,11 @@ def fire(n: MarkedPetriNet, m: Marking, t: str) -> Marking:
     return m - pre + postset(n.net, t)
 
 
-def reachability_graph(n: MarkedPetriNet, state_cap: int) -> StateGraph:
+def reachability_graph(n: LabelledNet, state_cap: int) -> StateGraph:
     """Breadth-first reachability graph, aborting once state_cap is exceeded.
 
-    Arc labels are transition identifiers. The cap turns a potentially
-    unbounded exploration into an error instead of a hang.
+    Arcs carry labels, one per (marking, label, next marking). The cap
+    turns a potentially unbounded exploration into an error, not a hang.
     """
     if state_cap < 1:
         raise ValueError("state_cap must be >= 1")
@@ -449,7 +435,7 @@ def reachability_graph(n: MarkedPetriNet, state_cap: int) -> StateGraph:
     postsets = {t: postset(n.net, t) for t in n.net.transitions}
     states: list[Marking] = [n.initial]
     seen = {n.initial}
-    arcs: list[tuple[Marking, str, Marking]] = []
+    arcs: dict[tuple[Marking, str, Marking], None] = {}
     todo = deque([n.initial])
     while todo:
         m = todo.popleft()
@@ -457,7 +443,7 @@ def reachability_graph(n: MarkedPetriNet, state_cap: int) -> StateGraph:
             if not presets[t] <= m:
                 continue
             nxt = m - presets[t] + postsets[t]
-            arcs.append((m, t, nxt))
+            arcs[m, n.labels[t], nxt] = None
             if nxt not in seen:
                 if len(seen) >= state_cap:
                     raise ValueError("state cap exceeded")

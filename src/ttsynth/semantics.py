@@ -7,9 +7,9 @@ dictates for its label, and the initially marked places carry the place's
 initial tokens. find_token_trail searches for one within a bound, and
 is_enabled runs that search for every place of a model, a labelled net
 read per label, which is what `check` reports. The validity checks
-(is_valid_token_trail, is_valid_compact_token_flow,
-check_state_graph_enabled) are oracles that the synthesis pipeline is
-tested against.
+(is_valid_token_trail, is_valid_compact_token_flow, and
+check_state_graph_enabled, which fires transitions by label) are oracles
+that the synthesis pipeline is tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Mapping, Optional, Sequence, Tuple
 from . import ilp
 from .core import (
     LabelledNet,
-    MarkedPetriNet,
     Marking,
     Multiset,
     StateGraph,
@@ -124,6 +123,9 @@ class Run:
         missing = known - set(self.labels)
         if missing:
             raise ValueError(f"unlabelled events: {sorted(missing)}")
+        extra = set(self.labels) - known
+        if extra:
+            raise ValueError(f"labels for unknown events: {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -312,21 +314,28 @@ class Enabledness:
         return not self.not_shown
 
 
+def _transition_by_label(model: LabelledNet) -> dict[str, str]:
+    """Each label of the model with the one transition that carries it, in
+    transition order. Two transitions that share a label are an error."""
+    by_label: dict[str, str] = {}
+    for t in model.net.transitions:
+        label = model.labels[t]
+        if label in by_label:
+            raise ValueError(f"duplicate transition label in model: {label!r}")
+        by_label[label] = t
+    return by_label
+
+
 def _place_behaviors(model: LabelledNet) -> dict[str, PlaceBehavior]:
     """Every model place's behaviour over the transition labels, in place
     order, read in one pass over the arcs on first use and kept on the
     model as `place_behaviors` (outside equality and repr, like
-    trail_model). Two transitions that share a label are an error."""
+    trail_model)."""
     behaviors = getattr(model, "place_behaviors", None)
     if behaviors is None:
         consume: dict[str, dict[str, int]] = {p: {} for p in model.net.places}
         produce: dict[str, dict[str, int]] = {p: {} for p in model.net.places}
-        seen = set()
-        for t in model.net.transitions:
-            label = model.labels[t]
-            if label in seen:
-                raise ValueError(f"duplicate transition label in model: {label!r}")
-            seen.add(label)
+        for label, t in _transition_by_label(model).items():
             for p, w in model.net.pre[t].items():
                 consume[p][label] = w
             for p, w in model.net.post[t].items():
@@ -412,13 +421,15 @@ class StateGraphCheck:
         return self.reason is None
 
 
-def check_state_graph_enabled(model: MarkedPetriNet, sg: StateGraph) -> StateGraphCheck:
+def check_state_graph_enabled(model: LabelledNet, sg: StateGraph) -> StateGraphCheck:
     """Map the state graph into the model's reachability graph.
 
-    The initial state maps to the initial marking; arcs must fire, all paths
-    to a state must agree on its marking, the mapping must be injective, and
-    every state must be reachable from the initial one.
+    The initial state maps to the initial marking; each arc fires the model
+    transition with its label (labels must be distinct, as in is_enabled),
+    all paths to a state must agree on its marking, the mapping must be
+    injective, and every state must be reachable from the initial one.
     """
+    transitions = _transition_by_label(model)
     reachable = state_graph_reachable(sg)
     for s in sg.states:
         if s not in reachable:
@@ -430,15 +441,16 @@ def check_state_graph_enabled(model: MarkedPetriNet, sg: StateGraph) -> StateGra
     pending = list(sg.arcs)
     while pending:
         remaining = []
-        for src, t, tgt in pending:
+        for src, label, tgt in pending:
             if src not in mapping:
-                remaining.append((src, t, tgt))
+                remaining.append((src, label, tgt))
                 continue
-            if t not in model.net.transitions:
-                return StateGraphCheck(reason=f"unknown transition: {t!r}")
+            t = transitions.get(label)
+            if t is None:
+                return StateGraphCheck(reason=f"unknown label: {label!r}")
             m = mapping[src]
             if not preset(model.net, t) <= m:
-                return StateGraphCheck(reason=f"not enabled: {t!r} at state {src!r}")
+                return StateGraphCheck(reason=f"not enabled: {label!r} at state {src!r}")
             nxt = fire(model, m, t)
             if tgt in mapping:
                 if mapping[tgt] != nxt:

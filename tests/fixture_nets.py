@@ -36,6 +36,11 @@ def make_e_two_b() -> LabelledNet:
     return LabelledNet(net, Multiset({"g0": 1}), {"h_a": "a"})
 
 
+def model_net(net: PetriNet, initial: Multiset) -> LabelledNet:
+    """A model whose transitions are labelled by their own ids."""
+    return LabelledNet(net, initial, {t: t for t in net.transitions})
+
+
 def spec_of(*nets: LabelledNet) -> Specification:
     return build_specification(list(nets))
 

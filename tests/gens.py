@@ -157,5 +157,14 @@ def random_ilp_problem(rng: random.Random, max_vars: int = 8, max_constraints: i
     return ilp.IlpModel(tuple(variables), tuple(constraints)), objective
 
 
+def cycles_graph(n: int) -> StateGraph:
+    """Reachability graph of n independent two-state cycles. State v is a
+    bit vector; bit i off enables up<i>, on enables down<i>. Arcs are
+    listed by state, then by cycle."""
+    states = [f"s{v}" for v in range(2**n)]
+    arcs = [(states[v], f"{'down' if v >> i & 1 else 'up'}{i}", states[v ^ (1 << i)]) for v in range(2**n) for i in range(n)]
+    return StateGraph(tuple(states), states[0], tuple(arcs))
+
+
 def random_trace(rng: random.Random, max_len: int = 5, n_labels: int = 3):
     return tuple(rng.choice(LABELS[:n_labels]) for _ in range(rng.randint(1, max_len)))

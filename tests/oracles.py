@@ -552,15 +552,6 @@ def lts_isomorphic(g1: StateGraph, g2: StateGraph) -> bool:
     return len(fwd) == len(g1.states)
 
 
-def relabel_arcs(sg: StateGraph, mapping: dict) -> StateGraph:
-    """Project arc labels through a mapping (e.g. transition id to label)."""
-    return StateGraph(
-        sg.states,
-        sg.initial,
-        tuple((src, mapping.get(label, label), tgt) for src, label, tgt in sg.arcs),
-    )
-
-
 def write_pnml_by_element_tree(obj) -> bytes:
     """write_pnml as it was before it wrote the text itself: an element
     tree, laid out by ET.indent and serialized by ElementTree, which

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fixture_nets import make_e_dup, make_e_seq, spec_of
 from gens import random_deterministic_state_graph, random_run, random_state_graph
-from oracles import classical_state_regions, lts_isomorphic, relabel_arcs
+from oracles import classical_state_regions, lts_isomorphic
 from ttsynth.convert import (
     check_run_wellformed,
     run_to_labelled_net,
@@ -72,7 +72,7 @@ class TestStateGraphConversion:
         for _ in range(40):
             sg = random_deterministic_state_graph(rng)
             ln = state_graph_to_labelled_net(sg)
-            explored = relabel_arcs(reachability_graph(ln.marked(), 100), ln.labels)
+            explored = reachability_graph(ln, 100)
             assert lts_isomorphic(explored, sg)
 
     def test_subset_regions_coincide_with_trail_regions(self):

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixture_nets import make_e_dup, make_e_seq, make_e_two_a
+from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, model_net
 from gens import random_labelled_net, random_state_graph, random_trace
 from oracles import net_inflow, net_rise
 from ttsynth.core import (
     LabelledNet,
-    MarkedPetriNet,
     Multiset,
     PetriNet,
     Specification,
@@ -96,8 +95,8 @@ class TestNetConstruction:
 
     def test_marking_over_unknown_place_rejected(self):
         net = PetriNet(("p",), ("t",), Multiset())
-        with pytest.raises(ValueError):
-            MarkedPetriNet(net, Multiset({"q": 1}))
+        with pytest.raises(ValueError, match=r"initial marking uses unknown places: \['q'\]"):
+            model_net(net, Multiset({"q": 1}))
 
     def test_labels_must_be_total(self):
         net = PetriNet(("p",), ("t",), Multiset())
@@ -186,41 +185,41 @@ class TestArcView:
 
 class TestFiring:
     def test_empty_preset_always_enabled(self):
-        n = MarkedPetriNet(PetriNet(("p",), ("t",), Multiset()), Multiset())
+        n = model_net(PetriNet(("p",), ("t",), Multiset()), Multiset())
         assert enabled_transitions(n, Multiset()) == {"t"}
 
     def test_insufficient_tokens(self):
-        n = MarkedPetriNet(PetriNet(("p",), ("t",), Multiset({("p", "t"): 2})), Multiset())
+        n = model_net(PetriNet(("p",), ("t",), Multiset({("p", "t"): 2})), Multiset())
         assert enabled_transitions(n, Multiset({"p": 1})) == set()
 
     def test_e_seq_initially_enables_only_first(self):
         ln = make_e_seq()
-        assert enabled_transitions(ln.marked(), ln.initial) == {"e_a"}
+        assert enabled_transitions(ln, ln.initial) == {"e_a"}
 
     def test_fire_consume_one_produce_two(self):
         net = PetriNet(("p", "q"), ("t",), Multiset({("p", "t"): 1, ("t", "q"): 2}))
-        n = MarkedPetriNet(net, Multiset({"p": 1}))
+        n = model_net(net, Multiset({"p": 1}))
         assert fire(n, Multiset({"p": 1}), "t") == Multiset({"q": 2})
 
     def test_fire_disconnected_is_identity(self):
-        n = MarkedPetriNet(PetriNet(("p",), ("t",), Multiset()), Multiset())
+        n = model_net(PetriNet(("p",), ("t",), Multiset()), Multiset())
         m = Multiset({"p": 3})
         assert fire(n, m, "t") == m
         assert m == Multiset({"p": 3})  # input marking unchanged
 
     def test_fire_e_seq(self):
         ln = make_e_seq()
-        assert fire(ln.marked(), Multiset({"c0": 1}), "e_a") == Multiset({"c1": 1})
+        assert fire(ln, Multiset({"c0": 1}), "e_a") == Multiset({"c1": 1})
 
     def test_fire_disabled_rejected(self):
         ln = make_e_seq()
         with pytest.raises(ValueError, match="not enabled"):
-            fire(ln.marked(), Multiset(), "e_a")
+            fire(ln, Multiset(), "e_a")
 
     def test_fire_unknown_rejected(self):
         ln = make_e_seq()
         with pytest.raises(ValueError, match="unknown transition"):
-            fire(ln.marked(), ln.initial, "nope")
+            fire(ln, ln.initial, "nope")
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=60)
@@ -231,12 +230,11 @@ class TestFiring:
 
         rng = random.Random(seed)
         ln = random_labelled_net(rng, "x", rng.randint(1, 4), rng.randint(1, 3))
-        n = ln.marked()
         m = ln.initial
         for t in ln.net.transitions:
             pre, post = preset(ln.net, t), postset(ln.net, t)
             if pre <= m:
-                nxt = fire(n, m, t)
+                nxt = fire(ln, m, t)
                 assert nxt.total() == m.total() - pre.total() + post.total()
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -248,11 +246,10 @@ class TestFiring:
 
         rng = random.Random(seed)
         ln = random_labelled_net(rng, "x", rng.randint(1, 4), rng.randint(1, 3))
-        n = ln.marked()
-        enabled = enabled_transitions(n, ln.initial)
+        enabled = enabled_transitions(ln, ln.initial)
         for t in ln.net.transitions:
             try:
-                fire(n, ln.initial, t)
+                fire(ln, ln.initial, t)
                 fired = True
             except ValueError:
                 fired = False
@@ -262,25 +259,40 @@ class TestFiring:
 class TestReachability:
     def test_e_seq_chain(self):
         ln = make_e_seq()
-        sg = reachability_graph(ln.marked(), 10)
+        sg = reachability_graph(ln, 10)
         assert len(sg.states) == 3
         assert len(sg.arcs) == 2
         assert sg.initial == Multiset({"c0": 1})
 
     def test_self_loop_single_state(self):
-        n = MarkedPetriNet(PetriNet((), ("t",), Multiset()), Multiset())
+        n = model_net(PetriNet((), ("t",), Multiset()), Multiset())
         sg = reachability_graph(n, 5)
         assert len(sg.states) == 1
         assert sg.arcs == ((Multiset(), "t", Multiset()),)
 
     def test_unbounded_growth_hits_cap(self):
-        n = MarkedPetriNet(PetriNet(("p",), ("t",), Multiset({("t", "p"): 1})), Multiset())
+        n = model_net(PetriNet(("p",), ("t",), Multiset({("t", "p"): 1})), Multiset())
         with pytest.raises(ValueError, match="state cap exceeded"):
             reachability_graph(n, 5)
 
+    def test_one_arc_per_label_between_two_markings(self):
+        # Two transitions labelled a lead from the initial marking to the
+        # same marking: the graph keeps one a arc, in the order found.
+        net = PetriNet(("p", "q", "r"), ("t1", "t2", "u"), Multiset({
+            ("p", "t1"): 1, ("t1", "q"): 1, ("p", "t2"): 1, ("t2", "q"): 1, ("q", "u"): 1, ("u", "r"): 1,
+        }))
+        sg = reachability_graph(LabelledNet(net, Multiset({"p": 1}), {"t1": "a", "t2": "a", "u": "b"}), 10)
+        p, q, r = Multiset({"p": 1}), Multiset({"q": 1}), Multiset({"r": 1})
+        assert sg.states == (p, q, r)
+        assert sg.arcs == ((p, "a", q), (q, "b", r))
+
+    def test_arcs_carry_labels(self):
+        sg = reachability_graph(make_e_dup(), 10)
+        assert [label for _, label, _ in sg.arcs] == ["a", "a"]
+
     def test_deterministic_arcs(self):
         ln = make_e_dup()
-        sg = reachability_graph(ln.marked(), 10)
+        sg = reachability_graph(ln, 10)
         assert len({(src, t) for src, t, _ in sg.arcs}) == len(sg.arcs)
 
 

@@ -36,13 +36,14 @@ from unittest import mock
 
 import pytest
 
+from gens import cycles_graph
 from test_regions import class_model, cold_enumeration, raw_enumeration
 from test_semantics import counting_solves
 from ttsynth import ilp
 from ttsynth import io as net_io
 from ttsynth.cli import _load_nets, main
 from ttsynth.convert import state_graph_to_labelled_net, trace_to_labelled_net
-from ttsynth.core import StateGraph, build_specification
+from ttsynth.core import build_specification
 from ttsynth.regions import RegionProblem, enumerate_minimal_regions, parikh_classes
 from ttsynth.semantics import is_enabled
 
@@ -123,15 +124,6 @@ def test_raw_search_tree_size(name, k):
     spec = build_specification(_load_nets(GOLDEN / INPUTS[name]))
     _, nodes = raw_enumeration(RegionProblem(spec, k))
     assert nodes == RAW_NODES[name]
-
-
-def cycles_graph(n: int) -> StateGraph:
-    """Reachability graph of n independent two-state cycles. State v is a
-    bit vector; bit i off enables up<i>, on enables down<i>. Arcs are
-    listed by state, then by cycle."""
-    states = [f"s{v}" for v in range(2**n)]
-    arcs = [(states[v], f"{'down' if v >> i & 1 else 'up'}{i}", states[v ^ (1 << i)]) for v in range(2**n) for i in range(n)]
-    return StateGraph(tuple(states), states[0], tuple(arcs))
 
 
 LARGER = {

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from fixture_nets import make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
-from gens import LABELS, random_labelled_net, random_run, random_specification, random_trace
+from gens import LABELS, cycles_graph, random_labelled_net, random_run, random_specification, random_trace
 from ttsynth import io as net_io
-from ttsynth.convert import run_to_labelled_net, trace_to_labelled_net
+from ttsynth.convert import run_to_labelled_net, state_graph_to_labelled_net, trace_to_labelled_net
 from ttsynth.core import LabelledNet, Multiset, PetriNet, build_specification, reachability_graph
-from ttsynth.regions import Region, RegionProblem, enumerate_minimal_regions
+from ttsynth.regions import Region, RegionProblem, enumerate_minimal_regions, verify_region
 from ttsynth.semantics import is_enabled
 from ttsynth.synthesis import synthesize
 
@@ -134,6 +134,29 @@ class TestMetamorphicRelations:
             k = rng.randint(1, 3)
             assert region_markings(nets, k) == region_markings(nets[::-1], k), (nets, k)
 
+    def test_statespace6_regions_grow_with_k_stay_incomparable_and_verify(self):
+        # Reachability graph of six independent two-state cycles: 64
+        # states, 12 minimal regions at each k.
+        spec = build_specification([state_graph_to_labelled_net(cycles_graph(6))])
+        found = {k: enumerate_minimal_regions(RegionProblem(spec, k)).regions for k in (1, 2, 3)}
+        markings = {k: {frozenset(r.marking.items()) for r in regions} for k, regions in found.items()}
+        assert markings[1] <= markings[2] <= markings[3]
+        for k, regions in found.items():
+            for r in regions:
+                assert verify_region(spec, r), (k, r)
+                below = [s for s in regions if s is not r and s.marking <= r.marking]
+                assert not below, (k, r, below)
+
+    def test_statespace4_and_a_trace_do_not_depend_on_net_order(self):
+        # The state graph's place ids (s0, s1, ...) and the trace's (c0,
+        # c1, ...) differ, so build_specification renames none of them.
+        nets = [
+            state_graph_to_labelled_net(cycles_graph(4)),
+            trace_to_labelled_net(("up0", "up1", "down0", "up2", "down1", "up3")),
+        ]
+        for k in (1, 2):
+            assert region_markings(nets, k) == region_markings(nets[::-1], k), k
+
     def test_regions_follow_renamed_labels_and_place_ids(self):
         # Bijections on the labels and on the place ids give the regions
         # renamed, in the same order: no order depends on a name.
@@ -186,7 +209,7 @@ class TestMiscValidation:
     def test_reachability_cap_must_be_positive(self):
         ln = make_e_seq()
         with pytest.raises(ValueError, match="state_cap"):
-            reachability_graph(ln.marked(), 0)
+            reachability_graph(ln, 0)
 
     def test_find_token_trail_rejects_negative_bound(self):
         from ttsynth.semantics import PlaceBehavior, find_token_trail

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixture_nets import make_e_dup, make_e_seq
+from fixture_nets import make_e_dup, make_e_seq, model_net
 from gens import (
     random_labelled_net,
     random_place_behavior,
@@ -19,7 +19,7 @@ from test_regions import state_machine
 from ttsynth import ilp
 from ttsynth import io as net_io
 from ttsynth.convert import run_to_labelled_net, slot_place_ids, state_graph_to_labelled_net, trace_to_labelled_net
-from ttsynth.core import LabelledNet, MarkedPetriNet, Multiset, PetriNet, StateGraph, build_specification, state_machine_walk
+from ttsynth.core import LabelledNet, Multiset, PetriNet, StateGraph, build_specification, state_machine_walk
 from ttsynth.regions import RegionProblem
 from ttsynth.semantics import (
     SINK,
@@ -48,9 +48,23 @@ def behavior(consume=None, produce=None, initial=0):
     return PlaceBehavior(consume or {}, produce or {}, initial)
 
 
-def model_net(net: PetriNet, initial: Multiset) -> LabelledNet:
-    """A model whose transitions are labelled by their own ids."""
-    return LabelledNet(net, initial, {t: t for t in net.transitions})
+def permuted_model(traces) -> tuple[LabelledNet, LabelledNet]:
+    """The model synthesized from `traces` at k = 1, read back from PNML,
+    and the same model with its transition ids rotated among its labels
+    (the one labelled a is named b, and so on)."""
+    result = synthesize(RegionProblem(build_specification([trace_to_labelled_net(t) for t in traces]), 1))
+    model = net_io.parse_pnml(net_io.write_pnml(result))
+    ids = dict(zip(model.net.transitions, model.net.transitions[1:] + model.net.transitions[:1]))
+    permuted = net_io.parse_pnml(net_io.write_pnml(LabelledNet(
+        PetriNet(
+            model.net.places,
+            tuple(ids[t] for t in model.net.transitions),
+            Multiset({(ids.get(s, s), ids.get(t, t)): w for (s, t), w in model.net.arcs.items()}),
+        ),
+        model.initial,
+        {ids[t]: label for t, label in model.labels.items()},
+    )))
+    return model, permuted
 
 
 class TestFlows:
@@ -461,18 +475,7 @@ class TestIsEnabled:
         # order (the one labelled a is named b, and so on) gets the
         # verdicts of the model as written.
         traces = [("a", "b", "c"), ("a", "c", "b")]
-        result = synthesize(RegionProblem(build_specification([trace_to_labelled_net(t) for t in traces]), 1))
-        model = net_io.parse_pnml(net_io.write_pnml(result))
-        ids = dict(zip(model.net.transitions, model.net.transitions[1:] + model.net.transitions[:1]))
-        permuted = net_io.parse_pnml(net_io.write_pnml(LabelledNet(
-            PetriNet(
-                model.net.places,
-                tuple(ids[t] for t in model.net.transitions),
-                Multiset({(ids.get(s, s), ids.get(t, t)): w for (s, t), w in model.net.arcs.items()}),
-            ),
-            model.initial,
-            {ids[t]: label for t, label in model.labels.items()},
-        )))
+        model, permuted = permuted_model(traces)
         assert all(t != label for t, label in permuted.labels.items())
         for spec_net in (trace_to_labelled_net(("a", "b", "c", "b")), *map(trace_to_labelled_net, traces)):
             assert is_enabled(permuted, spec_net) == is_enabled(model, spec_net)
@@ -497,6 +500,10 @@ class TestCompactTokenFlows:
         run = self.run_pair()
         pb = behavior({"b": 1}, {"a": 1}, 0)
         assert is_valid_compact_token_flow(run, {("v1", "v2"): 1}, pb)
+
+    def test_labels_for_unknown_events_rejected(self):
+        with pytest.raises(ValueError, match=r"labels for unknown events: \['v9'\]"):
+            Run(("v1",), (), {"v1": "a", "v9": "b"})
 
     def test_empty_run(self):
         run = Run((), (), {})
@@ -566,34 +573,34 @@ class TestFlowTrailCorrespondence:
 
 class TestStateGraphEnabled:
     def test_chain_enabled_on_e_seq(self):
-        sg = StateGraph(("s0", "s1", "s2"), "s0", (("s0", "e_a", "s1"), ("s1", "e_b", "s2")))
-        verdict = check_state_graph_enabled(make_e_seq().marked(), sg)
+        sg = StateGraph(("s0", "s1", "s2"), "s0", (("s0", "a", "s1"), ("s1", "b", "s2")))
+        verdict = check_state_graph_enabled(make_e_seq(), sg)
         assert verdict
         assert verdict.mapping["s2"] == Multiset({"c2": 1})
 
     def test_arcs_listed_before_their_source_is_reached(self):
-        forward = StateGraph(("s0", "s1", "s2"), "s0", (("s0", "e_a", "s1"), ("s1", "e_b", "s2")))
+        forward = StateGraph(("s0", "s1", "s2"), "s0", (("s0", "a", "s1"), ("s1", "b", "s2")))
         reversed_arcs = StateGraph(forward.states, "s0", forward.arcs[::-1])
-        verdict = check_state_graph_enabled(make_e_seq().marked(), reversed_arcs)
+        verdict = check_state_graph_enabled(make_e_seq(), reversed_arcs)
         assert verdict
-        assert verdict.mapping == check_state_graph_enabled(make_e_seq().marked(), forward).mapping
+        assert verdict.mapping == check_state_graph_enabled(make_e_seq(), forward).mapping
 
     def test_single_state_graph(self):
         sg = StateGraph(("s0",), "s0", ())
-        verdict = check_state_graph_enabled(make_e_seq().marked(), sg)
+        verdict = check_state_graph_enabled(make_e_seq(), sg)
         assert verdict
         assert verdict.mapping == {"s0": Multiset({"c0": 1})}
 
     def test_disabled_arc_fails(self):
-        sg = StateGraph(("s0", "s1"), "s0", (("s0", "e_b", "s1"),))
-        verdict = check_state_graph_enabled(make_e_seq().marked(), sg)
+        sg = StateGraph(("s0", "s1"), "s0", (("s0", "b", "s1"),))
+        verdict = check_state_graph_enabled(make_e_seq(), sg)
         assert not verdict
         assert "not enabled" in verdict.reason
 
     def test_inconsistent_paths_fail(self):
         # same target state reached with different markings
         net = PetriNet(("p", "q"), ("t", "u"), Multiset({("t", "p"): 1, ("u", "q"): 1}))
-        model = MarkedPetriNet(net, Multiset())
+        model = model_net(net, Multiset())
         sg = StateGraph(("s0", "s1"), "s0", (("s0", "t", "s1"), ("s0", "u", "s1")))
         verdict = check_state_graph_enabled(model, sg)
         assert not verdict
@@ -602,15 +609,42 @@ class TestStateGraphEnabled:
     def test_duplicate_marking_fails_injectivity(self):
         # t is disconnected, so both states map to the initial marking
         net = PetriNet(("p",), ("t",), Multiset())
-        model = MarkedPetriNet(net, Multiset({"p": 1}))
+        model = model_net(net, Multiset({"p": 1}))
         sg = StateGraph(("s0", "s1"), "s0", (("s0", "t", "s1"),))
         verdict = check_state_graph_enabled(model, sg)
         assert not verdict
         assert "not injective" in verdict.reason
 
+    def test_unknown_label_fails(self):
+        sg = StateGraph(("s0", "s1"), "s0", (("s0", "x", "s1"),))
+        verdict = check_state_graph_enabled(make_e_seq(), sg)
+        assert not verdict
+        assert verdict.reason == "unknown label: 'x'"
+
+    def test_duplicate_model_labels_rejected(self):
+        sg = StateGraph(("s0", "s1"), "s0", (("s0", "a", "s1"),))
+        with pytest.raises(ValueError, match="duplicate transition label in model: 'a'"):
+            check_state_graph_enabled(make_e_dup(), sg)
+
+    def test_transition_ids_permuted_among_labels(self):
+        # Arcs name labels, so a model whose transition ids are its labels
+        # in another order maps each graph as the model as written does,
+        # and as is_enabled on the converted graph says.
+        model, permuted = permuted_model([("a", "b", "c"), ("a", "c", "b")])
+        graphs = [
+            StateGraph(("s0", "s1", "s2", "s3"), "s0", (("s0", "a", "s1"), ("s1", "b", "s2"), ("s2", "c", "s3"))),
+            StateGraph(("s0", "s1"), "s0", (("s0", "b", "s1"),)),
+        ]
+        for sg in graphs:
+            direct = check_state_graph_enabled(permuted, sg)
+            assert direct == check_state_graph_enabled(model, sg)
+            assert bool(direct) == bool(is_enabled(permuted, state_graph_to_labelled_net(sg)))
+        assert check_state_graph_enabled(permuted, graphs[0])
+        assert check_state_graph_enabled(permuted, graphs[1]).reason == "not enabled: 'b' at state 's0'"
+
     def test_unreachable_state_fails(self):
-        sg = StateGraph(("s0", "s1", "s2"), "s0", (("s1", "e_a", "s2"),))
-        verdict = check_state_graph_enabled(make_e_seq().marked(), sg)
+        sg = StateGraph(("s0", "s1", "s2"), "s0", (("s1", "a", "s2"),))
+        verdict = check_state_graph_enabled(make_e_seq(), sg)
         assert not verdict
         assert "unreachable" in verdict.reason
 
@@ -629,6 +663,6 @@ class TestStateGraphEnabled:
             Multiset({"x0": 1}),
         )
         for sg in cases:
-            direct = bool(check_state_graph_enabled(model.marked(), sg))
+            direct = bool(check_state_graph_enabled(model, sg))
             via_net = bool(is_enabled(model, state_graph_to_labelled_net(sg)))
             assert direct == via_net, sg

@@ -4,7 +4,7 @@ import pytest
 
 from fixture_nets import make_concurrent_chains, make_e_dup, make_e_seq, make_e_two_a, make_e_two_b, spec_of
 from gens import random_specification
-from oracles import brute_force_minimal_regions, initial_sum, lts_isomorphic, net_inflow, net_rise, relabel_arcs
+from oracles import brute_force_minimal_regions, initial_sum, lts_isomorphic, net_inflow, net_rise
 from ttsynth.convert import trace_to_labelled_net
 from ttsynth.core import LabelledNet, Multiset, PetriNet, enabled_transitions, fire, reachability_graph
 from ttsynth.regions import Region, RegionProblem
@@ -110,7 +110,7 @@ class TestSynthesize:
             ("b", "p3"): 1,
         }
         assert res.net.initial == Multiset({"p1": 1})
-        in_graph = relabel_arcs(reachability_graph(make_e_seq().marked(), 50), make_e_seq().labels)
+        in_graph = reachability_graph(make_e_seq(), 50)
         out_graph = reachability_graph(res.net, 50)
         assert lts_isomorphic(in_graph, out_graph)
 
@@ -229,6 +229,6 @@ class TestSynthesize:
     def test_concurrent_chains_idempotent(self):
         ln = make_concurrent_chains()
         res = synthesize(RegionProblem(spec_of(ln), 1))
-        in_graph = relabel_arcs(reachability_graph(ln.marked(), 50), ln.labels)
+        in_graph = reachability_graph(ln, 50)
         out_graph = reachability_graph(res.net, 50)
         assert lts_isomorphic(in_graph, out_graph)
