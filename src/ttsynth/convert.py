@@ -7,7 +7,7 @@ import graphlib
 from collections import Counter
 from typing import Collection, Sequence, Tuple
 
-from .core import LabelledNet, Multiset, PetriNet, StateGraph, state_graph_reachable
+from .core import LabelledNet, Multiset, PetriNet, StateGraph
 from .semantics import SINK, SOURCE, Run, flow_domain
 
 #: A trace is a non-empty sequence of activity labels.
@@ -37,10 +37,6 @@ def state_graph_to_labelled_net(sg: StateGraph) -> LabelledNet:
     for s in sg.states:
         if not isinstance(s, str):
             raise ValueError("state graph states must be identifiers to convert")
-    reachable = state_graph_reachable(sg)
-    unreachable = [s for s in sg.states if s not in reachable]
-    if unreachable:
-        raise ValueError(f"unreachable state: {unreachable[0]!r}")
     transitions = _tuple_ids(sg.arcs, set(sg.states))
     arcs = {a: 1 for (src, _, tgt), e in zip(sg.arcs, transitions) for a in ((src, e), (e, tgt))}
     labels = {e: label for (_, label, _), e in zip(sg.arcs, transitions)}
@@ -99,7 +95,8 @@ def trace_to_labelled_net(trace: Sequence[str]) -> LabelledNet:
 
     The chain is valid by construction, so it is built as it is
     (LabelledNet._of), with the walk that core.state_machine_walk would
-    find: every transition is a tree step, ci from ci-1 at label i."""
+    find: every transition is a tree step, place i from place i - 1 at
+    label i."""
     labels = tuple(trace)
     if not labels:
         raise ValueError("trace must not be empty")
@@ -113,8 +110,8 @@ def trace_to_labelled_net(trace: Sequence[str]) -> LabelledNet:
         arcs[(e, places[i + 1])] = 1
         pre[e] = {places[i]: 1}
         post[e] = {places[i + 1]: 1}
-    steps = tuple((q, p, label, 1) for p, q, label in zip(places, places[1:], labels))
+    steps = tuple((i, i - 1, label, 1) for i, label in enumerate(labels, start=1))
     return LabelledNet._of(
         places, transitions, Multiset._of(arcs), pre, post,
-        Multiset._of({places[0]: 1}), dict(zip(transitions, labels)), (places[0], steps, ()),
+        Multiset._of({places[0]: 1}), dict(zip(transitions, labels)), (0, steps, ()),
     )

@@ -164,7 +164,8 @@ class LabelledNet:
 
     Traces and state graphs convert to connected state machines, whose
     walk state_machine_walk keeps on the net (`trail_walk`, None on other
-    nets) for the region classes and the trail search; on other nets
+    nets) for the region classes and the trail search; it names places by
+    their position in `net.places`, so a rename keeps it. On other nets
     semantics.find_token_trail keeps the compiled trail rows
     (`trail_model`). A model, whose labels must be distinct, keeps every
     place's behaviour per label, which semantics.is_enabled reads once
@@ -193,7 +194,7 @@ class LabelledNet:
         """A labelled net over these parts, taken as they are: they must
         already pass every check of PetriNet and LabelledNet, `pre` and
         `post` must be the arc view PetriNet builds, and `walk` what
-        state_machine_walk finds on the net."""
+        state_machine_walk finds on the net, place positions and all."""
         net = object.__new__(PetriNet)
         vars(net).update(places=places, transitions=transitions, arcs=arcs, pre=pre, post=post)
         ln = object.__new__(cls)
@@ -209,7 +210,8 @@ def state_machine_walk(ln: LabelledNet) -> Optional[tuple]:
     one output place, each by an arc of weight 1 (they may be the same
     place); the initial marking is one token on one place p0; and every
     place is linked to p0 when arc direction is ignored. The walk is (p0,
-    steps, chords): `steps` lists (place, parent, label, sign) in
+    steps, chords), every place in it named by its index in
+    `ln.net.places`: `steps` lists (place, parent, label, sign) in
     breadth-first order from p0, one per tree arc, so that a trail or a
     region has place = parent + sign * rise(label); `chords` lists (input
     place, output place, label) for every other transition, self-loops
@@ -222,9 +224,10 @@ def state_machine_walk(ln: LabelledNet) -> Optional[tuple]:
     if len(ln.initial) == 1 and ln.initial.total() == 1 and all(
         list(pre[e].values()) == [1] == list(post[e].values()) for e in ln.net.transitions
     ):
-        root = next(iter(ln.initial))
-        arcs = [(next(iter(pre[e])), next(iter(post[e])), ln.labels[e]) for e in ln.net.transitions]
-        neighbours: dict[str, list] = {p: [] for p in ln.net.places}
+        index = {p: i for i, p in enumerate(ln.net.places)}
+        root = index[next(iter(ln.initial))]
+        arcs = [(index[next(iter(pre[e]))], index[next(iter(post[e]))], ln.labels[e]) for e in ln.net.transitions]
+        neighbours: list[list] = [[] for _ in ln.net.places]
         for i, (p, q, label) in enumerate(arcs):
             neighbours[p].append((q, label, 1, i))
             neighbours[q].append((p, label, -1, i))
@@ -283,18 +286,11 @@ def _rename_net(ln: LabelledNet, mapping: Mapping[str, str]) -> LabelledNet:
 
     The caller vouches that the renamed identifiers are distinct and equal
     no identifier that is kept, so the renamed net is valid as well: its
-    arc view (`pre`, `post`) and its walk (state_machine_walk) are renamed
-    as they are, and nothing is checked.
+    arc view (`pre`, `post`) is renamed as it is, its walk
+    (state_machine_walk), which names places by position, is kept, and
+    nothing is checked.
     """
     ren = {x: mapping.get(x, x) for x in ln.net.places + ln.net.transitions}
-    walk = state_machine_walk(ln)
-    if walk is not None:
-        root, steps, chords = walk
-        walk = (
-            ren[root],
-            tuple([(ren[p], ren[q], label, sign) for p, q, label, sign in steps]),
-            tuple([(ren[p], ren[q], label) for p, q, label in chords]),
-        )
     return LabelledNet._of(
         tuple([ren[p] for p in ln.net.places]),
         tuple([ren[t] for t in ln.net.transitions]),
@@ -303,7 +299,7 @@ def _rename_net(ln: LabelledNet, mapping: Mapping[str, str]) -> LabelledNet:
         {ren[t]: {ren[p]: w for p, w in ws.items()} for t, ws in ln.net.post.items()},
         Multiset._of({ren[p]: n for p, n in ln.initial.items()}),
         {ren[t]: label for t, label in ln.labels.items()},
-        walk,
+        state_machine_walk(ln),
     )
 
 
@@ -340,10 +336,9 @@ def build_specification(nets: Sequence[LabelledNet]) -> Specification:
 class StateGraph:
     """Rooted graph of states with labelled arcs.
 
-    States may be identifiers or whole markings. Full reachability from the
-    initial state is an expected property of well-formed graphs; it is
-    enforced by the parsers and re-checked by the enabledness checker, not
-    by this constructor.
+    States may be identifiers or whole markings. Every state must be
+    reachable from the initial state along arcs; the first state in state
+    order that is not is named in the error.
     """
 
     states: Tuple[Hashable, ...]
@@ -360,25 +355,21 @@ class StateGraph:
             raise ValueError("initial state not among states")
         if len(set(self.arcs)) != len(self.arcs):
             raise ValueError("duplicate arc")
+        succ: dict = {}
         for src, _label, tgt in self.arcs:
             if src not in known or tgt not in known:
                 raise ValueError("arc endpoint is not a state")
-
-
-def state_graph_reachable(sg: StateGraph) -> frozenset:
-    """States reachable from the initial state along arcs."""
-    succ: dict = {}
-    for src, _label, tgt in sg.arcs:
-        succ.setdefault(src, []).append(tgt)
-    seen = {sg.initial}
-    todo = deque([sg.initial])
-    while todo:
-        s = todo.popleft()
-        for nxt in succ.get(s, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return frozenset(seen)
+            succ.setdefault(src, []).append(tgt)
+        reached = [self.initial]
+        seen = {self.initial}
+        for s in reached:  # grows while it is walked
+            for nxt in succ.get(s, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    reached.append(nxt)
+        for s in self.states:
+            if s not in seen:
+                raise ValueError(f"unreachable state: {s!r}")
 
 
 def _require_transition(net: PetriNet, t: str) -> None:

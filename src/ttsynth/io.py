@@ -16,7 +16,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from typing import Iterable, Sequence, Union
 
-from .core import LabelledNet, Multiset, PetriNet, StateGraph, state_graph_reachable
+from .core import LabelledNet, Multiset, PetriNet, StateGraph
 from .regions import Region
 from .semantics import Run
 from .synthesis import SynthesisResult
@@ -292,10 +292,6 @@ def parse_state_graph(data: bytes) -> StateGraph:
         sg = StateGraph(tuple(states), initial, tuple(arcs))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    reachable = state_graph_reachable(sg)
-    unreachable = [s for s in sg.states if s not in reachable]
-    if unreachable:
-        raise ParseError(f"unreachable state: {unreachable[0]!r}")
     return sg
 
 

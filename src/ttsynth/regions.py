@@ -110,7 +110,8 @@ def parikh_classes(spec: Specification) -> dict[str, str]:
     members of a class carry the same value in every region: the walk
     starts at the net's initial sum, which the initial-sum equalities
     share between the nets, and each step adds its label's rise times its
-    sign, and the rise equalities share the rises.
+    sign, and the rise equalities share the rises. The walk names places
+    by position, so the counts are kept in a list in place order.
     """
     position = {label: i for i, label in enumerate(spec.alphabet())}
     key_of: dict[str, object] = {}
@@ -120,12 +121,13 @@ def parikh_classes(spec: Specification) -> dict[str, str]:
             key_of.update((p, p) for p in ln.net.places)
             continue
         root, steps, _ = walk
-        counts = {root: (0,) * len(position)}
+        counts: list = [None] * len(ln.net.places)
+        counts[root] = (0,) * len(position)
         for place, parent, label, sign in steps:
             vector = list(counts[parent])
             vector[position[label]] += sign
             counts[place] = tuple(vector)
-        key_of.update((p, counts[p]) for p in ln.net.places)
+        key_of.update(zip(ln.net.places, counts))
     last = {key: p for p, key in key_of.items()}
     return {p: last[key] for p, key in key_of.items()}
 

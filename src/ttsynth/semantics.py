@@ -15,7 +15,7 @@ that the synthesis pipeline is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 from . import ilp
 from .core import (
@@ -27,7 +27,6 @@ from .core import (
     effect,
     fire,
     preset,
-    state_graph_reachable,
     state_machine_walk,
 )
 
@@ -241,12 +240,15 @@ def _trail_by_walk(net: LabelledNet, walk, pb: PlaceBehavior, bound: int) -> Opt
     Every value is bounded, and the inflow row of its tree arc tested, as
     it is walked; a label that pb does not touch copies the value. A tree
     arc balances by construction, so balance is tested on the chords only,
-    which also get their inflow test. Keys are in place order."""
+    which also get their inflow test. The values are kept by place
+    position, as the walk names places, so the keys come out in place
+    order."""
     root, steps, chords = walk
     if pb.initial > bound:
         return None
     move = _trail_parts(pb)[0].get
-    x = {root: pb.initial}
+    x = [0] * len(net.net.places)
+    x[root] = pb.initial
     for place, parent, label, sign in steps:
         step = move(label)
         if step is None:
@@ -261,7 +263,7 @@ def _trail_by_walk(net: LabelledNet, walk, pb: PlaceBehavior, bound: int) -> Opt
         rise, consume = move(label, (0, 0))
         if x[p] < consume or x[q] - x[p] != rise:
             return None
-    return Multiset._of({p: x[p] for p in net.net.places if x[p]})
+    return Multiset._of({p: v for p, v in zip(net.net.places, x) if v})
 
 
 def find_token_trail(net: LabelledNet, pb: PlaceBehavior, bound: Optional[int] = None) -> Optional[TokenTrail]:
@@ -426,14 +428,11 @@ def check_state_graph_enabled(model: LabelledNet, sg: StateGraph) -> StateGraphC
 
     The initial state maps to the initial marking; each arc fires the model
     transition with its label (labels must be distinct, as in is_enabled),
-    all paths to a state must agree on its marking, the mapping must be
-    injective, and every state must be reachable from the initial one.
+    all paths to a state must agree on its marking, and the mapping must
+    be injective. Every state is reachable from the initial one (the
+    StateGraph constructor checks it), so every state is mapped.
     """
     transitions = _transition_by_label(model)
-    reachable = state_graph_reachable(sg)
-    for s in sg.states:
-        if s not in reachable:
-            return StateGraphCheck(reason=f"unreachable state: {s!r}")
     mapping = {sg.initial: model.initial}
     # Arc-driven propagation, deferring arcs whose source is not mapped yet.
     # Every state is reachable, so each pass maps the source of some

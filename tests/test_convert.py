@@ -61,9 +61,10 @@ class TestStateGraphConversion:
         assert sorted(ln.labels.values()) == ["a", "a", "b", "b"]
 
     def test_unreachable_rejected(self):
-        sg = StateGraph(("s0", "s1", "s2"), "s0", (("s1", "a", "s2"),))
-        with pytest.raises(ValueError, match="unreachable"):
-            state_graph_to_labelled_net(sg)
+        # The StateGraph constructor rejects the graph, so no unreachable
+        # state reaches the conversion.
+        with pytest.raises(ValueError, match="^unreachable state: 's1'$"):
+            StateGraph(("s0", "s1", "s2"), "s0", (("s1", "a", "s2"),))
 
     def test_reachability_fidelity(self):
         # converting a deterministic graph and exploring the net gives the

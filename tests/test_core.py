@@ -331,9 +331,10 @@ class TestSpecification:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(deadline=None, max_examples=150)
     def test_renamed_nets_are_the_checked_nets(self, seed):
-        # build_specification renames the arc view and a walk already
-        # worked out as they are; every renamed net must equal the net
-        # built afresh, through the checks, from its fields. Traces,
+        # build_specification renames the arc view as it is and keeps a
+        # walk already worked out, which names places by position; every
+        # renamed net must equal the net built afresh, through the
+        # checks, from its fields, and keep its walk. Traces,
         # converted state graphs (some walked before the rename, some
         # not) and random nets, with clashing ids.
         rng = random.Random(seed)
@@ -358,7 +359,7 @@ class TestSpecification:
             assert renamed == checked and repr(renamed) == repr(checked)
             assert list(renamed.net.pre.items()) == list(checked.net.pre.items())
             assert list(renamed.net.post.items()) == list(checked.net.post.items())
-            assert state_machine_walk(renamed) == state_machine_walk(checked)
+            assert state_machine_walk(renamed) == state_machine_walk(checked) == state_machine_walk(ln)
             assert len(renamed.net.places) == len(ln.net.places)
 
     def test_alphabet_in_document_order(self):
